@@ -48,9 +48,13 @@ std::string digest(const QueryResult& result) {
           break;
         }
         case kdb::ValueType::kInt:
-        case kdb::ValueType::kBool:
-        case kdb::ValueType::kDateTime:
           out += std::to_string(v.as_int());
+          break;
+        case kdb::ValueType::kBool:
+          out += v.as_bool() ? "T" : "F";
+          break;
+        case kdb::ValueType::kDateTime:
+          out += cat("@", v.as_datetime());
           break;
         case kdb::ValueType::kString:
           out += v.as_string();
@@ -65,9 +69,10 @@ std::string digest(const QueryResult& result) {
 
 /// Executes `sql`; any error becomes a distinguished digest so an erroring
 /// statement still differentiates (both paths must throw).
-std::string run_digest(Database& db, const std::string& sql) {
+std::string run_digest(Database& db, const std::string& sql,
+                       const std::vector<Value>& params = {}) {
   try {
-    return digest(db.execute(sql));
+    return digest(db.execute(sql, params));
   } catch (const std::exception&) {
     return "<error>";
   }
@@ -324,6 +329,207 @@ TEST(ExprVmDifferential, ErrorsSurfaceOnBothPaths) {
   const std::string sql = "SELECT SUM(t.a / (t.b - t.b)) FROM t";
   EXPECT_EQ(run_digest(vm_db, sql), "<error>");
   EXPECT_EQ(run_digest(row_db, sql), "<error>");
+}
+
+// ---------------------------------------------------------------------------
+// Comparison-conjunct shapes
+
+namespace {
+
+/// One column of every comparable type plus sprinkled NULLs, and an empty
+/// twin table `z` for the zero-row edges.
+Database make_typed_db(const std::string& layout) {
+  Database db;
+  const std::string columns =
+      "(id INTEGER, i INTEGER, d DOUBLE, b BOOLEAN, ts DATETIME, s TEXT)";
+  db.execute(cat("CREATE TABLE t ", columns, layout));
+  db.execute(cat("CREATE TABLE z ", columns, layout));
+  Rng rng(0xC0DE);
+  static const char* kDoubles[] = {"-1.5", "0.0", "0.5", "1.0", "2.25"};
+  static const char* kDays[] = {"2020-01-01", "2020-01-03", "2020-01-05"};
+  static const char* kWords[] = {"alpha", "beta", "gamma", "delta"};
+  std::string batch = "INSERT INTO t VALUES ";
+  for (int i = 0; i < kRows; ++i) {
+    const auto cell = [&](std::string v) {
+      return rng.chance(0.12) ? std::string("NULL") : v;
+    };
+    if (i > 0) batch += ",";
+    batch += cat(
+        "(", i, ",", cell(std::to_string(rng.uniform_int(-4, 4))), ",",
+        cell(rng.chance(0.5) ? kDoubles[rng.uniform_int(0, 4)]
+                             : dbl_lit(rng.uniform(-2.0, 3.0))),
+        ",", cell(rng.chance(0.5) ? "TRUE" : "FALSE"), ",",
+        cell(cat("DATETIME '", kDays[rng.uniform_int(0, 2)], "'")), ",",
+        cell(cat("'", kWords[rng.uniform_int(0, 3)], "'")), ")");
+  }
+  db.execute(batch);
+  return db;
+}
+
+/// A WHERE atom: its text and the parameters its `?` markers bind, in order.
+struct Atom {
+  std::string text;
+  std::vector<Value> params;
+};
+
+/// Every `column op constant` / `constant op column` / `IS [NOT] NULL`
+/// shape over the typed table: each comparable type, the constant as a
+/// literal, a parameter (NULL included) and a scalar subquery, all six
+/// comparison operators in both operand orders.
+std::vector<Atom> conjunct_atoms() {
+  struct Constant {
+    std::string text;
+    std::vector<Value> params;
+  };
+  struct Column {
+    std::string name;
+    std::vector<Constant> constants;
+  };
+  const std::int64_t day3 = *kdb::parse_datetime("2020-01-03");
+  const std::vector<Column> columns = {
+      {"t.i",
+       {{"2", {}},
+        {"1.5", {}},
+        {"?", {Value::integer(2)}},
+        {"?", {Value::real(-0.5)}},
+        {"?", {Value::null()}},
+        {"(SELECT MIN(i) FROM t)", {}}}},
+      {"t.d",
+       {{"0.5", {}},
+        {"1", {}},
+        {"?", {Value::real(1.0)}},
+        {"?", {Value::integer(0)}},
+        {"?", {Value::null()}},
+        {"(SELECT AVG(d) FROM t)", {}}}},
+      {"t.b",
+       {{"TRUE", {}},
+        {"?", {Value::boolean(false)}},
+        {"?", {Value::null()}},
+        {"(SELECT MAX(b) FROM t)", {}}}},
+      {"t.ts",
+       {{"DATETIME '2020-01-03'", {}},
+        {"?", {Value::datetime(day3)}},
+        {"?", {Value::null()}},
+        {"(SELECT MIN(ts) FROM t)", {}}}},
+      {"t.s",
+       {{"'beta'", {}},
+        {"?", {Value::text("gamma")}},
+        {"?", {Value::null()}},
+        {"(SELECT MAX(s) FROM t)", {}}}},
+  };
+  std::vector<Atom> atoms;
+  for (const Column& column : columns) {
+    for (const Constant& c : column.constants) {
+      for (const char* op : {"=", "<>", "<", "<=", ">", ">="}) {
+        atoms.push_back({cat(column.name, " ", op, " ", c.text), c.params});
+        atoms.push_back({cat(c.text, " ", op, " ", column.name), c.params});
+      }
+    }
+    atoms.push_back({cat(column.name, " IS NULL"), {}});
+    atoms.push_back({cat(column.name, " IS NOT NULL"), {}});
+  }
+  return atoms;
+}
+
+}  // namespace
+
+// The comparison-conjunct shapes (each atom alone, and seeded AND chains of
+// them) as global and grouped aggregates: byte-identical to row storage on
+// the flat and partitioned layouts at 1/2/8 threads, and every execution
+// stays on the vectorized path. The zero-row and HAVING edges of the global
+// aggregate ride along as extra input cases.
+TEST(ExprVmDifferential, ConjunctShapesMatchRowPath) {
+  std::vector<Atom> cases = conjunct_atoms();
+  const std::size_t atoms = cases.size();
+  Rng rng(0xA7D);
+  for (int k = 0; k < 60; ++k) {
+    Atom chain;
+    const int terms = static_cast<int>(rng.uniform_int(2, 4));
+    for (int t = 0; t < terms; ++t) {
+      const Atom& atom =
+          cases[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(atoms) - 1))];
+      chain.text += cat(t == 0 ? "" : " AND ", atom.text);
+      chain.params.insert(chain.params.end(), atom.params.begin(),
+                          atom.params.end());
+    }
+    cases.push_back(std::move(chain));
+  }
+
+  const std::vector<std::string> shapes = {
+      "SELECT COUNT(*), SUM(t.i), SUM(t.d), MIN(t.d), MAX(t.s), MIN(t.ts), "
+      "MAX(t.b) FROM t WHERE ",
+      "SELECT t.s, COUNT(*), SUM(t.d), MAX(t.ts) FROM t WHERE "};
+  const std::string grouped_tail = " GROUP BY t.s";
+  struct Query {
+    std::string sql;
+    std::vector<Value> params;
+    bool vectorized = true;  // every execution must move the kernels
+  };
+  std::vector<Query> queries;
+  for (const Atom& c : cases) {
+    queries.push_back({shapes[0] + c.text, c.params});
+    queries.push_back({shapes[1] + c.text + grouped_tail, c.params});
+  }
+  // Zero-row and HAVING edges of the global aggregate: a WHERE that selects
+  // nothing still yields one row (COUNT 0, NULL SUM/MIN), a false HAVING
+  // yields none, and an empty table yields one row.
+  queries.push_back(
+      {"SELECT COUNT(*), SUM(t.d), MIN(t.s), MAX(t.ts) FROM t WHERE t.i > 99",
+       {}});
+  queries.push_back(
+      {"SELECT COUNT(*), SUM(t.d) FROM t WHERE t.i > ? HAVING COUNT(*) > 0",
+       {Value::integer(99)}});
+  queries.push_back(
+      {"SELECT COUNT(*), SUM(t.d) FROM t HAVING SUM(t.d) > 1000000.0", {}});
+  queries.push_back(
+      {"SELECT COUNT(*), SUM(z.d), MIN(z.s), MAX(z.b) FROM z", {}, false});
+
+  Database flat_row_db = make_typed_db("");
+  Database part_row_db = make_typed_db(kPartitioned);
+  Database flat_db = make_typed_db(" STORAGE COLUMNAR");
+  Database part_db = make_typed_db(cat(kPartitioned, " STORAGE COLUMNAR"));
+  std::pair<Database*, Database*> layouts[] = {{&flat_db, &flat_row_db},
+                                               {&part_db, &part_row_db}};
+  for (const Query& q : queries) {
+    for (auto& [db, row_db] : layouts) {
+      const std::string expected = run_digest(*row_db, q.sql, q.params);
+      ASSERT_NE(expected, "<error>") << q.sql;
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        db->set_scan_config({.threads = threads, .min_parallel_rows = 1});
+        const auto before = db->exec_stats();
+        EXPECT_EQ(run_digest(*db, q.sql, q.params), expected)
+            << "threads=" << threads << "\n"
+            << q.sql;
+        const auto after = db->exec_stats();
+        if (q.vectorized) {
+          EXPECT_GT(after.vectorized_batches, before.vectorized_batches)
+              << q.sql;
+        }
+      }
+    }
+  }
+}
+
+// A prepared numeric comparison whose parameter drifts between INTEGER and
+// REAL (and back) keeps every execution on the vectorized path.
+TEST(ExprVmDifferential, NumericParameterDriftStaysFused) {
+  Database row_db = make_row_db();
+  Database vm_db = make_flat_vm_db();
+  const std::string sql = "SELECT COUNT(*), SUM(t.d) FROM t WHERE t.d > ?";
+  auto vm_stmt = vm_db.prepare(sql);
+  auto row_stmt = row_db.prepare(sql);
+  for (const Value& param : {Value::integer(1), Value::real(1.5),
+                             Value::integer(-2), Value::real(0.25)}) {
+    const std::vector<Value> params = {param};
+    const auto before = vm_db.exec_stats();
+    EXPECT_EQ(digest(vm_db.execute(vm_stmt, params)),
+              digest(row_db.execute(row_stmt, params)))
+        << param.to_display();
+    const auto after = vm_db.exec_stats();
+    EXPECT_GT(after.vectorized_batches, before.vectorized_batches)
+        << param.to_display();
+  }
 }
 
 // ---------------------------------------------------------------------------
