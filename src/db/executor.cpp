@@ -24,10 +24,9 @@
 #include "support/str.hpp"
 #include "support/thread_pool.hpp"
 
-// The hot-plan annotations behind SelectStmt::fused_plan /
-// fused_group_plan (sql::FusedScanPlan, sql::FusedGroupPlan) live in
-// db/sql/plan.hpp so the clone machinery in ast.cpp can carry them across
-// statement copies.
+// The hot-plan annotation behind SelectStmt::fused_group_plan
+// (sql::FusedGroupPlan) lives in db/sql/plan.hpp so the clone machinery in
+// ast.cpp can carry it across statement copies.
 
 namespace kojak::db {
 
@@ -316,9 +315,8 @@ struct EvalCtx {
   const std::unordered_map<const Expr*, Value>* subqueries = nullptr;
   const Row* output_row = nullptr;  // for kAliasRef in ORDER BY
   /// Values pinned onto specific expression nodes, consulted before ordinary
-  /// evaluation: the grouped vectorized evaluator pins each compiled GROUP BY
-  /// key expression to its per-group value (the synthesized representative
-  /// row only carries plain-column keys).
+  /// evaluation: the fused evaluator pins each output node equal to a GROUP
+  /// BY key to that key's per-group value (it has no representative row).
   const std::unordered_map<const Expr*, Value>* pinned = nullptr;
 };
 
@@ -587,134 +585,22 @@ void collect_aggregates(const Expr& e, std::vector<const Expr*>& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized columnar scan kernels
+// Vectorized columnar aggregation kernels
 //
-// Batch-at-a-time execution over STORAGE COLUMNAR partitions: WHERE
-// conjuncts AND themselves into a per-partition selection bitmap over the
-// typed column lanes, then each aggregate runs a tight per-column kernel
-// over the selected lanes — no Row is ever materialized. Byte-identity with
-// the row path is load-bearing: every kernel visits lanes in heap order
-// (partition-major, local offset within), pushes the exact doubles
-// agg_accumulate would have pushed into the same RunningStats, and
-// replicates Value::compare_sql's semantics per (column type, constant
-// type) pair — including NaN comparing equal to everything and first-
-// attained MIN/MAX ties. Unsupported type pairs fall back to the row path,
-// which raises the interpreter's usual diagnostics.
+// Batch-at-a-time execution over STORAGE COLUMNAR partitions. The WHERE
+// clause, every aggregate argument and every GROUP BY key is an ExprProgram
+// (a plain column reference is a one-instruction zero-copy load): the WHERE
+// program's boolean lanes AND into a per-partition selection bitmap, each
+// selected lane maps to a group id (always group 0 without GROUP BY), and
+// each aggregate runs a tight kernel over its argument program's output
+// lanes — no Row is ever materialized. Byte-identity with the row path is
+// load-bearing: every kernel visits lanes in heap order (partition-major,
+// local offset within), pushes the exact doubles agg_accumulate would have
+// pushed into the same RunningStats, and keeps first-attained MIN/MAX
+// ties. Shapes the VM declines stay on the row path, which raises the
+// interpreter's usual diagnostics.
 
 constexpr std::size_t kVectorBatch = 1024;
-
-/// Whether the comparison kernels implement compare_sql for every cell of a
-/// `col`-typed column against this constant. NULL constants are supported
-/// (three-valued logic: the conjunct is never true); anything else outside
-/// compare_sql's defined pairs falls back to the row path.
-bool conjunct_types_supported(ValueType col, const Value& constant) {
-  if (constant.is_null()) return true;
-  switch (col) {
-    case ValueType::kInt:
-    case ValueType::kDouble:
-      return constant.type() == ValueType::kInt ||
-             constant.type() == ValueType::kDouble;
-    case ValueType::kBool:
-    case ValueType::kDateTime:
-    case ValueType::kString:
-      return constant.type() == col;
-    default:
-      return false;
-  }
-}
-
-bool comparison_keeps(BinOp op, int c) noexcept {
-  switch (op) {
-    case BinOp::kEq: return c == 0;
-    case BinOp::kNe: return c != 0;
-    case BinOp::kLt: return c < 0;
-    case BinOp::kLe: return c <= 0;
-    case BinOp::kGt: return c > 0;
-    case BinOp::kGe: return c >= 0;
-    default: return false;
-  }
-}
-
-/// ANDs one conjunct into `sel` over lanes [begin, end). `constant` is the
-/// conjunct's already-evaluated right-hand side (ignored for null tests);
-/// the (column type, constant type) pair was pre-validated with
-/// conjunct_types_supported.
-void apply_conjunct_batch(const sql::FusedScanPlan::Conjunct& conjunct,
-                          const Value& constant, ValueType col_type,
-                          const Table::ColumnSlice& slice, std::size_t begin,
-                          std::size_t end, std::uint8_t* sel) {
-  if (conjunct.is_null_test) {
-    if (conjunct.negated) {  // IS NOT NULL
-      for (std::size_t i = begin; i < end; ++i) sel[i] &= slice.valid[i];
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        sel[i] &= static_cast<std::uint8_t>(slice.valid[i] ^ 1U);
-      }
-    }
-    return;
-  }
-  if (constant.is_null()) {
-    // compare_sql against NULL is indeterminate; WHERE treats it as false.
-    std::fill(sel + begin, sel + end, std::uint8_t{0});
-    return;
-  }
-  const BinOp op = conjunct.op;
-  const auto compare_lanes = [&](auto&& c_of) {
-    for (std::size_t i = begin; i < end; ++i) {
-      if (sel[i] == 0) continue;
-      if (slice.valid[i] == 0) {
-        sel[i] = 0;  // NULL cell: the comparison is never true
-        continue;
-      }
-      if (!comparison_keeps(op, c_of(i))) sel[i] = 0;
-    }
-  };
-  switch (col_type) {
-    case ValueType::kInt: {
-      // Numeric compare_sql goes through as_double even int-vs-int; the
-      // double cast here replicates that (NaN can't appear on this side).
-      const double rhs = constant.as_double();
-      compare_lanes([&](std::size_t i) {
-        const double x = static_cast<double>(slice.ints[i]);
-        return x < rhs ? -1 : (x > rhs ? 1 : 0);
-      });
-      break;
-    }
-    case ValueType::kDouble: {
-      const double rhs = constant.as_double();
-      compare_lanes([&](std::size_t i) {
-        const double x = slice.reals[i];
-        return x < rhs ? -1 : (x > rhs ? 1 : 0);
-      });
-      break;
-    }
-    case ValueType::kBool: {
-      const std::int64_t rhs = constant.as_bool() ? 1 : 0;
-      compare_lanes([&](std::size_t i) {
-        return static_cast<int>(slice.ints[i] - rhs);
-      });
-      break;
-    }
-    case ValueType::kDateTime: {
-      const std::int64_t rhs = constant.as_datetime();
-      compare_lanes([&](std::size_t i) {
-        const std::int64_t x = slice.ints[i];
-        return x < rhs ? -1 : (x > rhs ? 1 : 0);
-      });
-      break;
-    }
-    case ValueType::kString: {
-      const std::string& rhs = constant.as_string();
-      compare_lanes([&](std::size_t i) {
-        const int c = slice.strs[i].compare(rhs);
-        return c < 0 ? -1 : (c > 0 ? 1 : 0);
-      });
-      break;
-    }
-    default:
-      break;  // pre-validated: unreachable
-  }
-}
 
 /// Which kernel loop serves an aggregate call.
 enum class AggKernel : std::uint8_t {
@@ -738,106 +624,6 @@ struct MinMaxAcc {
   std::string lo_s;
   std::string hi_s;
 };
-
-void accumulate_batch(AggKernel kernel, ValueType col_type,
-                      const Table::ColumnSlice& slice, std::size_t begin,
-                      std::size_t end, const std::uint8_t* sel,
-                      AggState& state, MinMaxAcc& minmax) {
-  switch (kernel) {
-    case AggKernel::kCountStar:
-      for (std::size_t i = begin; i < end; ++i) state.count += sel[i];
-      return;
-    case AggKernel::kCountColumn:
-      for (std::size_t i = begin; i < end; ++i) {
-        state.count += sel[i] & slice.valid[i];
-      }
-      return;
-    case AggKernel::kNumericStats:
-      // Lane order is heap order, so the Welford accumulator sees the exact
-      // push sequence of the row path — bit-for-bit identical SUM/AVG.
-      if (col_type == ValueType::kInt) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (sel[i] && slice.valid[i]) {
-            ++state.count;
-            state.stats.push(static_cast<double>(slice.ints[i]));
-          }
-        }
-      } else {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (sel[i] && slice.valid[i]) {
-            ++state.count;
-            state.stats.push(slice.reals[i]);
-          }
-        }
-      }
-      return;
-    case AggKernel::kMinMax:
-      switch (col_type) {
-        case ValueType::kInt:
-          // compare_sql compares ints via double; replicate the cast so
-          // > 2^53 collisions keep the first-attained value.
-          for (std::size_t i = begin; i < end; ++i) {
-            if (!(sel[i] && slice.valid[i])) continue;
-            ++state.count;
-            const std::int64_t x = slice.ints[i];
-            if (!minmax.has) {
-              minmax.has = true;
-              minmax.lo_i = minmax.hi_i = x;
-              continue;
-            }
-            const auto xd = static_cast<double>(x);
-            if (xd < static_cast<double>(minmax.lo_i)) minmax.lo_i = x;
-            if (xd > static_cast<double>(minmax.hi_i)) minmax.hi_i = x;
-          }
-          return;
-        case ValueType::kBool:
-        case ValueType::kDateTime:
-          for (std::size_t i = begin; i < end; ++i) {
-            if (!(sel[i] && slice.valid[i])) continue;
-            ++state.count;
-            const std::int64_t x = slice.ints[i];
-            if (!minmax.has) {
-              minmax.has = true;
-              minmax.lo_i = minmax.hi_i = x;
-              continue;
-            }
-            if (x < minmax.lo_i) minmax.lo_i = x;
-            if (x > minmax.hi_i) minmax.hi_i = x;
-          }
-          return;
-        case ValueType::kDouble:
-          for (std::size_t i = begin; i < end; ++i) {
-            if (!(sel[i] && slice.valid[i])) continue;
-            ++state.count;
-            const double x = slice.reals[i];
-            if (!minmax.has) {
-              minmax.has = true;
-              minmax.lo_d = minmax.hi_d = x;
-              continue;
-            }
-            if (x < minmax.lo_d) minmax.lo_d = x;
-            if (x > minmax.hi_d) minmax.hi_d = x;
-          }
-          return;
-        case ValueType::kString:
-          for (std::size_t i = begin; i < end; ++i) {
-            if (!(sel[i] && slice.valid[i])) continue;
-            ++state.count;
-            const std::string& x = slice.strs[i];
-            if (!minmax.has) {
-              minmax.has = true;
-              minmax.lo_s = minmax.hi_s = x;
-              continue;
-            }
-            if (x.compare(minmax.lo_s) < 0) minmax.lo_s = x;
-            if (x.compare(minmax.hi_s) > 0) minmax.hi_s = x;
-          }
-          return;
-        default:
-          return;
-      }
-  }
-}
 
 /// Rebuilds the Value agg_finalize expects from a typed extreme.
 Value minmax_value(ValueType col_type, const MinMaxAcc& acc, bool max_side) {
@@ -863,34 +649,15 @@ AggKernel agg_kernel_of(const Expr& agg) {
   return AggKernel::kNumericStats;
 }
 
-/// True when a bare (non-aggregate-argument) column reference appears in
-/// the expression — global aggregation has no representative row for it on
-/// the fused path. Does not descend into scalar subqueries (their columns
-/// belong to their own scope and the executor consumes the materialized
-/// scalar).
-bool has_bare_column_ref(const Expr& e) {
-  if (e.kind == Expr::Kind::kColumnRef) return true;
-  if (e.kind == Expr::Kind::kFuncCall && Binder::is_aggregate_name(e.func)) {
-    return false;  // argument columns feed the kernels, not the output row
-  }
-  if (e.lhs && has_bare_column_ref(*e.lhs)) return true;
-  if (e.rhs && has_bare_column_ref(*e.rhs)) return true;
-  for (const auto& arg : e.args) {
-    if (has_bare_column_ref(*arg)) return true;
-  }
-  return false;
-}
-
 // ---------------------------------------------------------------------------
 // Grouped vectorized kernels
 //
-// The GROUP BY twin of the fused path: selection bitmaps are shared, but
-// instead of one global accumulator each selected lane is first mapped to a
-// group id through a hash over the GROUP BY key lanes, and the aggregate
-// kernels index per-group state with that id. Group equality must mirror
-// Value::compare_total for same-column pairs — the numeric class compares
-// int lanes through double, every other class is declared-type-exact — so
-// groups split exactly where the row path's std::map keys would.
+// Each selected lane is mapped to a group id through a hash over the GROUP
+// BY key lanes, and the aggregate kernels index per-group state with that
+// id. Group equality must mirror Value::compare_total for same-column
+// pairs — the numeric class compares int lanes through double, every other
+// class is declared-type-exact — so groups split exactly where the row
+// path's std::map keys would.
 
 /// Hash of one group-key lane; lanes that group_lane_equals treats as equal
 /// hash equal (ints through double; ±0.0 normalized for the double lanes).
@@ -958,41 +725,42 @@ Value group_lane_value(ValueType type, const Table::ColumnSlice& slice,
   }
 }
 
-/// Grouped twin of accumulate_batch: identical per-lane arithmetic, but each
-/// selected lane lands in its group's state (`gid[i]`) instead of one global
-/// accumulator. Lanes are visited in heap order, so every group's push
-/// sequence is exactly the subsequence the row path feeds it.
+/// Accumulates one batch of `n` lanes into per-group aggregate state: each
+/// selected lane (`sel[i]`) lands in the state of group `group_of(i)`,
+/// reading the argument lanes of `slice` (unused for COUNT(*)). Every lane,
+/// selected or not, must map to an existing group: the count kernels add
+/// `sel[i]` branch-free. A global aggregate passes a constant group 0, which
+/// the compiler folds so the loops vectorize like a single accumulator.
+/// Lanes are visited in heap order, so every group's push sequence is
+/// exactly the subsequence the row path feeds it.
+template <typename GroupOf>
 void accumulate_grouped_batch(AggKernel kernel, ValueType col_type,
-                              const Table::ColumnSlice& slice,
-                              std::size_t begin, std::size_t end,
-                              const std::uint8_t* sel,
-                              const std::uint32_t* gid,
+                              const Table::ColumnSlice& slice, std::size_t n,
+                              const std::uint8_t* sel, GroupOf group_of,
                               std::vector<AggState>& states,
                               std::vector<MinMaxAcc>& minmax) {
   switch (kernel) {
     case AggKernel::kCountStar:
-      for (std::size_t i = begin; i < end; ++i) {
-        if (sel[i]) ++states[gid[i]].count;
-      }
+      for (std::size_t i = 0; i < n; ++i) states[group_of(i)].count += sel[i];
       return;
     case AggKernel::kCountColumn:
-      for (std::size_t i = begin; i < end; ++i) {
-        if (sel[i] && slice.valid[i]) ++states[gid[i]].count;
+      for (std::size_t i = 0; i < n; ++i) {
+        states[group_of(i)].count += sel[i] & slice.valid[i];
       }
       return;
     case AggKernel::kNumericStats:
       if (col_type == ValueType::kInt) {
-        for (std::size_t i = begin; i < end; ++i) {
+        for (std::size_t i = 0; i < n; ++i) {
           if (sel[i] && slice.valid[i]) {
-            AggState& state = states[gid[i]];
+            AggState& state = states[group_of(i)];
             ++state.count;
             state.stats.push(static_cast<double>(slice.ints[i]));
           }
         }
       } else {
-        for (std::size_t i = begin; i < end; ++i) {
+        for (std::size_t i = 0; i < n; ++i) {
           if (sel[i] && slice.valid[i]) {
-            AggState& state = states[gid[i]];
+            AggState& state = states[group_of(i)];
             ++state.count;
             state.stats.push(slice.reals[i]);
           }
@@ -1002,10 +770,12 @@ void accumulate_grouped_batch(AggKernel kernel, ValueType col_type,
     case AggKernel::kMinMax:
       switch (col_type) {
         case ValueType::kInt:
-          for (std::size_t i = begin; i < end; ++i) {
+          // compare_sql compares ints via double; replicate the cast so
+          // > 2^53 collisions keep the first-attained value.
+          for (std::size_t i = 0; i < n; ++i) {
             if (!(sel[i] && slice.valid[i])) continue;
-            ++states[gid[i]].count;
-            MinMaxAcc& acc = minmax[gid[i]];
+            ++states[group_of(i)].count;
+            MinMaxAcc& acc = minmax[group_of(i)];
             const std::int64_t x = slice.ints[i];
             if (!acc.has) {
               acc.has = true;
@@ -1019,10 +789,10 @@ void accumulate_grouped_batch(AggKernel kernel, ValueType col_type,
           return;
         case ValueType::kBool:
         case ValueType::kDateTime:
-          for (std::size_t i = begin; i < end; ++i) {
+          for (std::size_t i = 0; i < n; ++i) {
             if (!(sel[i] && slice.valid[i])) continue;
-            ++states[gid[i]].count;
-            MinMaxAcc& acc = minmax[gid[i]];
+            ++states[group_of(i)].count;
+            MinMaxAcc& acc = minmax[group_of(i)];
             const std::int64_t x = slice.ints[i];
             if (!acc.has) {
               acc.has = true;
@@ -1034,10 +804,10 @@ void accumulate_grouped_batch(AggKernel kernel, ValueType col_type,
           }
           return;
         case ValueType::kDouble:
-          for (std::size_t i = begin; i < end; ++i) {
+          for (std::size_t i = 0; i < n; ++i) {
             if (!(sel[i] && slice.valid[i])) continue;
-            ++states[gid[i]].count;
-            MinMaxAcc& acc = minmax[gid[i]];
+            ++states[group_of(i)].count;
+            MinMaxAcc& acc = minmax[group_of(i)];
             const double x = slice.reals[i];
             if (!acc.has) {
               acc.has = true;
@@ -1049,10 +819,10 @@ void accumulate_grouped_batch(AggKernel kernel, ValueType col_type,
           }
           return;
         case ValueType::kString:
-          for (std::size_t i = begin; i < end; ++i) {
+          for (std::size_t i = 0; i < n; ++i) {
             if (!(sel[i] && slice.valid[i])) continue;
-            ++states[gid[i]].count;
-            MinMaxAcc& acc = minmax[gid[i]];
+            ++states[group_of(i)].count;
+            MinMaxAcc& acc = minmax[group_of(i)];
             const std::string& x = slice.strs[i];
             if (!acc.has) {
               acc.has = true;
@@ -1134,6 +904,15 @@ std::vector<std::pair<std::size_t, std::size_t>> columnar_join_pairs(
   }
   return pairs;
 }
+
+/// One partition's VM-computed join key lanes, owned (the VM scratch is
+/// reused across batches); exposed to columnar_join_pairs as a KeySlice.
+struct KeyLanes {
+  std::vector<std::int64_t> ints;
+  std::vector<double> reals;
+  std::vector<std::string> strs;
+  std::vector<std::uint8_t> valid;
+};
 
 // ---------------------------------------------------------------------------
 // Structural keys for the uncorrelated-subquery memo. Unlike
@@ -1277,7 +1056,7 @@ class SelectExec {
     std::vector<std::pair<Row, Row>> out;  // (output row, order keys)
     std::optional<std::vector<std::pair<Row, Row>>> fused;
     const bool aggregation = needs_aggregation();
-    if (aggregation) fused = try_vectorized_aggregation();
+    if (aggregation) fused = try_grouped_vectorized();
     if (fused) {
       // Fused single-pass columnar evaluator: scan, WHERE, and aggregation
       // already happened batch-at-a-time over the column vectors.
@@ -1372,15 +1151,13 @@ class SelectExec {
         !sources_[0].table->columnar()) {
       return "row path (not a single columnar base table)";
     }
-    const ScanSource& base = sources_[0];
-    if (!stmt_.group_by.empty()) {
-      return analyze_grouped(base) != nullptr
-                 ? "fused grouped (vectorized)"
-                 : "row path (grouped shape unsupported)";
+    const bool keyed = !stmt_.group_by.empty();
+    if (analyze_grouped(sources_[0]) != nullptr) {
+      return keyed ? "fused grouped (vectorized)"
+                   : "fused global aggregate (vectorized)";
     }
-    return analyze_fused(base) != nullptr
-               ? "fused global aggregate (vectorized)"
-               : "row path (shape unsupported)";
+    return keyed ? "row path (grouped shape unsupported)"
+                 : "row path (shape unsupported)";
   }
 
  private:
@@ -1634,18 +1411,12 @@ class SelectExec {
       if (sub->fused_rejected && !e.subquery->fused_rejected) {
         e.subquery->fused_rejected = true;
       }
-      if ((sub->fused_plan && !e.subquery->fused_plan) ||
-          (sub->fused_group_plan && !e.subquery->fused_group_plan)) {
+      if (sub->fused_group_plan && !e.subquery->fused_group_plan) {
         sql::ExprRemap inverse;
         inverse.reserve(remap.size());
         for (const auto& [original, copy] : remap) inverse[copy] = original;
-        if (sub->fused_plan && !e.subquery->fused_plan) {
-          e.subquery->fused_plan = sql::remap_onto(*sub->fused_plan, inverse);
-        }
-        if (sub->fused_group_plan && !e.subquery->fused_group_plan) {
-          e.subquery->fused_group_plan =
-              sql::remap_onto(*sub->fused_group_plan, inverse);
-        }
+        e.subquery->fused_group_plan =
+            sql::remap_onto(*sub->fused_group_plan, inverse);
       }
       if (sub_result.column_count() != 1) {
         throw EvalError("scalar subquery must produce one column");
@@ -1868,15 +1639,15 @@ class SelectExec {
 
   /// Collects run_aggregation's aggregate list (items, HAVING, ORDER BY
   /// order, so finalized values land on the same Expr nodes eval_expr will
-  /// look up) as kernel descriptors. Plain base-column arguments (and
-  /// COUNT(*)) feed the kernels directly; any other argument is compiled to
-  /// a batch program whose output lanes feed the same kernels. False when a
-  /// call falls outside both: DISTINCT, an uncompilable argument, or a
-  /// numeric-only aggregate (SUM/AVG/STDDEV/VARIANCE) over a non-numeric
-  /// input — the row path raises as_double's diagnostic for that one.
+  /// look up) as kernel descriptors: COUNT(*) needs no input, every other
+  /// argument compiles to a batch program whose output lanes feed the
+  /// kernels (a plain column is a zero-copy load). False when a call falls
+  /// outside them: DISTINCT, an uncompilable argument, or a numeric-only
+  /// aggregate (SUM/AVG/STDDEV/VARIANCE) over a non-numeric input — the row
+  /// path raises as_double's diagnostic for that one.
   [[nodiscard]] bool collect_kernel_aggregates(
       const ScanSource& base, const std::vector<ValueType>& column_types,
-      std::vector<sql::FusedScanPlan::Aggregate>& out) const {
+      std::vector<sql::FusedGroupPlan::Aggregate>& out) const {
     std::vector<const Expr*> agg_exprs;
     for (const auto& item : stmt_.items) {
       collect_aggregates(*item.expr, agg_exprs);
@@ -1887,33 +1658,21 @@ class SelectExec {
     }
     for (const Expr* agg : agg_exprs) {
       if (agg->distinct_arg) return false;
-      sql::FusedScanPlan::Aggregate entry;
+      sql::FusedGroupPlan::Aggregate entry;
       entry.expr = agg;
       if (!agg->star_arg) {
         if (agg->args.empty()) return false;
-        const Expr& arg = *agg->args[0];
+        entry.program = compile_program(*agg->args[0], base, column_types);
+        if (entry.program == nullptr) return false;
         const bool numeric_only = agg->func == "SUM" || agg->func == "AVG" ||
                                   agg->func == "STDDEV" ||
                                   agg->func == "VARIANCE";
-        if (arg.kind == Expr::Kind::kColumnRef &&
-            arg.resolved_slot >= base.base_slot &&
-            arg.resolved_slot < base.base_slot + column_types.size()) {
-          entry.column = arg.resolved_slot - base.base_slot;
-          const ValueType type = column_types[entry.column];
-          if (numeric_only && type != ValueType::kInt &&
-              type != ValueType::kDouble) {
-            return false;
-          }
-        } else {
-          entry.program = compile_program(arg, base, column_types);
-          if (entry.program == nullptr) return false;
-          const ValueType type = entry.program->result_type();
-          // An all-NULL program result is fine for any kernel: no lane is
-          // ever valid, so the aggregate sees the empty input.
-          if (numeric_only && type != ValueType::kInt &&
-              type != ValueType::kDouble && type != ValueType::kNull) {
-            return false;
-          }
+        const ValueType type = entry.program->result_type();
+        // An all-NULL program result is fine for any kernel: no lane is
+        // ever valid, so the aggregate sees the empty input.
+        if (numeric_only && type != ValueType::kInt &&
+            type != ValueType::kDouble && type != ValueType::kNull) {
+          return false;
         }
       }
       out.push_back(entry);
@@ -1921,61 +1680,12 @@ class SelectExec {
     return true;
   }
 
-  /// Structural analysis for the fused single-pass columnar evaluator.
-  /// Eligible shape: single columnar base table, no joins, no GROUP BY
-  /// (grouped statements go through analyze_grouped), every aggregate a
-  /// supported non-DISTINCT call over a plain base column, COUNT(*), or a
-  /// VM-compilable argument expression, no bare column reference outside
-  /// aggregate arguments (global aggregation has no representative row on
-  /// this path), and a WHERE clause that is either an AND of
-  /// `column op constant` / `column IS [NOT] NULL` conjuncts or any
-  /// boolean expression the VM compiles. Returns null when the statement
-  /// doesn't fit.
-  [[nodiscard]] std::shared_ptr<const sql::FusedScanPlan> analyze_fused(
-      const ScanSource& base) const {
-    using Plan = sql::FusedScanPlan;
-    if (!stmt_.joins.empty() || !stmt_.group_by.empty()) return nullptr;
-    const Table& table = *base.table;
-    if (!table.columnar()) return nullptr;
-
-    auto plan = std::make_shared<Plan>();
-    plan->table = table.schema().name();
-    plan->column_types = column_type_snapshot(table);
-
-    if (!collect_kernel_aggregates(base, plan->column_types,
-                                   plan->aggregates)) {
-      return nullptr;
-    }
-    if (plan->aggregates.empty()) return nullptr;
-    for (const auto& item : stmt_.items) {
-      if (has_bare_column_ref(*item.expr)) return nullptr;
-    }
-    if (stmt_.having && has_bare_column_ref(*stmt_.having)) return nullptr;
-    for (const auto& key : stmt_.order_by) {
-      if (key.expr->kind != Expr::Kind::kAliasRef &&
-          has_bare_column_ref(*key.expr)) {
-        return nullptr;
-      }
-    }
-
-    if (!analyze_where(base, plan->column_types, plan->conjuncts,
-                       plan->where_program)) {
-      return nullptr;
-    }
-    return plan;
-  }
-
-  /// WHERE analysis shared by both fused plans: the AND-of-simple-conjuncts
-  /// decomposition keeps the dedicated comparison kernels; everything else
-  /// compiles to one whole-WHERE program whose boolean lanes AND into the
-  /// selection bitmap. False when neither fits.
+  /// WHERE analysis: the whole clause compiles to one program whose boolean
+  /// lanes AND into the selection bitmap. False when it doesn't compile.
   [[nodiscard]] bool analyze_where(
       const ScanSource& base, const std::vector<ValueType>& column_types,
-      std::vector<sql::FusedScanPlan::Conjunct>& conjuncts,
       std::shared_ptr<const sql::ExprProgram>& where_program) const {
     if (!stmt_.where) return true;
-    if (collect_fused_conjuncts(*stmt_.where, base, conjuncts)) return true;
-    conjuncts.clear();  // a partial decomposition may have accumulated
     where_program = compile_program(*stmt_.where, base, column_types);
     if (where_program == nullptr) return false;
     const ValueType type = where_program->result_type();
@@ -1983,57 +1693,55 @@ class SelectExec {
   }
 
   /// True when every bare (non-aggregate-argument) node of `e` has a
-  /// per-group value on the grouped vectorized path: aggregate calls take
-  /// their finalized values, nodes structurally equal to a compiled GROUP BY
-  /// key expression take that key's value (recorded in plan.key_refs for
-  /// EvalCtx pinning), and plain column refs must be plain-column GROUP BY
-  /// keys (the synthesized representative row carries those). `key_strs`
-  /// holds each program key's structural rendering ("" for column keys).
+  /// per-group value on the vectorized path: aggregate calls take their
+  /// finalized values, and nodes equal to a GROUP BY key expression take
+  /// that key's value (recorded in plan.key_refs for EvalCtx pinning) — a
+  /// column reference equals a column key resolving to the same slot, any
+  /// other node must match a key's structural rendering (`key_strs`). With
+  /// no keys, any bare column reference fails: a global aggregate has no
+  /// representative row.
   [[nodiscard]] bool grouped_refs_covered(
-      const Expr& e, const ScanSource& base, sql::FusedGroupPlan& plan,
+      const Expr& e, sql::FusedGroupPlan& plan,
       const std::vector<std::string>& key_strs) const {
     if (e.kind == Expr::Kind::kFuncCall && Binder::is_aggregate_name(e.func)) {
       return true;  // argument columns feed the kernels, not the output row
     }
     std::string rendered;
     for (std::size_t k = 0; k < key_strs.size(); ++k) {
-      if (key_strs[k].empty()) continue;
-      if (rendered.empty()) subquery_key(e, rendered);
-      if (rendered == key_strs[k]) {
+      const Expr& key = *stmt_.group_by[k];
+      bool same = false;
+      if (e.kind == Expr::Kind::kColumnRef) {
+        same = key.kind == Expr::Kind::kColumnRef &&
+               key.resolved_slot == e.resolved_slot;
+      } else {
+        if (rendered.empty()) subquery_key(e, rendered);
+        same = rendered == key_strs[k];
+      }
+      if (same) {
         plan.key_refs.emplace_back(&e, k);
         return true;
       }
     }
-    if (e.kind == Expr::Kind::kColumnRef) {
-      if (e.resolved_slot < base.base_slot) return false;
-      const std::size_t column = e.resolved_slot - base.base_slot;
-      for (const auto& key : plan.group_keys) {
-        if (key.program == nullptr && key.column == column) return true;
-      }
-      return false;
-    }
-    if (e.lhs && !grouped_refs_covered(*e.lhs, base, plan, key_strs)) {
-      return false;
-    }
-    if (e.rhs && !grouped_refs_covered(*e.rhs, base, plan, key_strs)) {
-      return false;
-    }
+    if (e.kind == Expr::Kind::kColumnRef) return false;
+    if (e.lhs && !grouped_refs_covered(*e.lhs, plan, key_strs)) return false;
+    if (e.rhs && !grouped_refs_covered(*e.rhs, plan, key_strs)) return false;
     for (const auto& arg : e.args) {
-      if (!grouped_refs_covered(*arg, base, plan, key_strs)) return false;
+      if (!grouped_refs_covered(*arg, plan, key_strs)) return false;
     }
     return true;
   }
 
-  /// Structural analysis for the grouped vectorized evaluator. Eligible
-  /// shape: single columnar base table, no joins, every GROUP BY expression
-  /// a plain base column reference or a VM-compilable key expression,
-  /// supported aggregates (the fused path's rules; zero aggregates is fine
-  /// — pure key deduplication), every bare column reference outside
-  /// aggregate arguments covered per grouped_refs_covered, and the fused
-  /// path's WHERE forms. Returns null when the statement doesn't fit.
+  /// Structural analysis for the fused columnar evaluator. Eligible shape:
+  /// single columnar base table, no joins, every GROUP BY expression (none
+  /// for a global aggregate) and every aggregate argument a VM-compilable
+  /// program, supported aggregates per collect_kernel_aggregates (zero
+  /// aggregates is fine with keys — pure key deduplication), every bare
+  /// column reference outside aggregate arguments covered per
+  /// grouped_refs_covered, and a WHERE clause the VM compiles. Returns null
+  /// when the statement doesn't fit.
   [[nodiscard]] std::shared_ptr<const sql::FusedGroupPlan> analyze_grouped(
       const ScanSource& base) const {
-    if (!stmt_.joins.empty() || stmt_.group_by.empty()) return nullptr;
+    if (!stmt_.joins.empty()) return nullptr;
     const Table& table = *base.table;
     if (!table.columnar()) return nullptr;
 
@@ -2041,20 +1749,12 @@ class SelectExec {
     plan->table = table.schema().name();
     plan->column_types = column_type_snapshot(table);
 
-    std::vector<std::string> key_strs;  // "" for plain-column keys
+    std::vector<std::string> key_strs;
     for (const auto& g : stmt_.group_by) {
-      sql::FusedGroupPlan::GroupKey key;
-      key_strs.emplace_back();
-      if (g->kind == Expr::Kind::kColumnRef &&
-          g->resolved_slot >= base.base_slot &&
-          g->resolved_slot < base.base_slot + plan->column_types.size()) {
-        key.column = g->resolved_slot - base.base_slot;
-      } else {
-        key.program = compile_program(*g, base, plan->column_types);
-        if (key.program == nullptr) return nullptr;
-        subquery_key(*g, key_strs.back());
-      }
+      auto key = compile_program(*g, base, plan->column_types);
+      if (key == nullptr) return nullptr;
       plan->group_keys.push_back(std::move(key));
+      subquery_key(*g, key_strs.emplace_back());
     }
 
     if (!collect_kernel_aggregates(base, plan->column_types,
@@ -2062,121 +1762,47 @@ class SelectExec {
       return nullptr;
     }
     for (const auto& item : stmt_.items) {
-      if (!grouped_refs_covered(*item.expr, base, *plan, key_strs)) {
-        return nullptr;
-      }
+      if (!grouped_refs_covered(*item.expr, *plan, key_strs)) return nullptr;
     }
     if (stmt_.having &&
-        !grouped_refs_covered(*stmt_.having, base, *plan, key_strs)) {
+        !grouped_refs_covered(*stmt_.having, *plan, key_strs)) {
       return nullptr;
     }
     for (const auto& key : stmt_.order_by) {
       if (key.expr->kind != Expr::Kind::kAliasRef &&
-          !grouped_refs_covered(*key.expr, base, *plan, key_strs)) {
+          !grouped_refs_covered(*key.expr, *plan, key_strs)) {
         return nullptr;
       }
     }
 
-    if (!analyze_where(base, plan->column_types, plan->conjuncts,
-                       plan->where_program)) {
+    if (!analyze_where(base, plan->column_types, plan->where_program)) {
       return nullptr;
     }
     return plan;
   }
 
-  /// Decomposes an AND tree into fused-plan conjuncts; false when any
-  /// conjunct falls outside the supported `column op constant` /
-  /// `column IS [NOT] NULL` forms.
-  [[nodiscard]] bool collect_fused_conjuncts(
-      const Expr& e, const ScanSource& base,
-      std::vector<sql::FusedScanPlan::Conjunct>& out) const {
-    const auto column_of = [&](const Expr& side) -> std::optional<std::size_t> {
-      if (side.kind != Expr::Kind::kColumnRef) return std::nullopt;
-      if (side.resolved_slot < base.base_slot ||
-          side.resolved_slot >= base.base_slot + base.column_count()) {
-        return std::nullopt;
-      }
-      return side.resolved_slot - base.base_slot;
-    };
-    const auto is_constant = [](const Expr& side) {
-      return side.kind == Expr::Kind::kLiteral ||
-             side.kind == Expr::Kind::kParam ||
-             side.kind == Expr::Kind::kSubquery;
-    };
-
-    if (e.kind == Expr::Kind::kBinary && e.bin_op == BinOp::kAnd) {
-      return collect_fused_conjuncts(*e.lhs, base, out) &&
-             collect_fused_conjuncts(*e.rhs, base, out);
-    }
-    if (e.kind == Expr::Kind::kIsNull) {
-      const auto column = column_of(*e.lhs);
-      if (!column) return false;
-      sql::FusedScanPlan::Conjunct conjunct;
-      conjunct.column = *column;
-      conjunct.is_null_test = true;
-      conjunct.negated = e.negated;
-      out.push_back(conjunct);
-      return true;
-    }
-    if (e.kind != Expr::Kind::kBinary) return false;
-    BinOp op = e.bin_op;
-    switch (op) {
-      case BinOp::kEq:
-      case BinOp::kNe:
-      case BinOp::kLt:
-      case BinOp::kLe:
-      case BinOp::kGt:
-      case BinOp::kGe:
-        break;
-      default:
-        return false;
-    }
-    auto column = column_of(*e.lhs);
-    const Expr* constant =
-        column && is_constant(*e.rhs) ? e.rhs.get() : nullptr;
-    if (constant == nullptr) {
-      column = column_of(*e.rhs);
-      constant = column && is_constant(*e.lhs) ? e.lhs.get() : nullptr;
-      switch (op) {  // mirror the comparison
-        case BinOp::kLt: op = BinOp::kGt; break;
-        case BinOp::kLe: op = BinOp::kGe; break;
-        case BinOp::kGt: op = BinOp::kLt; break;
-        case BinOp::kGe: op = BinOp::kLe; break;
-        default: break;
-      }
-    }
-    if (!column || constant == nullptr) return false;
-    sql::FusedScanPlan::Conjunct conjunct;
-    conjunct.column = *column;
-    conjunct.op = op;
-    conjunct.constant = constant;
-    out.push_back(conjunct);
-    return true;
-  }
-
-  /// Entry point of the fast path: returns the (output row, order keys)
-  /// pairs the scan + WHERE + run_aggregation pipeline would have produced,
-  /// or nullopt to fall back to it. The structural verdict is cached on the
-  /// statement (fused_plan / fused_rejected); everything value-dependent is
-  /// re-derived here per execution.
-  std::optional<std::vector<std::pair<Row, Row>>> try_vectorized_aggregation() {
+  /// Entry point of the fused evaluator: returns the (output row, order
+  /// keys) pairs the scan + WHERE + run_aggregation pipeline would have
+  /// produced, or nullopt to fall back to it. The structural verdict is
+  /// cached on the statement (fused_group_plan / fused_rejected); everything
+  /// value-dependent is re-derived here per execution.
+  std::optional<std::vector<std::pair<Row, Row>>> try_grouped_vectorized() {
     if (stmt_.fused_rejected) return std::nullopt;
     if (sources_.size() != 1) return std::nullopt;
     const ScanSource& base = sources_[0];
     if (base.table == nullptr) return std::nullopt;
-    if (!stmt_.group_by.empty()) return try_grouped_vectorized(base);
     const Table& table = *base.table;
 
-    const sql::FusedScanPlan* plan = stmt_.fused_plan.get();
+    const sql::FusedGroupPlan* plan = stmt_.fused_group_plan.get();
     const bool reused = plan != nullptr;
     if (plan == nullptr) {
-      auto built = analyze_fused(base);
+      auto built = analyze_grouped(base);
       if (built == nullptr) {
         stmt_.fused_rejected = true;
         return std::nullopt;
       }
-      stmt_.fused_plan = std::move(built);
-      plan = stmt_.fused_plan.get();
+      stmt_.fused_group_plan = std::move(built);
+      plan = stmt_.fused_group_plan.get();
     } else {
       // Validate the cached annotation against this execution's catalog:
       // the table may have been dropped and re-created with another layout
@@ -2198,27 +1824,20 @@ class SelectExec {
     const BaseScanPlan scan = plan_base_scan(stmt_.where.get(), base);
     if (scan.kind != BaseScanPlan::Kind::kFullScan) return std::nullopt;
 
-    // Per-execution constants (parameters and subquery results change run
-    // to run) and type compatibility — the row path raises the diagnostics
-    // for pairs the kernels don't cover.
-    std::vector<Value> constants(plan->conjuncts.size());
-    EvalCtx const_ctx{nullptr, params_, nullptr, &subquery_values_, nullptr};
-    for (std::size_t i = 0; i < plan->conjuncts.size(); ++i) {
-      const auto& conjunct = plan->conjuncts[i];
-      if (conjunct.is_null_test) continue;
-      constants[i] = eval_expr(*conjunct.constant, const_ctx);
-      if (!conjunct_types_supported(plan->column_types[conjunct.column],
-                                    constants[i])) {
-        return std::nullopt;
-      }
-    }
-
-    // Compiled programs re-bind their runtime-constant slots the same way;
-    // a type drift since compilation declines this execution.
+    // Parameters and subquery results change run to run: every program
+    // re-binds its runtime-constant slots, and a type drift since
+    // compilation declines this execution.
     std::size_t program_evals = 0;
     sql::ExprProgram::Bound where_bound;
     if (!bind_program(plan->where_program.get(), where_bound, program_evals)) {
       return std::nullopt;
+    }
+    std::vector<sql::ExprProgram::Bound> key_bounds(plan->group_keys.size());
+    for (std::size_t k = 0; k < plan->group_keys.size(); ++k) {
+      if (!bind_program(plan->group_keys[k].get(), key_bounds[k],
+                        program_evals)) {
+        return std::nullopt;
+      }
     }
     std::vector<sql::ExprProgram::Bound> agg_bounds(plan->aggregates.size());
     for (std::size_t a = 0; a < plan->aggregates.size(); ++a) {
@@ -2230,27 +1849,23 @@ class SelectExec {
     if (program_evals > 0) db_.count_expr_program_evals(program_evals);
 
     if (reused) db_.count_fused_plan_eval();
-    return run_columnar_aggregation(table, *plan, constants, where_bound,
-                                    agg_bounds, scan);
+    return run_columnar_grouped(table, *plan, where_bound, key_bounds,
+                                agg_bounds, scan);
   }
 
   /// Selection bitmaps for partitions [first, first + count): one bitmap
   /// per partition, seeded from the live bits (tombstones never select) and
-  /// narrowed batch-at-a-time — by each conjunct kernel, or by the compiled
-  /// whole-WHERE program's boolean lanes (NULL-as-false; the live-seeded
-  /// bitmap doubles as the program's demand mask, so `/`, `%` and SQRT
-  /// raise exactly where the row path would have evaluated them). The
-  /// filter stage fans out across the scan pool under the same gate as
-  /// run_heap_scan; each worker owns a VM scratch. `live` and `nonempty`
-  /// are the live-row and nonempty-partition totals over the same range
-  /// (callers already have them for their own counters).
+  /// narrowed batch-at-a-time by the compiled WHERE program's boolean lanes
+  /// (NULL-as-false; the live-seeded bitmap doubles as the program's demand
+  /// mask, so `/`, `%` and SQRT raise exactly where the row path would have
+  /// evaluated them). The filter stage fans out across the scan pool under
+  /// the same gate as run_heap_scan; each worker owns a VM scratch. `live`
+  /// and `nonempty` are the live-row and nonempty-partition totals over the
+  /// same range (callers already have them for their own counters).
   std::vector<std::vector<std::uint8_t>> build_selection_bitmaps(
-      const Table& table,
-      const std::vector<sql::FusedScanPlan::Conjunct>& conjuncts,
-      const sql::ExprProgram* where_program,
+      const Table& table, const sql::ExprProgram* where_program,
       const sql::ExprProgram::Bound& where_bound,
-      const std::vector<ValueType>& column_types,
-      const std::vector<Value>& constants, std::size_t first,
+      const std::vector<ValueType>& column_types, std::size_t first,
       std::size_t count, std::size_t live, std::size_t nonempty) {
     std::vector<std::vector<std::uint8_t>> sels(count);
     const auto filter_partition = [&](std::size_t index,
@@ -2260,36 +1875,20 @@ class SelectExec {
       std::vector<std::uint8_t>& sel = sels[index];
       const std::uint8_t* live_bits = table.live_bits(p);
       sel.assign(live_bits, live_bits + lanes);
-      if (lanes == 0) return;
-      if (where_program != nullptr) {
-        std::vector<Table::ColumnSlice> columns(column_types.size());
-        for (const std::size_t c : where_program->used_columns()) {
-          columns[c] = table.column_slice(p, c);
-        }
-        for (std::size_t b = 0; b < lanes; b += kVectorBatch) {
-          const std::size_t e = std::min(lanes, b + kVectorBatch);
-          const sql::ExprProgram::Result res = run_program(
-              *where_program, scratch, where_bound, columns, sel.data(), b, e);
-          // Result lanes are batch-relative; undemanded lanes hold
-          // unspecified values, so AND through the incoming bitmap.
-          for (std::size_t i = b; i < e; ++i) {
-            sel[i] &= static_cast<std::uint8_t>(res.valid[i - b] != 0 &&
-                                                res.ints[i - b] != 0);
-          }
-        }
-        return;
-      }
-      if (conjuncts.empty()) return;
-      std::vector<Table::ColumnSlice> slices(conjuncts.size());
-      for (std::size_t c = 0; c < conjuncts.size(); ++c) {
-        slices[c] = table.column_slice(p, conjuncts[c].column);
+      if (lanes == 0 || where_program == nullptr) return;
+      std::vector<Table::ColumnSlice> columns(column_types.size());
+      for (const std::size_t c : where_program->used_columns()) {
+        columns[c] = table.column_slice(p, c);
       }
       for (std::size_t b = 0; b < lanes; b += kVectorBatch) {
         const std::size_t e = std::min(lanes, b + kVectorBatch);
-        for (std::size_t c = 0; c < conjuncts.size(); ++c) {
-          apply_conjunct_batch(conjuncts[c], constants[c],
-                               column_types[conjuncts[c].column], slices[c],
-                               b, e, sel.data());
+        const sql::ExprProgram::Result res = run_program(
+            *where_program, scratch, where_bound, columns, sel.data(), b, e);
+        // Result lanes are batch-relative; undemanded lanes hold
+        // unspecified values, so AND through the incoming bitmap.
+        for (std::size_t i = b; i < e; ++i) {
+          sel[i] &= static_cast<std::uint8_t>(res.valid[i - b] != 0 &&
+                                              res.ints[i - b] != 0);
         }
       }
     };
@@ -2330,223 +1929,17 @@ class SelectExec {
     return sels;
   }
 
-  /// The fused evaluator proper: selection bitmaps + aggregate kernels over
-  /// the column vectors, partition-major in heap order. Aggregate
-  /// accumulation stays serial in partition order so every RunningStats
-  /// sees the row path's exact push sequence.
-  std::vector<std::pair<Row, Row>> run_columnar_aggregation(
-      const Table& table, const sql::FusedScanPlan& plan,
-      const std::vector<Value>& constants,
-      const sql::ExprProgram::Bound& where_bound,
-      const std::vector<sql::ExprProgram::Bound>& agg_bounds,
-      const BaseScanPlan& scan) {
-    const std::size_t nparts = table.partition_count();
-    std::size_t first = 0;
-    std::size_t count = nparts;
-    if (scan.empty) {
-      db_.count_partitions_pruned(nparts);
-      count = 0;
-    } else if (scan.partition && nparts > 1) {
-      first = *scan.partition;
-      count = 1;
-      db_.count_partitions_pruned(nparts - 1);
-    }
-    db_.count_partition_scans(count);
-    db_.count_columnar_scans(count);
-
-    std::size_t live = 0;
-    std::size_t nonempty = 0;
-    for (std::size_t p = first; p < first + count; ++p) {
-      const std::size_t rows_in_partition = table.partition_live_count(p);
-      live += rows_in_partition;
-      if (rows_in_partition > 0) ++nonempty;
-    }
-
-    std::vector<std::vector<std::uint8_t>> sels = build_selection_bitmaps(
-        table, plan.conjuncts, plan.where_program.get(), where_bound,
-        plan.column_types, constants, first, count, live, nonempty);
-
-    // Serial accumulation, partition-major in lane (= heap) order.
-    const std::size_t naggs = plan.aggregates.size();
-    std::vector<AggState> states(naggs);
-    std::vector<MinMaxAcc> minmax(naggs);
-    std::vector<AggKernel> kernels(naggs);
-    std::vector<sql::ExprProgram::Scratch> scratches(naggs);
-    bool any_program = false;
-    for (std::size_t a = 0; a < naggs; ++a) {
-      kernels[a] = agg_kernel_of(*plan.aggregates[a].expr);
-      any_program |= plan.aggregates[a].program != nullptr;
-    }
-    std::uint64_t batches = 0;
-    std::size_t selected = 0;
-    for (std::size_t index = 0; index < count; ++index) {
-      const std::size_t p = first + index;
-      const std::size_t lanes = table.partition_heap_size(p);
-      if (lanes == 0) continue;
-      const std::uint8_t* sel = sels[index].data();
-      std::vector<Table::ColumnSlice> slices(naggs);
-      for (std::size_t a = 0; a < naggs; ++a) {
-        if (plan.aggregates[a].column != static_cast<std::size_t>(-1)) {
-          slices[a] = table.column_slice(p, plan.aggregates[a].column);
-        }
-      }
-      std::vector<Table::ColumnSlice> columns;
-      if (any_program) {
-        columns.resize(plan.column_types.size());
-        for (std::size_t a = 0; a < naggs; ++a) {
-          if (plan.aggregates[a].program == nullptr) continue;
-          for (const std::size_t c : plan.aggregates[a].program->used_columns()) {
-            columns[c] = table.column_slice(p, c);
-          }
-        }
-      }
-      for (std::size_t b = 0; b < lanes; b += kVectorBatch) {
-        const std::size_t e = std::min(lanes, b + kVectorBatch);
-        for (std::size_t i = b; i < e; ++i) selected += sel[i];
-        for (std::size_t a = 0; a < naggs; ++a) {
-          const auto& agg = plan.aggregates[a];
-          if (agg.program != nullptr) {
-            // The selection bitmap doubles as the demand mask: the row path
-            // evaluates aggregate arguments only for rows passing WHERE.
-            // Result lanes are batch-relative, so the kernel runs over the
-            // shifted selection pointer.
-            const sql::ExprProgram::Result res =
-                run_program(*agg.program, scratches[a], agg_bounds[a],
-                            columns, sel, b, e);
-            accumulate_batch(kernels[a], res.type, res.as_slice(e - b), 0,
-                             e - b, sel + b, states[a], minmax[a]);
-            continue;
-          }
-          const std::size_t column = agg.column;
-          accumulate_batch(kernels[a],
-                           column == static_cast<std::size_t>(-1)
-                               ? ValueType::kNull
-                               : plan.column_types[column],
-                           slices[a], b, e, sel, states[a], minmax[a]);
-        }
-        ++batches;
-      }
-    }
-    db_.count_vectorized_batches(batches);
-    db_.count_rows_skipped_by_bitmap(live - selected);
-
-    for (std::size_t a = 0; a < naggs; ++a) {
-      if (kernels[a] != AggKernel::kMinMax || states[a].count == 0) continue;
-      const ValueType type =
-          plan.aggregates[a].program != nullptr
-              ? plan.aggregates[a].program->result_type()
-              : plan.column_types[plan.aggregates[a].column];
-      states[a].min_value = minmax_value(type, minmax[a], /*max_side=*/false);
-      states[a].max_value = minmax_value(type, minmax[a], /*max_side=*/true);
-      states[a].has_minmax = true;
-    }
-
-    // Identical tail to run_aggregation's single-group output: finalize,
-    // HAVING, project, order keys. Bare column refs were rejected at
-    // analysis time, so the empty representative row is never read.
-    std::unordered_map<const Expr*, Value> agg_values;
-    for (std::size_t a = 0; a < plan.aggregates.size(); ++a) {
-      agg_values[plan.aggregates[a].expr] =
-          agg_finalize(*plan.aggregates[a].expr, states[a]);
-    }
-    std::vector<std::pair<Row, Row>> out;
-    Row empty_row;
-    EvalCtx ctx{&empty_row, params_, &agg_values, &subquery_values_, nullptr};
-    if (stmt_.having && !eval_predicate(*stmt_.having, ctx)) return out;
-    Row output;
-    output.reserve(stmt_.items.size());
-    for (const auto& item : stmt_.items) {
-      output.push_back(eval_expr(*item.expr, ctx));
-    }
-    Row keys = eval_order_keys(ctx, output);
-    out.emplace_back(std::move(output), std::move(keys));
-    return out;
-  }
-
-  /// Grouped twin of try_vectorized_aggregation: hash GROUP BY over the
-  /// column vectors. Same caching and validation discipline against the
-  /// statement's fused_group_plan; the eligible shapes are disjoint (GROUP
-  /// BY presence routes here), so the negative verdict shares
-  /// fused_rejected.
-  std::optional<std::vector<std::pair<Row, Row>>> try_grouped_vectorized(
-      const ScanSource& base) {
-    const Table& table = *base.table;
-
-    const sql::FusedGroupPlan* plan = stmt_.fused_group_plan.get();
-    const bool reused = plan != nullptr;
-    if (plan == nullptr) {
-      auto built = analyze_grouped(base);
-      if (built == nullptr) {
-        stmt_.fused_rejected = true;
-        return std::nullopt;
-      }
-      stmt_.fused_group_plan = std::move(built);
-      plan = stmt_.fused_group_plan.get();
-    } else {
-      // Same catalog re-validation as the global path: the table may have
-      // been dropped and re-created with another layout.
-      if (!support::iequals(table.schema().name(), plan->table) ||
-          !table.columnar() ||
-          table.schema().column_count() != plan->column_types.size()) {
-        return std::nullopt;
-      }
-      for (std::size_t i = 0; i < plan->column_types.size(); ++i) {
-        if (table.schema().column(i).type != plan->column_types[i]) {
-          return std::nullopt;
-        }
-      }
-    }
-
-    const BaseScanPlan scan = plan_base_scan(stmt_.where.get(), base);
-    if (scan.kind != BaseScanPlan::Kind::kFullScan) return std::nullopt;
-
-    std::vector<Value> constants(plan->conjuncts.size());
-    EvalCtx const_ctx{nullptr, params_, nullptr, &subquery_values_, nullptr};
-    for (std::size_t i = 0; i < plan->conjuncts.size(); ++i) {
-      const auto& conjunct = plan->conjuncts[i];
-      if (conjunct.is_null_test) continue;
-      constants[i] = eval_expr(*conjunct.constant, const_ctx);
-      if (!conjunct_types_supported(plan->column_types[conjunct.column],
-                                    constants[i])) {
-        return std::nullopt;
-      }
-    }
-
-    std::size_t program_evals = 0;
-    sql::ExprProgram::Bound where_bound;
-    if (!bind_program(plan->where_program.get(), where_bound, program_evals)) {
-      return std::nullopt;
-    }
-    std::vector<sql::ExprProgram::Bound> key_bounds(plan->group_keys.size());
-    for (std::size_t k = 0; k < plan->group_keys.size(); ++k) {
-      if (!bind_program(plan->group_keys[k].program.get(), key_bounds[k],
-                        program_evals)) {
-        return std::nullopt;
-      }
-    }
-    std::vector<sql::ExprProgram::Bound> agg_bounds(plan->aggregates.size());
-    for (std::size_t a = 0; a < plan->aggregates.size(); ++a) {
-      if (!bind_program(plan->aggregates[a].program.get(), agg_bounds[a],
-                        program_evals)) {
-        return std::nullopt;
-      }
-    }
-    if (program_evals > 0) db_.count_expr_program_evals(program_evals);
-
-    if (reused) db_.count_fused_plan_eval();
-    return run_columnar_grouped(table, *plan, constants, where_bound,
-                                key_bounds, agg_bounds, scan);
-  }
-
-  /// The grouped vectorized evaluator: selection bitmaps, then a hash group
-  /// table keyed on the GROUP BY column lanes, with per-group aggregate
-  /// state fed by the batch kernels. Group ids are assigned in first-seen
-  /// (heap) order so every per-group push sequence is exactly the row
-  /// path's subsequence; output replays run_aggregation's std::map order by
-  /// sorting the groups with the same key comparator.
+  /// The fused evaluator proper: selection bitmaps, then a hash group table
+  /// keyed on the GROUP BY key lanes, with per-group aggregate state fed by
+  /// the batch kernels. Without GROUP BY every selected lane is group 0,
+  /// the hash table is skipped, and that one group is emitted even when no
+  /// lane is selected (a global aggregate over nothing is still one row).
+  /// Group ids are assigned in first-seen (heap) order and accumulation
+  /// stays serial in partition order, so every per-group push sequence is
+  /// exactly the row path's subsequence; output replays run_aggregation's
+  /// std::map order by sorting the groups with the same key comparator.
   std::vector<std::pair<Row, Row>> run_columnar_grouped(
       const Table& table, const sql::FusedGroupPlan& plan,
-      const std::vector<Value>& constants,
       const sql::ExprProgram::Bound& where_bound,
       const std::vector<sql::ExprProgram::Bound>& key_bounds,
       const std::vector<sql::ExprProgram::Bound>& agg_bounds,
@@ -2564,7 +1957,8 @@ class SelectExec {
     }
     db_.count_partition_scans(count);
     db_.count_columnar_scans(count);
-    db_.count_grouped_vector_eval();
+    const std::size_t nkeys = plan.group_keys.size();
+    if (nkeys > 0) db_.count_grouped_vector_eval();
 
     std::size_t live = 0;
     std::size_t nonempty = 0;
@@ -2575,30 +1969,19 @@ class SelectExec {
     }
 
     std::vector<std::vector<std::uint8_t>> sels = build_selection_bitmaps(
-        table, plan.conjuncts, plan.where_program.get(), where_bound,
-        plan.column_types, constants, first, count, live, nonempty);
+        table, plan.where_program.get(), where_bound, plan.column_types,
+        first, count, live, nonempty);
 
     const std::size_t naggs = plan.aggregates.size();
-    const std::size_t nkeys = plan.group_keys.size();
     std::vector<AggKernel> kernels(naggs);
     std::vector<sql::ExprProgram::Scratch> agg_scratches(naggs);
-    bool any_program = false;
     for (std::size_t a = 0; a < naggs; ++a) {
       kernels[a] = agg_kernel_of(*plan.aggregates[a].expr);
-      any_program |= plan.aggregates[a].program != nullptr;
     }
-    // Per-key lane type and per-batch access: a plain-column key reads its
-    // partition slice directly (offset 0); a compiled key's result lanes
-    // are batch-relative, so the slice is refreshed per batch with the
-    // batch start as offset.
     std::vector<ValueType> key_types(nkeys);
     std::vector<sql::ExprProgram::Scratch> key_scratches(nkeys);
     for (std::size_t k = 0; k < nkeys; ++k) {
-      const auto& key = plan.group_keys[k];
-      key_types[k] = key.program != nullptr
-                         ? key.program->result_type()
-                         : plan.column_types[key.column];
-      any_program |= key.program != nullptr;
+      key_types[k] = plan.group_keys[k]->result_type();
     }
 
     // Group table: keys[gid] is the materialized GROUP BY tuple, the index
@@ -2609,130 +1992,107 @@ class SelectExec {
     std::unordered_multimap<std::size_t, std::uint32_t> group_index;
     std::vector<std::vector<AggState>> states(naggs);
     std::vector<std::vector<MinMaxAcc>> minmax(naggs);
+    const auto add_group = [&](Row key) {
+      keys.push_back(std::move(key));
+      for (std::size_t a = 0; a < naggs; ++a) {
+        states[a].emplace_back();
+        minmax[a].emplace_back();
+      }
+    };
+    if (nkeys == 0) add_group(Row{});
 
     std::uint64_t batches = 0;
     std::size_t selected = 0;
-    std::vector<std::uint32_t> gids;
+    std::vector<std::uint32_t> gids(kVectorBatch, 0);  // batch-relative
+    std::vector<Table::ColumnSlice> key_lanes(nkeys);  // batch-relative
+    const auto group_of = [&](std::size_t lane) -> std::uint32_t {
+      std::size_t h = 1469598103934665603ULL;  // FNV-1a offset basis
+      for (std::size_t k = 0; k < nkeys; ++k) {
+        h = (h * 1099511628211ULL) ^
+            group_lane_hash(key_types[k], key_lanes[k], lane);
+      }
+      const auto [lo, hi] = group_index.equal_range(h);
+      for (auto it = lo; it != hi; ++it) {
+        const Row& key = keys[it->second];
+        bool match = true;
+        for (std::size_t k = 0; k < nkeys && match; ++k) {
+          match = group_lane_equals(key_types[k], key_lanes[k], lane, key[k]);
+        }
+        if (match) return it->second;
+      }
+      const auto gid = static_cast<std::uint32_t>(keys.size());
+      Row key;
+      key.reserve(nkeys);
+      for (std::size_t k = 0; k < nkeys; ++k) {
+        key.push_back(group_lane_value(key_types[k], key_lanes[k], lane));
+      }
+      add_group(std::move(key));
+      group_index.emplace(h, gid);
+      return gid;
+    };
     for (std::size_t index = 0; index < count; ++index) {
       const std::size_t p = first + index;
       const std::size_t lanes = table.partition_heap_size(p);
       if (lanes == 0) continue;
       const std::uint8_t* sel = sels[index].data();
-      // key_access[k] is the lane view the hash reads: partition-absolute
-      // for plain columns, batch-relative (offset = batch start) for
-      // compiled keys — group_of subtracts the offset per key.
-      struct KeyAccess {
-        Table::ColumnSlice slice;
-        std::size_t offset = 0;
+      std::vector<Table::ColumnSlice> columns(plan.column_types.size());
+      const auto load_used = [&](const sql::ExprProgram* program) {
+        if (program == nullptr) return;
+        for (const std::size_t c : program->used_columns()) {
+          columns[c] = table.column_slice(p, c);
+        }
       };
-      std::vector<KeyAccess> key_access(nkeys);
-      for (std::size_t k = 0; k < nkeys; ++k) {
-        if (plan.group_keys[k].program == nullptr) {
-          key_access[k].slice = table.column_slice(p, plan.group_keys[k].column);
-        }
-      }
-      std::vector<Table::ColumnSlice> agg_slices(naggs);
-      for (std::size_t a = 0; a < naggs; ++a) {
-        if (plan.aggregates[a].column != static_cast<std::size_t>(-1)) {
-          agg_slices[a] = table.column_slice(p, plan.aggregates[a].column);
-        }
-      }
-      std::vector<Table::ColumnSlice> columns;
-      if (any_program) {
-        columns.resize(plan.column_types.size());
-        const auto load_used = [&](const sql::ExprProgram* program) {
-          if (program == nullptr) return;
-          for (const std::size_t c : program->used_columns()) {
-            columns[c] = table.column_slice(p, c);
-          }
-        };
-        for (std::size_t k = 0; k < nkeys; ++k) {
-          load_used(plan.group_keys[k].program.get());
-        }
-        for (std::size_t a = 0; a < naggs; ++a) {
-          load_used(plan.aggregates[a].program.get());
-        }
-      }
-      const auto group_of = [&](std::size_t lane) -> std::uint32_t {
-        std::size_t h = 1469598103934665603ULL;  // FNV-1a offset basis
-        for (std::size_t k = 0; k < nkeys; ++k) {
-          h = (h * 1099511628211ULL) ^
-              group_lane_hash(key_types[k], key_access[k].slice,
-                              lane - key_access[k].offset);
-        }
-        const auto [lo, hi] = group_index.equal_range(h);
-        for (auto it = lo; it != hi; ++it) {
-          const Row& key = keys[it->second];
-          bool match = true;
-          for (std::size_t k = 0; k < nkeys && match; ++k) {
-            match = group_lane_equals(key_types[k], key_access[k].slice,
-                                      lane - key_access[k].offset, key[k]);
-          }
-          if (match) return it->second;
-        }
-        const auto gid = static_cast<std::uint32_t>(keys.size());
-        Row key;
-        key.reserve(nkeys);
-        for (std::size_t k = 0; k < nkeys; ++k) {
-          key.push_back(group_lane_value(key_types[k], key_access[k].slice,
-                                         lane - key_access[k].offset));
-        }
-        keys.push_back(std::move(key));
-        group_index.emplace(h, gid);
-        for (std::size_t a = 0; a < naggs; ++a) {
-          states[a].emplace_back();
-          minmax[a].emplace_back();
-        }
-        return gid;
-      };
-      gids.assign(lanes, 0);
+      for (const auto& key : plan.group_keys) load_used(key.get());
+      for (const auto& agg : plan.aggregates) load_used(agg.program.get());
       for (std::size_t b = 0; b < lanes; b += kVectorBatch) {
         const std::size_t e = std::min(lanes, b + kVectorBatch);
         for (std::size_t k = 0; k < nkeys; ++k) {
-          const auto& key = plan.group_keys[k];
-          if (key.program == nullptr) continue;
-          const sql::ExprProgram::Result res = run_program(
-              *key.program, key_scratches[k], key_bounds[k], columns, sel, b, e);
-          key_access[k].slice = res.as_slice(e - b);
-          key_access[k].offset = b;
+          key_lanes[k] = run_program(*plan.group_keys[k], key_scratches[k],
+                                     key_bounds[k], columns, sel, b, e)
+                             .as_slice(e - b);
         }
-        for (std::size_t i = b; i < e; ++i) {
-          if (sel[i] == 0) continue;
-          ++selected;
-          gids[i] = group_of(i);
-        }
-        for (std::size_t a = 0; a < naggs; ++a) {
-          const auto& agg = plan.aggregates[a];
-          if (agg.program != nullptr) {
-            const sql::ExprProgram::Result res =
-                run_program(*agg.program, agg_scratches[a], agg_bounds[a],
-                            columns, sel, b, e);
-            accumulate_grouped_batch(kernels[a], res.type, res.as_slice(e - b),
-                                     0, e - b, sel + b, gids.data() + b,
-                                     states[a], minmax[a]);
-            continue;
+        for (std::size_t i = b; i < e; ++i) selected += sel[i];
+        if (nkeys > 0) {
+          for (std::size_t i = b; i < e; ++i) {
+            gids[i - b] = sel[i] != 0 ? group_of(i - b) : 0;
           }
-          const std::size_t column = agg.column;
-          accumulate_grouped_batch(kernels[a],
-                                   column == static_cast<std::size_t>(-1)
-                                       ? ValueType::kNull
-                                       : plan.column_types[column],
-                                   agg_slices[a], b, e, sel, gids.data(),
-                                   states[a], minmax[a]);
         }
         ++batches;
+        // Unselected lanes sit in group 0, which exists once any lane was
+        // selected; before that there is nothing to accumulate.
+        if (keys.empty()) continue;
+        for (std::size_t a = 0; a < naggs; ++a) {
+          // The selection bitmap doubles as the demand mask: the row path
+          // evaluates aggregate arguments only for rows passing WHERE.
+          // Result lanes are batch-relative, so the kernel runs over the
+          // shifted selection pointer.
+          Table::ColumnSlice input;  // COUNT(*) reads no argument lanes
+          ValueType type = ValueType::kNull;
+          if (const auto& program = plan.aggregates[a].program) {
+            const sql::ExprProgram::Result res = run_program(
+                *program, agg_scratches[a], agg_bounds[a], columns, sel, b, e);
+            input = res.as_slice(e - b);
+            type = res.type;
+          }
+          const auto accumulate = [&](auto group) {
+            accumulate_grouped_batch(kernels[a], type, input, e - b, sel + b,
+                                     group, states[a], minmax[a]);
+          };
+          if (nkeys == 0) {
+            accumulate([](std::size_t) { return std::uint32_t{0}; });
+          } else {
+            accumulate([&](std::size_t i) { return gids[i]; });
+          }
+        }
       }
     }
     db_.count_vectorized_batches(batches);
     db_.count_rows_skipped_by_bitmap(live - selected);
-    db_.count_groups_built(keys.size());
+    if (nkeys > 0) db_.count_groups_built(keys.size());
 
     for (std::size_t a = 0; a < naggs; ++a) {
       if (kernels[a] != AggKernel::kMinMax) continue;
-      const ValueType type =
-          plan.aggregates[a].program != nullptr
-              ? plan.aggregates[a].program->result_type()
-              : plan.column_types[plan.aggregates[a].column];
+      const ValueType type = plan.aggregates[a].program->result_type();
       for (std::size_t g = 0; g < keys.size(); ++g) {
         if (states[a][g].count == 0) continue;
         states[a][g].min_value =
@@ -2763,24 +2123,19 @@ class SelectExec {
 
     std::vector<std::pair<Row, Row>> out;
     out.reserve(order.size());
+    // Bare refs were proven covered at analysis time: key expressions pin
+    // their per-group values onto the nodes key_refs recorded, so the
+    // representative row is never read.
+    const Row no_row;
     for (const std::uint32_t g : order) {
       std::unordered_map<const Expr*, Value> agg_values;
       for (std::size_t a = 0; a < naggs; ++a) {
         agg_values[plan.aggregates[a].expr] =
             agg_finalize(*plan.aggregates[a].expr, states[a][g]);
       }
-      // Bare refs were proven covered at analysis time: plain-column keys
-      // ride the synthesized representative row, compiled keys pin their
-      // per-group values onto the nodes key_refs recorded.
-      Row rep(plan.column_types.size(), Value::null());
-      for (std::size_t k = 0; k < nkeys; ++k) {
-        if (plan.group_keys[k].program == nullptr) {
-          rep[plan.group_keys[k].column] = keys[g][k];
-        }
-      }
       std::unordered_map<const Expr*, Value> pinned;
       for (const auto& [node, k] : plan.key_refs) pinned[node] = keys[g][k];
-      EvalCtx ctx{&rep, params_, &agg_values, &subquery_values_, nullptr,
+      EvalCtx ctx{&no_row, params_, &agg_values, &subquery_values_, nullptr,
                   plan.key_refs.empty() ? nullptr : &pinned};
       if (stmt_.having && !eval_predicate(*stmt_.having, ctx)) continue;
       Row output;
@@ -2918,55 +2273,159 @@ class SelectExec {
     return std::make_pair(b.resolved_slot, a.resolved_slot - inner_begin);
   }
 
-  /// Expression-key extension of the columnar hash join (the VM's join
-  /// satellite): when the whole ON clause is a single `expr = expr`
-  /// equality whose sides each compile over exactly one table, both sides'
-  /// key lanes are materialized by the batch VM into owned buffers and the
-  /// plain path's build/probe kernels consume them unchanged. Plain-column
-  /// keys never arrive here — equi_join_key handles those, AND trees
-  /// included. Declines (nullopt, row-path nested loop) when a side doesn't
-  /// compile, the key types have no kernel, a bind re-types a constant, or
-  /// a live double key lane holds NaN (compare_sql treats NaN as equal to
+  /// A columnar hash join's key: the ON conjunct it came from and its two
+  /// sides compiled over the outer and the inner table.
+  struct JoinKeys {
+    const Expr* conjunct = nullptr;
+    std::shared_ptr<const sql::ExprProgram> outer;
+    std::shared_ptr<const sql::ExprProgram> inner;
+  };
+
+  /// The first equality conjunct of the ON tree (left to right) whose two
+  /// sides compile to programs over opposite tables, each side loading at
+  /// least one column of its own table.
+  [[nodiscard]] std::optional<JoinKeys> join_key_programs(
+      const Expr* e, const ScanSource& base, const ScanSource& inner,
+      const std::vector<ValueType>& outer_types,
+      const std::vector<ValueType>& inner_types) const {
+    if (e == nullptr || e->kind != Expr::Kind::kBinary) return std::nullopt;
+    if (e->bin_op == BinOp::kAnd) {
+      if (auto lhs = join_key_programs(e->lhs.get(), base, inner, outer_types,
+                                       inner_types)) {
+        return lhs;
+      }
+      return join_key_programs(e->rhs.get(), base, inner, outer_types,
+                               inner_types);
+    }
+    if (e->bin_op != BinOp::kEq) return std::nullopt;
+    for (const bool mirrored : {false, true}) {
+      const Expr& outer_side = mirrored ? *e->rhs : *e->lhs;
+      const Expr& inner_side = mirrored ? *e->lhs : *e->rhs;
+      auto outer_key = compile_program(outer_side, base, outer_types);
+      if (outer_key == nullptr || outer_key->used_columns().empty()) continue;
+      auto inner_key = compile_program(inner_side, inner, inner_types);
+      if (inner_key == nullptr || inner_key->used_columns().empty()) continue;
+      return JoinKeys{e, std::move(outer_key), std::move(inner_key)};
+    }
+    return std::nullopt;
+  }
+
+  /// One side's key lanes over partitions [first, first + count) as
+  /// KeySlices: a plain column key views its column in place, any other
+  /// program is run by the VM into `owned` buffers with the live bitmap as
+  /// the demand mask (a dead lane's key is never read — usable() filters by
+  /// live). False: a live valid double key lane holds NaN.
+  bool key_slices_of(const Table& table, const sql::ExprProgram& program,
+                     const sql::ExprProgram::Bound& bound, std::size_t first,
+                     std::size_t count, std::vector<KeyLanes>& owned,
+                     std::vector<Table::KeySlice>& out) {
+    const ValueType type = program.result_type();
+    const auto column = program.single_column();
+    sql::ExprProgram::Scratch scratch;
+    std::vector<Table::ColumnSlice> columns(table.schema().column_count());
+    owned.resize(column ? 0 : count);
+    for (std::size_t index = 0; index < count; ++index) {
+      const std::size_t p = first + index;
+      if (column) {
+        out.push_back(table.key_slice(p, *column));
+      } else {
+        const std::size_t lanes = table.partition_heap_size(p);
+        KeyLanes& dst = owned[index];
+        dst.valid.resize(lanes);
+        if (type == ValueType::kString) {
+          dst.strs.resize(lanes);
+        } else if (type == ValueType::kDouble) {
+          dst.reals.resize(lanes);
+        } else {
+          dst.ints.resize(lanes);
+        }
+        for (const std::size_t c : program.used_columns()) {
+          columns[c] = table.column_slice(p, c);
+        }
+        const std::uint8_t* live = table.live_bits(p);
+        for (std::size_t b = 0; b < lanes; b += kVectorBatch) {
+          const std::size_t e = std::min(lanes, b + kVectorBatch);
+          const auto res =
+              run_program(program, scratch, bound, columns, live, b, e);
+          std::copy(res.valid, res.valid + (e - b), dst.valid.begin() + b);
+          if (type == ValueType::kString) {
+            std::copy(res.strs, res.strs + (e - b), dst.strs.begin() + b);
+          } else if (type == ValueType::kDouble) {
+            std::copy(res.reals, res.reals + (e - b), dst.reals.begin() + b);
+          } else {
+            std::copy(res.ints, res.ints + (e - b), dst.ints.begin() + b);
+          }
+        }
+        Table::KeySlice ks;
+        if (type == ValueType::kString) {
+          ks.column.strs = dst.strs.data();
+        } else if (type == ValueType::kDouble) {
+          ks.column.reals = dst.reals.data();
+        } else {
+          ks.column.ints = dst.ints.data();
+        }
+        ks.column.valid = dst.valid.data();
+        ks.column.size = lanes;
+        ks.live = live;
+        ks.partition = p;
+        out.push_back(ks);
+      }
+      if (type != ValueType::kDouble) continue;
+      const Table::KeySlice& ks = out.back();
+      for (std::size_t i = 0; i < ks.column.size; ++i) {
+        if (ks.usable(i) && std::isnan(ks.column.reals[i])) return false;
+      }
+    }
+    return true;
+  }
+
+  /// Columnar hash equi-join over the base table and the first join. The
+  /// key is join_key_programs' conjunct; the hash table is built from the
+  /// smaller side's usable (live, non-NULL) key lanes and probed with the
+  /// other side's, and rows are assembled only for surviving lane pairs,
+  /// with ON re-evaluated on each. Emission is outer-scan-major with
+  /// inner-scan order within each outer row — byte-identical to the row
+  /// path's joins. Returns nullopt to fall back when either side isn't
+  /// columnar, no conjunct fits, a key side can raise while other conjuncts
+  /// surround it (the nested loop evaluates such a side for only some
+  /// pairs), the key types have no kernel, an inner index on a plain column
+  /// key makes the indexed nested loop cheaper, a bind re-types a constant,
+  /// or a live double key lane holds NaN (compare_sql treats NaN as equal to
   /// everything; a hash probe can't reproduce that).
-  std::optional<std::vector<Row>> try_expr_key_join(const ScanSource& base,
-                                                    const ScanSource& inner,
-                                                    const sql::Join& join,
-                                                    const BaseScanPlan& plan) {
-    if (join.on == nullptr || join.on->kind != Expr::Kind::kBinary ||
-        join.on->bin_op != BinOp::kEq) {
+  std::optional<std::vector<Row>> try_columnar_hash_join(
+      const ScanSource& base, const BaseScanPlan& plan) {
+    if (base.table == nullptr || !base.table->columnar()) return std::nullopt;
+    const sql::Join& join = stmt_.joins[0];
+    const ScanSource& inner = sources_[1];
+    if (inner.table == nullptr || !inner.table->columnar()) {
       return std::nullopt;
     }
-    const std::vector<ValueType> outer_types =
-        column_type_snapshot(*base.table);
-    const std::vector<ValueType> inner_types =
-        column_type_snapshot(*inner.table);
-    // Side assignment falls out of compilation: a program declines any
-    // column slot outside its own table's range. Try lhs-over-outer /
-    // rhs-over-inner, then the mirrored pairing.
-    auto outer_prog = compile_program(*join.on->lhs, base, outer_types);
-    auto inner_prog = outer_prog != nullptr
-                          ? compile_program(*join.on->rhs, inner, inner_types)
-                          : nullptr;
-    if (inner_prog == nullptr) {
-      outer_prog = compile_program(*join.on->rhs, base, outer_types);
-      inner_prog = outer_prog != nullptr
-                       ? compile_program(*join.on->lhs, inner, inner_types)
-                       : nullptr;
+    const auto keys = join_key_programs(join.on.get(), base, inner,
+                                        column_type_snapshot(*base.table),
+                                        column_type_snapshot(*inner.table));
+    if (!keys) return std::nullopt;
+    const auto& [conjunct, outer_key, inner_key] = *keys;
+    if (conjunct != join.on.get() &&
+        (outer_key->may_raise() || inner_key->may_raise())) {
+      return std::nullopt;
     }
-    if (inner_prog == nullptr) return std::nullopt;
+    const auto inner_column = inner_key->single_column();
+    if (inner_column && inner.table->find_index_on(*inner_column) != nullptr) {
+      return std::nullopt;  // the indexed nested loop wins
+    }
     const auto kind =
-        join_key_kind(outer_prog->result_type(), inner_prog->result_type());
+        join_key_kind(outer_key->result_type(), inner_key->result_type());
     if (!kind) return std::nullopt;
 
     std::size_t program_evals = 0;
     sql::ExprProgram::Bound outer_bound;
     sql::ExprProgram::Bound inner_bound;
-    if (!bind_program(outer_prog.get(), outer_bound, program_evals) ||
-        !bind_program(inner_prog.get(), inner_bound, program_evals)) {
+    if (!bind_program(outer_key.get(), outer_bound, program_evals) ||
+        !bind_program(inner_key.get(), inner_bound, program_evals)) {
       return std::nullopt;
     }
 
-    // Outer-side pruning, mirroring the plain-column path.
+    // Outer-side pruning, mirroring run_heap_scan.
     const std::size_t nparts = base.table->partition_count();
     if (plan.empty) {
       db_.count_partitions_pruned(nparts);
@@ -2992,237 +2451,32 @@ class SelectExec {
     for (std::size_t p = inner_first; p < inner_first + inner_count; ++p) {
       inner_live += inner.table->partition_live_count(p);
     }
-    if (outer_live == 0 || inner_live == 0) {
-      // The row path's nested loop never evaluates ON over an empty cross
-      // product; skip the programs so key-expression errors match.
+    const auto count_scans = [&] {
       if (pruned > 0) db_.count_partitions_pruned(pruned);
       db_.count_partition_scans(outer_count);
       db_.count_columnar_scans(outer_count + inner_count);
+    };
+    if (outer_live == 0 || inner_live == 0) {
+      // The row path's nested loop never evaluates ON over an empty cross
+      // product; skip the programs so key-expression errors match.
+      count_scans();
       return std::vector<Row>{};
     }
 
-    /// One partition's VM-computed key lanes, owned (the Scratch buffers
-    /// are reused across batches); exposed to the join kernels through a
-    /// manufactured Table::KeySlice below.
-    struct KeyLanes {
-      std::vector<std::int64_t> ints;
-      std::vector<double> reals;
-      std::vector<std::string> strs;
-      std::vector<std::uint8_t> valid;
-      std::size_t partition = 0;
-      std::size_t lanes = 0;
-    };
-    // Materializes one side's key lanes with the live bitmap as the demand
-    // mask (a dead lane's key is never read — usable() filters by live).
-    // False: a live valid double key lane holds NaN, decline the join.
-    const auto materialize =
-        [this](const Table& table, const sql::ExprProgram& program,
-               const sql::ExprProgram::Bound& bound, std::size_t pfirst,
-               std::size_t pcount, std::vector<KeyLanes>& out) -> bool {
-      const ValueType type = program.result_type();
-      sql::ExprProgram::Scratch scratch;
-      std::vector<Table::ColumnSlice> columns(table.schema().column_count());
-      out.resize(pcount);
-      for (std::size_t index = 0; index < pcount; ++index) {
-        const std::size_t p = pfirst + index;
-        const std::size_t lanes = table.partition_heap_size(p);
-        KeyLanes& dst = out[index];
-        dst.partition = p;
-        dst.lanes = lanes;
-        dst.valid.resize(lanes);
-        if (type == ValueType::kString) {
-          dst.strs.resize(lanes);
-        } else if (type == ValueType::kDouble) {
-          dst.reals.resize(lanes);
-        } else {
-          dst.ints.resize(lanes);
-        }
-        if (lanes == 0) continue;
-        for (const std::size_t c : program.used_columns()) {
-          columns[c] = table.column_slice(p, c);
-        }
-        const std::uint8_t* live = table.live_bits(p);
-        for (std::size_t b = 0; b < lanes; b += kVectorBatch) {
-          const std::size_t e = std::min(lanes, b + kVectorBatch);
-          const auto res =
-              run_program(program, scratch, bound, columns, live, b, e);
-          for (std::size_t i = b; i < e; ++i) {
-            dst.valid[i] = res.valid[i - b];
-          }
-          if (type == ValueType::kString) {
-            for (std::size_t i = b; i < e; ++i) dst.strs[i] = res.strs[i - b];
-          } else if (type == ValueType::kDouble) {
-            for (std::size_t i = b; i < e; ++i) {
-              dst.reals[i] = res.reals[i - b];
-              if (live[i] && dst.valid[i] && std::isnan(dst.reals[i])) {
-                return false;
-              }
-            }
-          } else {
-            for (std::size_t i = b; i < e; ++i) dst.ints[i] = res.ints[i - b];
-          }
-        }
-      }
-      return true;
-    };
-
-    std::vector<KeyLanes> outer_lanes;
-    std::vector<KeyLanes> inner_lanes;
-    if (!materialize(*base.table, *outer_prog, outer_bound, outer_first,
-                     outer_count, outer_lanes) ||
-        !materialize(*inner.table, *inner_prog, inner_bound, inner_first,
-                     inner_count, inner_lanes)) {
+    std::vector<KeyLanes> outer_owned;
+    std::vector<KeyLanes> inner_owned;
+    std::vector<Table::KeySlice> outer_slices;
+    std::vector<Table::KeySlice> inner_slices;
+    if (!key_slices_of(*base.table, *outer_key, outer_bound, outer_first,
+                       outer_count, outer_owned, outer_slices) ||
+        !key_slices_of(*inner.table, *inner_key, inner_bound, inner_first,
+                       inner_count, inner_owned, inner_slices)) {
       return std::nullopt;  // NaN key: the nested loop matches it, we can't
     }
     // Committed to the columnar path — count only now, so a NaN decline
     // leaves the row path's counters untouched.
-    if (program_evals > 0) db_.count_expr_program_evals(program_evals);
-    if (pruned > 0) db_.count_partitions_pruned(pruned);
-    db_.count_partition_scans(outer_count);
-    db_.count_columnar_scans(outer_count + inner_count);
-
-    const auto to_key_slices = [](std::vector<KeyLanes>& side, ValueType type,
-                                  const Table& table) {
-      std::vector<Table::KeySlice> slices;
-      slices.reserve(side.size());
-      for (KeyLanes& kl : side) {
-        Table::KeySlice ks;
-        ks.column.size = kl.lanes;
-        ks.column.valid = kl.valid.data();
-        if (type == ValueType::kString) {
-          ks.column.strs = kl.strs.data();
-        } else if (type == ValueType::kDouble) {
-          ks.column.reals = kl.reals.data();
-        } else {
-          ks.column.ints = kl.ints.data();
-        }
-        ks.live = table.live_bits(kl.partition);
-        ks.partition = kl.partition;
-        slices.push_back(ks);
-      }
-      return slices;
-    };
-    const std::vector<Table::KeySlice> outer_slices =
-        to_key_slices(outer_lanes, outer_prog->result_type(), *base.table);
-    const std::vector<Table::KeySlice> inner_slices =
-        to_key_slices(inner_lanes, inner_prog->result_type(), *inner.table);
-
-    // From here the plain-column path repeats verbatim: build from the
-    // smaller side, probe the other, restore row emission order.
-    const bool build_is_outer = outer_live < inner_live;
-    const std::vector<Table::KeySlice>& build =
-        build_is_outer ? outer_slices : inner_slices;
-    const std::vector<Table::KeySlice>& probe =
-        build_is_outer ? inner_slices : outer_slices;
-
-    std::uint64_t probed = 0;
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    switch (*kind) {
-      case JoinKeyKind::kNumeric:
-        pairs = columnar_join_pairs<double>(
-            build, probe, build_is_outer, probed,
-            [](const Table::ColumnSlice& s, std::size_t i) {
-              const double d = s.ints != nullptr
-                                   ? static_cast<double>(s.ints[i])
-                                   : s.reals[i];
-              return d == 0.0 ? 0.0 : d;
-            });
-        break;
-      case JoinKeyKind::kBool:
-      case JoinKeyKind::kDateTime:
-        pairs = columnar_join_pairs<std::int64_t>(
-            build, probe, build_is_outer, probed,
-            [](const Table::ColumnSlice& s, std::size_t i) {
-              return s.ints[i];
-            });
-        break;
-      case JoinKeyKind::kString:
-        pairs = columnar_join_pairs<std::string_view>(
-            build, probe, build_is_outer, probed,
-            [](const Table::ColumnSlice& s, std::size_t i) {
-              return std::string_view(s.strs[i]);
-            });
-        break;
-    }
-    db_.count_hash_join_build();
-    db_.count_join_lanes_probed(probed);
-
-    if (build_is_outer) std::sort(pairs.begin(), pairs.end());
-
-    std::vector<Row> joined;
-    joined.reserve(pairs.size());
-    for (const auto& [outer_id, inner_id] : pairs) {
-      Row combined = base.table->row(outer_id);
-      const Row& inner_row = inner.table->row(inner_id);
-      combined.insert(combined.end(), inner_row.begin(), inner_row.end());
-      EvalCtx ctx{&combined, params_, nullptr, &subquery_values_, nullptr};
-      if (eval_predicate(*join.on, ctx)) {
-        joined.push_back(std::move(combined));
-      }
-    }
-    return joined;
-  }
-
-  /// Columnar hash equi-join over the base table and the first join: build
-  /// a hash table from the smaller side's key column slice (tombstoned and
-  /// NULL lanes never enter — a NULL key can't satisfy the ON equality),
-  /// probe with the other side's slice, and assemble rows only for
-  /// surviving lane pairs. Emission is outer-scan-major with inner-scan
-  /// order within each outer row — byte-identical to the row hash join.
-  /// Returns nullopt to fall back when either side isn't columnar, the ON
-  /// clause has no equality conjunct on a base column (try_expr_key_join
-  /// then gets a shot at a computed key), the key types have no kernel, or
-  /// an inner index makes the indexed nested loop cheaper.
-  std::optional<std::vector<Row>> try_columnar_hash_join(
-      const ScanSource& base, const BaseScanPlan& plan) {
-    if (base.table == nullptr || !base.table->columnar()) return std::nullopt;
-    const sql::Join& join = stmt_.joins[0];
-    const ScanSource& inner = sources_[1];
-    if (inner.table == nullptr || !inner.table->columnar()) {
-      return std::nullopt;
-    }
-    const auto key = equi_join_key(join.on.get(), inner);
-    if (!key) return try_expr_key_join(base, inner, join, plan);
-    if (key->first >= base.column_count()) return std::nullopt;
-    if (inner.table->find_index_on(key->second) != nullptr) {
-      return std::nullopt;  // the indexed nested loop wins
-    }
-    const auto kind =
-        join_key_kind(base.table->schema().column(key->first).type,
-                      inner.table->schema().column(key->second).type);
-    if (!kind) return std::nullopt;
-
-    // Outer-side pruning, mirroring run_heap_scan.
-    const std::size_t nparts = base.table->partition_count();
-    if (plan.empty) {
-      db_.count_partitions_pruned(nparts);
-      return std::vector<Row>{};
-    }
-    std::size_t outer_first = 0;
-    std::size_t outer_count = nparts;
-    if (plan.partition && nparts > 1) {
-      outer_first = *plan.partition;
-      outer_count = 1;
-      db_.count_partitions_pruned(nparts - 1);
-    }
-    const std::size_t inner_count =
-        inner.partition ? 1 : inner.table->partition_count();
-    db_.count_partition_scans(outer_count);
-    db_.count_columnar_scans(outer_count + inner_count);
-
-    std::vector<Table::KeySlice> outer_slices;
-    outer_slices.reserve(outer_count);
-    std::size_t outer_live = 0;
-    for (std::size_t p = outer_first; p < outer_first + outer_count; ++p) {
-      outer_slices.push_back(base.table->key_slice(p, key->first));
-      outer_live += base.table->partition_live_count(p);
-    }
-    std::vector<Table::KeySlice> inner_slices =
-        inner.table->key_slices(key->second, inner.partition);
-    std::size_t inner_live = 0;
-    for (const Table::KeySlice& s : inner_slices) {
-      inner_live += inner.table->partition_live_count(s.partition);
-    }
+    db_.count_expr_program_evals(program_evals);
+    count_scans();
 
     // Build from the smaller side; ties build from the inner source (the
     // row hash join's only choice).
@@ -3256,8 +2510,9 @@ class SelectExec {
             });
         break;
       case JoinKeyKind::kString:
-        // Views into the column vectors: stable for this statement's
-        // lifetime (DDL/DML never interleaves with an executing SELECT).
+        // Views into the column vectors / owned key buffers: stable for
+        // this statement's lifetime (DDL/DML never interleaves with an
+        // executing SELECT).
         pairs = columnar_join_pairs<std::string_view>(
             build, probe, build_is_outer, probed,
             [](const Table::ColumnSlice& s, std::size_t i) {
@@ -3281,7 +2536,7 @@ class SelectExec {
       const Row& inner_row = inner.table->row(inner_id);
       combined.insert(combined.end(), inner_row.begin(), inner_row.end());
       EvalCtx ctx{&combined, params_, nullptr, &subquery_values_, nullptr};
-      if (!join.on || eval_predicate(*join.on, ctx)) {
+      if (eval_predicate(*join.on, ctx)) {
         joined.push_back(std::move(combined));
       }
     }

@@ -87,11 +87,10 @@ std::unique_ptr<SelectStmt> clone_select(const SelectStmt& s,
   }
   out->limit = s.limit;
   out->offset = s.offset;
-  // Carry the hot-plan annotations: re-target their expression pointers onto
+  // Carry the hot-plan annotation: re-target its expression pointers onto
   // the freshly cloned tree. remap_onto degrades to nullptr (re-analyze) if
   // a pointer is not covered; a negative verdict is pointer-free and always
   // carries.
-  if (s.fused_plan) out->fused_plan = remap_onto(*s.fused_plan, remap);
   if (s.fused_group_plan) {
     out->fused_group_plan = remap_onto(*s.fused_group_plan, remap);
   }

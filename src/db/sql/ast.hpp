@@ -131,11 +131,10 @@ struct CommonTableExpr {
   support::SourceLoc loc;
 };
 
-/// Executor-side hot-plan annotations (defined in db/sql/plan.hpp): the
-/// structural analyses behind the fused single-pass columnar evaluator and
-/// its grouped (GROUP BY) sibling. Opaque here so the AST header stays free
-/// of plan details; ast.cpp and the executor include plan.hpp.
-struct FusedScanPlan;
+/// Executor-side hot-plan annotation (defined in db/sql/plan.hpp): the
+/// structural analysis behind the fused columnar aggregate evaluator.
+/// Opaque here so the AST header stays free of plan details; ast.cpp and
+/// the executor include plan.hpp.
 struct FusedGroupPlan;
 
 struct SelectStmt {
@@ -151,24 +150,22 @@ struct SelectStmt {
   std::optional<std::size_t> limit;
   std::optional<std::size_t> offset;
 
-  /// Hot-plan annotations, filled lazily by the executor the first time this
-  /// statement proves eligible for the fused single-pass columnar evaluator
-  /// (`fused_plan`, global aggregate) or its grouped sibling
-  /// (`fused_group_plan`, GROUP BY on column refs). Structural analysis only
-  /// — per-execution decisions such as partition pruning are recomputed
-  /// every run. `fused_rejected` caches a negative verdict so ineligible
-  /// statements are analyzed once. Mutable because execution works on const
-  /// statements; safe under the executor's concurrency contract (concurrent
-  /// execution only of DISTINCT prepared statements). The plans hold
-  /// pointers into this statement's expression tree; clone() carries them by
-  /// remapping every pointer onto the cloned tree, so PlanCache-cloned
-  /// statements start hot instead of re-analyzing.
-  mutable std::shared_ptr<const FusedScanPlan> fused_plan;
+  /// Hot-plan annotation, filled lazily by the executor the first time this
+  /// statement proves eligible for the fused columnar aggregate evaluator
+  /// (a global aggregate is the zero-key case of GROUP BY). Structural
+  /// analysis only — per-execution decisions such as partition pruning are
+  /// recomputed every run. `fused_rejected` caches a negative verdict so
+  /// ineligible statements are analyzed once. Mutable because execution
+  /// works on const statements; safe under the executor's concurrency
+  /// contract (concurrent execution only of DISTINCT prepared statements).
+  /// The plan holds pointers into this statement's expression tree; clone()
+  /// carries it by remapping every pointer onto the cloned tree, so
+  /// PlanCache-cloned statements start hot instead of re-analyzing.
   mutable std::shared_ptr<const FusedGroupPlan> fused_group_plan;
   mutable bool fused_rejected = false;
 
   /// Structural deep copy (subquery materialization executes a copy so the
-  /// original statement stays reusable). Carries the fused-plan annotations
+  /// original statement stays reusable). Carries the fused-plan annotation
   /// across the copy (expression pointers remapped onto the cloned tree).
   /// The overload additionally reports the old-node → new-node map of every
   /// cloned Expr, letting callers translate plan annotations in the other

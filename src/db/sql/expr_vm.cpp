@@ -592,9 +592,34 @@ class ProgramBuilder {
       return null_reg();
     }
     if (!comparable_types(a->type, b->type)) return std::nullopt;
-    const auto res = emit_binary(Op::kCmp, *a, *b, ValueType::kBool);
+    auto lhs = *a;
+    auto rhs = *b;
+    if (numeric_type(lhs.type) && numeric_type(rhs.type)) {
+      widen_compared_slot(lhs);
+      widen_compared_slot(rhs);
+    }
+    const auto res = emit_binary(Op::kCmp, lhs, rhs, ValueType::kBool);
     if (res) prog_.instrs_.back().cmp = e.bin_op;
     return res;
+  }
+
+  /// compare_sql compares numerics through double, so a constant slot read
+  /// only by a numeric comparison loads as DOUBLE (converted once per
+  /// execution instead of once per lane), and bind_constants lets a param
+  /// or subquery value drift between INTEGER and REAL across executions.
+  /// Every constant occurrence owns its slot and register, so the
+  /// comparison is the only reader.
+  void widen_compared_slot(Res& r) {
+    for (const Instr& ins : prog_.instrs_) {
+      if (ins.op != Op::kLoadConst || ins.dest != r.reg) continue;
+      if (ins.payload == ExprProgram::kNoPayload) return;
+      ExprProgram::ConstSlot& slot = prog_.consts_[ins.payload];
+      slot.type = ValueType::kDouble;
+      slot.numeric = true;
+      prog_.reg_types_[r.reg] = ValueType::kDouble;
+      r.type = ValueType::kDouble;
+      return;
+    }
   }
 
   std::optional<Res> compile_logic(const Expr& e, std::uint16_t mask) {
@@ -689,10 +714,25 @@ std::optional<ExprProgram::Bound> ExprProgram::bind_constants(
   out.reserve(consts_.size());
   for (const auto& slot : consts_) {
     Value v = slot.literal_baked ? slot.literal : eval(*slot.expr);
-    if (!v.is_null() && v.type() != slot.type) return std::nullopt;
+    if (!v.is_null() && v.type() != slot.type &&
+        !(slot.numeric && v.is_numeric())) {
+      return std::nullopt;
+    }
     out.push_back(std::move(v));
   }
   return out;
+}
+
+std::optional<std::size_t> ExprProgram::single_column() const noexcept {
+  if (instrs_.size() != 1 || instrs_[0].op != Op::kLoadColumn) {
+    return std::nullopt;
+  }
+  return instrs_[0].payload;
+}
+
+bool ExprProgram::may_raise() const noexcept {
+  return std::any_of(instrs_.begin(), instrs_.end(),
+                     [](const Instr& ins) { return ins.m != kNoReg; });
 }
 
 std::shared_ptr<const ExprProgram> ExprProgram::remapped(
@@ -739,6 +779,47 @@ inline int lane_cmp(const ExprProgram::Scratch::View& a, ValueType at,
     }
     default:
       return 0;
+  }
+}
+
+/// kCmp over numeric lanes: compare_sql's rule (both sides through double,
+/// NaN comparing equal to everything) with the operand lane types and the
+/// operator dispatched once per batch instead of once per lane.
+template <typename X, typename Y>
+void cmp_numeric_lanes(BinOp op, const X* x, const std::uint8_t* xv,
+                       const Y* y, const std::uint8_t* yv, std::int64_t* di,
+                       std::uint8_t* dv, std::size_t n) {
+  const auto run = [&](auto keeps) {
+    for (std::size_t l = 0; l < n; ++l) {
+      const std::uint8_t v = xv[l] & yv[l];
+      const bool keep =
+          keeps(static_cast<double>(x[l]), static_cast<double>(y[l]));
+      di[l] = v != 0 && keep ? 1 : 0;
+      dv[l] = v;
+    }
+  };
+  switch (op) {
+    case BinOp::kEq:
+      run([](double p, double q) { return !(p < q) && !(p > q); });
+      return;
+    case BinOp::kNe:
+      run([](double p, double q) { return p < q || p > q; });
+      return;
+    case BinOp::kLt:
+      run([](double p, double q) { return p < q; });
+      return;
+    case BinOp::kLe:
+      run([](double p, double q) { return !(p > q); });
+      return;
+    case BinOp::kGt:
+      run([](double p, double q) { return p > q; });
+      return;
+    case BinOp::kGe:
+      run([](double p, double q) { return !(p < q); });
+      return;
+    default:
+      run([](double, double) { return false; });
+      return;
   }
 }
 
@@ -988,6 +1069,20 @@ ExprProgram::Result ExprProgram::run(Scratch& scratch, const Bound& bound,
       case Op::kCmp: {
         std::int64_t* di = own_i(ins.dest);
         std::uint8_t* dv = own_v(ins.dest);
+        if (numeric_type(ins.at)) {
+          const bool ad = ins.at == ValueType::kDouble;
+          const bool bd = ins.bt == ValueType::kDouble;
+          if (ad && bd) {
+            cmp_numeric_lanes(ins.cmp, a.d, a.valid, b.d, b.valid, di, dv, n);
+          } else if (ad) {
+            cmp_numeric_lanes(ins.cmp, a.d, a.valid, b.i, b.valid, di, dv, n);
+          } else if (bd) {
+            cmp_numeric_lanes(ins.cmp, a.i, a.valid, b.d, b.valid, di, dv, n);
+          } else {
+            cmp_numeric_lanes(ins.cmp, a.i, a.valid, b.i, b.valid, di, dv, n);
+          }
+          break;
+        }
         for (std::size_t l = 0; l < n; ++l) {
           const std::uint8_t v = a.valid[l] & b.valid[l];
           di[l] = v != 0 && comparison_keeps(

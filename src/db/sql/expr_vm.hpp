@@ -55,7 +55,8 @@ using ExprRemap = std::unordered_map<const Expr*, const Expr*>;
 /// program records the `ValueType` each slot had at compile time and
 /// `bind_constants` re-evaluates them per execution — a non-NULL runtime
 /// value of a different type declines that execution (row path fallback),
-/// NULL is always acceptable (an all-NULL lane).
+/// NULL is always acceptable (an all-NULL lane), and a slot only a numeric
+/// comparison reads accepts INTEGER and REAL alike.
 class ExprProgram {
  public:
   static constexpr std::size_t kBatch = 1024;
@@ -112,6 +113,9 @@ class ExprProgram {
     ValueType type = ValueType::kNull;
     Value literal;       // valid when literal_baked
     bool literal_baked = false;
+    /// Read only by a numeric comparison: recorded as DOUBLE, and an
+    /// INTEGER or REAL runtime value binds either way.
+    bool numeric = false;
   };
 
   /// Per-execution constant bindings (`bind_constants` result).
@@ -180,6 +184,13 @@ class ExprProgram {
   [[nodiscard]] const std::vector<std::size_t>& used_columns() const noexcept {
     return used_columns_;
   }
+
+  /// The base-relative column when the whole program is one kLoadColumn
+  /// (its result is a zero-copy view of that column); nullopt otherwise.
+  [[nodiscard]] std::optional<std::size_t> single_column() const noexcept;
+
+  /// Whether any instruction can raise (`/`, `%`, SQRT) on a demanded lane.
+  [[nodiscard]] bool may_raise() const noexcept;
 
   /// Evaluates every runtime-constant slot with `eval` and validates the
   /// result types against compile-time expectations. nullopt = declined

@@ -4,18 +4,6 @@ namespace kojak::db::sql {
 
 namespace {
 
-/// nullptr-preserving pointer translation; sets `ok` false on a miss so the
-/// caller can abandon the whole carry instead of shipping a dangling plan.
-const Expr* translate(const Expr* expr, const ExprRemap& map, bool& ok) {
-  if (expr == nullptr) return nullptr;
-  const auto it = map.find(expr);
-  if (it == map.end()) {
-    ok = false;
-    return nullptr;
-  }
-  return it->second;
-}
-
 /// nullptr-preserving program carry: compiled programs hold `const Expr*`
 /// runtime-constant slots (params, scalar subqueries) that must follow the
 /// clone exactly like the plan's own pointers.
@@ -26,48 +14,32 @@ bool remap_program(std::shared_ptr<const ExprProgram>& program,
   return program != nullptr;
 }
 
-bool remap_conjuncts(std::vector<FusedScanPlan::Conjunct>& conjuncts,
-                     const ExprRemap& map) {
-  bool ok = true;
-  for (auto& c : conjuncts) c.constant = translate(c.constant, map, ok);
-  return ok;
-}
-
-bool remap_aggregates(std::vector<FusedScanPlan::Aggregate>& aggregates,
-                      const ExprRemap& map) {
-  bool ok = true;
-  for (auto& a : aggregates) {
-    a.expr = translate(a.expr, map, ok);
-    if (!remap_program(a.program, map)) return false;
-  }
-  return ok;
+/// Pointer translation; false on a miss so the caller can abandon the whole
+/// carry instead of shipping a dangling plan.
+bool translate(const Expr*& expr, const ExprRemap& map) {
+  const auto it = map.find(expr);
+  if (it == map.end()) return false;
+  expr = it->second;
+  return true;
 }
 
 }  // namespace
 
-std::shared_ptr<const FusedScanPlan> remap_onto(const FusedScanPlan& plan,
-                                                const ExprRemap& map) {
-  auto out = std::make_shared<FusedScanPlan>(plan);
-  if (!remap_conjuncts(out->conjuncts, map)) return nullptr;
-  if (!remap_program(out->where_program, map)) return nullptr;
-  if (!remap_aggregates(out->aggregates, map)) return nullptr;
-  return out;
-}
-
 std::shared_ptr<const FusedGroupPlan> remap_onto(const FusedGroupPlan& plan,
                                                  const ExprRemap& map) {
   auto out = std::make_shared<FusedGroupPlan>(plan);
-  if (!remap_conjuncts(out->conjuncts, map)) return nullptr;
   if (!remap_program(out->where_program, map)) return nullptr;
   for (auto& key : out->group_keys) {
-    if (!remap_program(key.program, map)) return nullptr;
+    if (!remap_program(key, map)) return nullptr;
   }
-  bool ok = true;
   for (auto& [node, index] : out->key_refs) {
-    node = translate(node, map, ok);
+    if (!translate(node, map)) return nullptr;
   }
-  if (!ok) return nullptr;
-  if (!remap_aggregates(out->aggregates, map)) return nullptr;
+  for (auto& a : out->aggregates) {
+    if (!translate(a.expr, map) || !remap_program(a.program, map)) {
+      return nullptr;
+    }
+  }
   return out;
 }
 

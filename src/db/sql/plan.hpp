@@ -14,83 +14,48 @@
 
 namespace kojak::db::sql {
 
-/// Hot-plan annotation behind `SelectStmt::fused_plan`: the structural
-/// analysis of the dominant whole-condition shape — a single-table global
-/// aggregate with an AND-of-simple-conjuncts filter (the per-partition
-/// `part<K>` CTE body the partition-union rewrite emits). Built once per
-/// statement by the executor, reused by every later execution of the same
-/// statement (prepared statements, plan-cache hits, monitor re-evaluation);
+/// Hot-plan annotation behind `SelectStmt::fused_group_plan`: the
+/// structural analysis of an aggregate over one columnar table — `GROUP BY
+/// <scalar exprs>`, or a global aggregate as the zero-key case (the
+/// dominant whole-condition shape: the per-partition `part<K>` CTE body the
+/// partition-union rewrite emits). Built once per statement by the
+/// executor, reused by every later execution of the same statement
+/// (prepared statements, plan-cache hits, monitor re-evaluation);
 /// everything value-dependent — partition pruning, parameter and subquery
-/// constants, (column, constant) type compatibility — is re-derived per
-/// execution. Expression pointers reference the owning statement's AST, so
-/// the annotation must never outlive or migrate off its statement —
-/// `SelectStmt::clone()` carries it by remapping every pointer onto the
-/// cloned expression tree (see remap_onto below).
-struct FusedScanPlan {
+/// constants — is re-derived per execution. Expression pointers reference
+/// the owning statement's AST, so the annotation must never outlive or
+/// migrate off its statement — `SelectStmt::clone()` carries it by
+/// remapping every pointer onto the cloned expression tree (see remap_onto
+/// below).
+struct FusedGroupPlan {
   std::string table;                    // base table the statement scans
   std::vector<ValueType> column_types;  // schema snapshot, validated on reuse
 
-  /// One WHERE conjunct: `column op constant` (constant = literal, param,
-  /// or scalar subquery) or `column IS [NOT] NULL`.
-  struct Conjunct {
-    std::size_t column = 0;
-    BinOp op = BinOp::kEq;           // comparison ops only
-    const Expr* constant = nullptr;  // null for IS [NOT] NULL tests
-    bool is_null_test = false;
-    bool negated = false;  // IS NOT NULL
-  };
-  std::vector<Conjunct> conjuncts;
-
-  /// Whole-WHERE bytecode program, used when the filter is not an
-  /// AND-of-simple-conjuncts (`conjuncts` and `where_program` are mutually
-  /// exclusive): its boolean output lanes AND into the selection bitmap
-  /// with NULL-as-false semantics.
+  /// Whole-WHERE program (null without WHERE): its boolean output lanes AND
+  /// into the selection bitmap with NULL-as-false semantics.
   std::shared_ptr<const ExprProgram> where_program;
 
-  /// One aggregate call: over a plain base column (program == nullptr;
-  /// column == SIZE_MAX for COUNT(*)) or over an arbitrary compiled value
-  /// program whose output lanes feed the same kernels. Collected in
+  /// GROUP BY key programs in GROUP BY order; empty for a global aggregate.
+  std::vector<std::shared_ptr<const ExprProgram>> group_keys;
+
+  /// Output-side nodes (in items / HAVING / ORDER BY) equal to a group key:
+  /// evaluated as that key's per-group value via EvalCtx pinning.
+  std::vector<std::pair<const Expr*, std::size_t>> key_refs;
+
+  /// One aggregate call: its argument program's output lanes feed the
+  /// kernels (program == nullptr for COUNT(*)). Collected in
   /// run_aggregation's order (items, HAVING, ORDER BY) so finalized values
   /// map back onto the same Expr nodes.
   struct Aggregate {
     const Expr* expr = nullptr;
-    std::size_t column = static_cast<std::size_t>(-1);
     std::shared_ptr<const ExprProgram> program;
   };
   std::vector<Aggregate> aggregates;
 };
 
-/// Hot-plan annotation behind `SelectStmt::fused_group_plan`: the grouped
-/// sibling of FusedScanPlan for `GROUP BY <scalar exprs>` over one columnar
-/// table. Same lifecycle and reuse contract; group keys are base-relative
-/// column indices (program == nullptr) or compiled key programs, in
-/// GROUP BY order.
-struct FusedGroupPlan {
-  std::string table;
-  std::vector<ValueType> column_types;  // schema snapshot, validated on reuse
-  std::vector<FusedScanPlan::Conjunct> conjuncts;
-  std::shared_ptr<const ExprProgram> where_program;
-
-  struct GroupKey {
-    std::size_t column = static_cast<std::size_t>(-1);  // SIZE_MAX => program
-    std::shared_ptr<const ExprProgram> program;
-  };
-  std::vector<GroupKey> group_keys;  // GROUP BY order
-
-  /// Output-side nodes (in items / HAVING / ORDER BY) structurally equal to
-  /// a *program* group key: evaluated as that key's per-group value via
-  /// EvalCtx pinning instead of from the representative row. Plain-column
-  /// keys need no pinning — the representative row already carries them.
-  std::vector<std::pair<const Expr*, std::size_t>> key_refs;
-
-  std::vector<FusedScanPlan::Aggregate> aggregates;
-};
-
 /// Re-targets a plan's expression pointers through `map`. Returns nullptr if
 /// any pointer is missing from the map — a carried plan must never dangle, so
 /// an incomplete map silently degrades to "re-analyze on first execution".
-[[nodiscard]] std::shared_ptr<const FusedScanPlan> remap_onto(
-    const FusedScanPlan& plan, const ExprRemap& map);
 [[nodiscard]] std::shared_ptr<const FusedGroupPlan> remap_onto(
     const FusedGroupPlan& plan, const ExprRemap& map);
 

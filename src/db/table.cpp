@@ -268,20 +268,6 @@ Table::KeySlice Table::key_slice(std::size_t partition,
   return {column_slice(partition, column), live_bits(partition), partition};
 }
 
-std::vector<Table::KeySlice> Table::key_slices(
-    std::size_t column, std::optional<std::size_t> pinned) const {
-  std::vector<KeySlice> slices;
-  if (pinned) {
-    slices.push_back(key_slice(*pinned, column));
-    return slices;
-  }
-  slices.reserve(parts_.size());
-  for (std::size_t p = 0; p < parts_.size(); ++p) {
-    slices.push_back(key_slice(p, column));
-  }
-  return slices;
-}
-
 std::size_t Table::place_row(std::size_t partition, Row row) {
   PartitionStore& part = parts_[partition];
   const std::size_t local = part.rows.size();

@@ -245,13 +245,9 @@ class Table {
       return live[lane] != 0 && column.valid[lane] != 0;
     }
   };
-  /// key_slice(p, c) = {column_slice(p, c), live_bits(p), p}; key_slices
-  /// collects one per partition — or exactly one when `pinned` restricts the
-  /// scan (a `PARTITION (k)` selector or an equality route). Columnar only.
+  /// key_slice(p, c) = {column_slice(p, c), live_bits(p), p}. Columnar only.
   [[nodiscard]] KeySlice key_slice(std::size_t partition,
                                    std::size_t column) const;
-  [[nodiscard]] std::vector<KeySlice> key_slices(
-      std::size_t column, std::optional<std::size_t> pinned) const;
   /// Heap size (live + tombstoned lanes) of one partition.
   [[nodiscard]] std::size_t partition_heap_size(std::size_t partition) const {
     return parts_.at(partition).rows.size();

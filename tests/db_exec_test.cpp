@@ -858,12 +858,12 @@ TEST(Columnar, FusedPlanSurvivesClone) {
       kdb::sql::parse_single("SELECT COUNT(*) FROM ct WHERE v >= 30");
   auto& sel = std::get<kdb::sql::SelectStmt>(parsed);
   EXPECT_EQ(db.execute(parsed).scalar().as_int(), 40);
-  ASSERT_NE(sel.fused_plan, nullptr);
+  ASSERT_NE(sel.fused_group_plan, nullptr);
 
   // clone() carries the plan by remapping its expression pointers onto the
   // copied tree, so the clone's first execution is already a cache hit.
   std::unique_ptr<kdb::sql::SelectStmt> copy = sel.clone();
-  ASSERT_NE(copy->fused_plan, nullptr);
+  ASSERT_NE(copy->fused_group_plan, nullptr);
   kdb::sql::Statement cloned{std::move(*copy)};
   const auto before = db.exec_stats();
   EXPECT_EQ(db.execute(cloned).scalar().as_int(), 40);

@@ -375,7 +375,8 @@ struct Atom {
 /// Every `column op constant` / `constant op column` / `IS [NOT] NULL`
 /// shape over the typed table: each comparable type, the constant as a
 /// literal, a parameter (NULL included) and a scalar subquery, all six
-/// comparison operators in both operand orders.
+/// comparison operators in both operand orders; plus NaN lanes against a
+/// constant.
 std::vector<Atom> conjunct_atoms() {
   struct Constant {
     std::string text;
@@ -417,10 +418,11 @@ std::vector<Atom> conjunct_atoms() {
         {"?", {Value::null()}},
         {"(SELECT MAX(s) FROM t)", {}}}},
   };
+  static const char* kOps[] = {"=", "<>", "<", "<=", ">", ">="};
   std::vector<Atom> atoms;
   for (const Column& column : columns) {
     for (const Constant& c : column.constants) {
-      for (const char* op : {"=", "<>", "<", "<=", ">", ">="}) {
+      for (const char* op : kOps) {
         atoms.push_back({cat(column.name, " ", op, " ", c.text), c.params});
         atoms.push_back({cat(c.text, " ", op, " ", column.name), c.params});
       }
@@ -428,6 +430,12 @@ std::vector<Atom> conjunct_atoms() {
     atoms.push_back({cat(column.name, " IS NULL"), {}});
     atoms.push_back({cat(column.name, " IS NOT NULL"), {}});
   }
+  // inf - inf: every nonzero d yields a NaN lane, which compare_sql treats
+  // as equal to everything.
+  const std::string big = cat("1", std::string(200, '0'), ".0");
+  const std::string nan = cat("(t.d * ", big, " * ", big, " - t.d * ", big,
+                              " * ", big, ")");
+  for (const char* op : kOps) atoms.push_back({cat(nan, " ", op, " 0.5"), {}});
   return atoms;
 }
 
@@ -570,10 +578,10 @@ TEST(ExprVmJoin, ComputedKeysStayColumnar) {
   EXPECT_GT(after.expr_vm_lanes, before.expr_vm_lanes);
 }
 
-// Pinned decline verdict: an ON clause that is not a single equality (here
-// an AND of an expression equality and a residual comparison) stays on the
-// row-path nested loop — no hash build — and still returns the same rows.
-TEST(ExprVmJoin, NonSingleEqualityDeclines) {
+// An ON clause that is not a single equality (here an AND of an expression
+// equality and a residual comparison) hash-joins on its equality conjunct,
+// re-evaluates the whole ON per surviving pair, and returns the same rows.
+TEST(ExprVmJoin, ConjunctiveOnHashJoinsOnItsEquality) {
   Database row_db;
   fill_join_tables(row_db, "");
   Database vm_db;
@@ -585,8 +593,52 @@ TEST(ExprVmJoin, NonSingleEqualityDeclines) {
   const auto before = vm_db.exec_stats();
   EXPECT_EQ(run_digest(vm_db, sql), expected);
   const auto after = vm_db.exec_stats();
+  EXPECT_EQ(after.hash_join_builds - before.hash_join_builds, 1u);
+  EXPECT_EQ(after.expr_program_evals - before.expr_program_evals, 2u);
+}
+
+// A key side that can raise, behind another conjunct: the nested loop never
+// evaluates `lhs.v / (lhs.id - 82)` for lhs.id = 82 (no rhs.id exceeds 82),
+// so the hash join must not evaluate it over every outer lane either.
+TEST(ExprVmJoin, RaisingKeyBehindAnotherConjunctDeclines) {
+  Database row_db;
+  fill_join_tables(row_db, "");
+  Database vm_db;
+  fill_join_tables(vm_db, " STORAGE COLUMNAR");
+  const std::string sql =
+      "SELECT lhs.id, rhs.id FROM lhs JOIN rhs "
+      "ON lhs.id < rhs.id AND lhs.v / (lhs.id - 82) = rhs.w";
+  const std::string expected = run_digest(row_db, sql);
+  ASSERT_NE(expected, "<error>");
+  const auto before = vm_db.exec_stats();
+  EXPECT_EQ(run_digest(vm_db, sql), expected);
+  const auto after = vm_db.exec_stats();
   EXPECT_EQ(after.hash_join_builds - before.hash_join_builds, 0u);
-  EXPECT_EQ(after.expr_program_evals - before.expr_program_evals, 0u);
+}
+
+// Plain DOUBLE key columns holding NaN (inf - inf): a hash probe cannot
+// reproduce how the row path matches NaN keys, so the columnar join
+// declines and returns the row-storage rows.
+TEST(ExprVmJoin, NanColumnKeysDecline) {
+  const auto fill = [](Database& db, const std::string& layout) {
+    db.execute(cat("CREATE TABLE a (id INTEGER, x DOUBLE)", layout));
+    db.execute(cat("CREATE TABLE b (id INTEGER, y DOUBLE)", layout));
+    const std::string big = cat("1", std::string(200, '0'), ".0");
+    const std::string nan = cat(big, " * ", big, " - ", big, " * ", big);
+    db.execute(cat("INSERT INTO a VALUES (1, 1.5), (2, ", nan, "), (3, 2.5)"));
+    db.execute(cat("INSERT INTO b VALUES (1, 2.5), (2, ", nan, "), (3, 1.5)"));
+  };
+  Database row_db;
+  fill(row_db, "");
+  Database vm_db;
+  fill(vm_db, " STORAGE COLUMNAR");
+  const std::string sql = "SELECT a.id, b.id FROM a JOIN b ON a.x = b.y";
+  const std::string expected = run_digest(row_db, sql);
+  ASSERT_NE(expected, "<error>");
+  const auto before = vm_db.exec_stats();
+  EXPECT_EQ(run_digest(vm_db, sql), expected);
+  const auto after = vm_db.exec_stats();
+  EXPECT_EQ(after.hash_join_builds - before.hash_join_builds, 0u);
 }
 
 // ---------------------------------------------------------------------------
