@@ -72,7 +72,7 @@ Outcome run_sequential_baseline() {
   cosy::Analyzer analyzer(world().model, *world().store, world().handles,
                           &conn);
   cosy::AnalyzerConfig config;
-  config.strategy = cosy::EvalStrategy::kSqlPushdown;
+  config.backend = "sql-pushdown";
 
   Outcome outcome;
   const double v0 = conn.clock().now_ms();

@@ -65,7 +65,8 @@ void BM_CompileAndRunProperty(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(sql.evaluate_property(*prop, args));
   }
-  state.counters["total_queries"] = static_cast<double>(sql.queries_issued());
+  state.counters["total_queries"] =
+      static_cast<double>(sql.stats().sql_queries);
 }
 
 void print_generated_artifacts() {

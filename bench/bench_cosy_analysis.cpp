@@ -38,7 +38,7 @@ void BM_AnalyzeInterpreter(benchmark::State& state) {
 void BM_AnalyzeInterpreterParallel(benchmark::State& state) {
   cosy::Analyzer analyzer(world().model, *world().store, world().handles);
   cosy::AnalyzerConfig config;
-  config.parallel = true;
+  config.backend = "interpreter-sharded";
   const auto run = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(analyzer.analyze(run, config));
@@ -49,7 +49,7 @@ void BM_AnalyzeSqlPushdown(benchmark::State& state) {
   db::Connection conn(database(), db::ConnectionProfile::in_memory());
   cosy::Analyzer analyzer(world().model, *world().store, world().handles, &conn);
   cosy::AnalyzerConfig config;
-  config.strategy = cosy::EvalStrategy::kSqlPushdown;
+  config.backend = "sql-pushdown";
   const auto run = static_cast<std::size_t>(state.range(0));
   std::uint64_t queries = 0;
   for (auto _ : state) {

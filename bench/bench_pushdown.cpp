@@ -295,7 +295,7 @@ UnionOutcome run_union(std::size_t partitions) {
   const auto after = database.exec_stats();
   UnionOutcome outcome;
   outcome.real_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  outcome.statements = eval.queries_issued();
+  outcome.statements = eval.stats().sql_queries;
   outcome.rewrites =
       after.partition_union_rewrites - before.partition_union_rewrites;
   outcome.parallel_ctes = after.cte_parallel_materializations -

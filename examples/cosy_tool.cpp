@@ -10,9 +10,8 @@
 //     --pes 1,8,32        PE counts when simulating      (default 1,16)
 //     --run <index>       test run to analyze            (default last)
 //     --threshold <t>     problem threshold              (default 0.05)
-//     --backend <name>    evaluation backend             (default interpreter)
-//                         any registry name (--list-backends); legacy
-//                         shorthands interpreter|sql|client|bulk still work
+//     --backend <name>    evaluation backend by registry name
+//                         (--list-backends)              (default interpreter)
 //     --spec <file.asl>   additional property documents  (repeatable)
 //     --top <n>           rows to print                  (default 15)
 //     --format <f>        text|markdown|csv              (default text)
@@ -23,8 +22,11 @@
 //     --list-workloads
 //     --list-backends
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "asl/sema.hpp"
@@ -71,6 +73,17 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Parses the whole of `text` as a number; nullopt when malformed or when
+/// anything is left over ("4x", "1.5" for an integer, "").
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) return std::nullopt;
+  return value;
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw support::ImportError(support::cat("cannot open ", path));
@@ -98,34 +111,27 @@ int main(int argc, char** argv) {
       options.workload = next();
     } else if (arg == "--pes") {
       options.pes.clear();
-      for (const std::string& pe : support::split(next(), ',')) {
-        options.pes.push_back(std::atoi(pe.c_str()));
+      for (const std::string& text : support::split(next(), ',')) {
+        const std::optional<int> pe = parse_number<int>(text);
+        if (!pe || *pe < 1) return usage(argv[0]);
+        options.pes.push_back(*pe);
       }
     } else if (arg == "--run") {
-      options.run = static_cast<std::size_t>(std::atoll(next().c_str()));
+      options.run = parse_number<std::size_t>(next());
+      if (!options.run) return usage(argv[0]);
     } else if (arg == "--threshold") {
-      options.threshold = std::atof(next().c_str());
-    } else if (arg == "--strategy" || arg == "--backend") {
-      const std::string value = next();
-      // Legacy shorthands map onto registry names; anything else must be a
-      // registered backend.
-      if (value == "interpreter" || cosy::EvalBackend::exists(value)) {
-        options.backend = value;
-      } else if (value == "sql") {
-        options.backend = "sql-pushdown";
-      } else if (value == "whole") {
-        options.backend = "sql-whole-condition";
-      } else if (value == "client") {
-        options.backend = "client-fetch";
-      } else if (value == "bulk") {
-        options.backend = "bulk-fetch";
-      } else {
-        return usage(argv[0]);
-      }
+      const std::optional<double> threshold = parse_number<double>(next());
+      if (!threshold || !std::isfinite(*threshold)) return usage(argv[0]);
+      options.threshold = *threshold;
+    } else if (arg == "--backend") {
+      options.backend = next();
+      if (!cosy::EvalBackend::exists(options.backend)) return usage(argv[0]);
     } else if (arg == "--spec") {
       options.extra_specs.push_back(next());
     } else if (arg == "--top") {
-      options.top = static_cast<std::size_t>(std::atoll(next().c_str()));
+      const std::optional<std::size_t> top = parse_number<std::size_t>(next());
+      if (!top) return usage(argv[0]);
+      options.top = *top;
     } else if (arg == "--format") {
       options.format = next();
       if (options.format != "text" && options.format != "markdown" &&
@@ -133,7 +139,10 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (arg == "--watch") {
-      options.watch = static_cast<std::size_t>(std::atoll(next().c_str()));
+      const std::optional<std::size_t> watch =
+          parse_number<std::size_t>(next());
+      if (!watch) return usage(argv[0]);
+      options.watch = *watch;
     } else if (arg == "--list-workloads") {
       for (const auto& [name, factory] : perf::workloads::all_named()) {
         std::cout << name << '\n';

@@ -87,15 +87,14 @@ int main(int argc, char** argv) {
   db::Connection conn(database, db::ConnectionProfile::in_memory());
   cosy::import_store(conn, store);
 
-  // 3. Analyze with both strategies; the user property participates in the
+  // 3. Analyze with two backends; the user property participates in the
   //    ranking like any paper property.
   cosy::Analyzer analyzer(model, store, handles, &conn);
-  for (const cosy::EvalStrategy strategy :
-       {cosy::EvalStrategy::kInterpreter, cosy::EvalStrategy::kSqlPushdown}) {
+  for (const char* backend : {"interpreter", "sql-pushdown"}) {
     cosy::AnalyzerConfig config;
-    config.strategy = strategy;
+    config.backend = backend;
     const cosy::AnalysisReport report = analyzer.analyze(1, config);
-    std::cout << "--- strategy: " << to_string(strategy) << " ---\n"
+    std::cout << "--- backend: " << backend << " ---\n"
               << report.to_table(12) << '\n';
   }
   return 0;

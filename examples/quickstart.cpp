@@ -32,11 +32,11 @@ int main() {
   std::cout << "loaded ASL spec: " << model.classes().size() << " classes, "
             << model.properties().size() << " properties\n";
 
-  // 3a. Object store (interpreter strategy).
+  // 3a. Object store (interpreter backend).
   asl::ObjectStore store(model);
   const cosy::StoreHandles handles = cosy::build_store(store, data);
 
-  // 3b. Relational database via the generated schema (SQL strategies).
+  // 3b. Relational database via the generated schema (SQL backends).
   db::Database database;
   cosy::create_schema(database, model);
   db::Connection conn(database, db::ConnectionProfile::in_memory());
@@ -44,15 +44,15 @@ int main() {
   std::cout << "imported " << import.rows << " rows with "
             << import.statements << " statements\n\n";
 
-  // 4. Analyze the 16 PE run with both evaluation strategies.
+  // 4. Analyze the 16 PE run with two evaluation backends.
   cosy::Analyzer analyzer(model, store, handles, &conn);
 
   cosy::AnalyzerConfig config;
-  config.strategy = cosy::EvalStrategy::kInterpreter;
+  config.backend = "interpreter";
   const cosy::AnalysisReport report = analyzer.analyze(1, config);
   std::cout << report.to_table(12) << '\n';
 
-  config.strategy = cosy::EvalStrategy::kSqlPushdown;
+  config.backend = "sql-pushdown";
   const cosy::AnalysisReport sql_report = analyzer.analyze(1, config);
   std::cout << "SQL pushdown agrees: "
             << (sql_report.findings.size() == report.findings.size() &&

@@ -13,26 +13,6 @@ using asl::PropertyResult;
 using asl::RtValue;
 using support::EvalError;
 
-std::string_view to_string(EvalStrategy strategy) {
-  switch (strategy) {
-    case EvalStrategy::kInterpreter: return "interpreter";
-    case EvalStrategy::kSqlPushdown: return "sql-pushdown";
-    case EvalStrategy::kClientFetch: return "client-fetch";
-    case EvalStrategy::kBulkFetch: return "bulk-fetch";
-    case EvalStrategy::kShardedInterpreter: return "interpreter-sharded";
-    case EvalStrategy::kSqlWholeCondition: return "sql-whole-condition";
-  }
-  return "?";
-}
-
-std::string AnalyzerConfig::backend_name() const {
-  if (!backend.empty()) return backend;
-  if (strategy == EvalStrategy::kInterpreter && parallel) {
-    return "interpreter-sharded";
-  }
-  return std::string(to_string(strategy));
-}
-
 std::vector<const Finding*> AnalysisReport::problems() const {
   std::vector<const Finding*> out;
   out.reserve(findings.size());
@@ -221,7 +201,7 @@ AnalysisReport Analyzer::analyze(std::size_t run_index,
   deps.threads = config.threads;
   deps.shard_cache = config.shard_cache;
   const std::unique_ptr<EvalBackend> backend =
-      EvalBackend::create(config.backend_name(), deps);
+      EvalBackend::create(config.backend, deps);
   backend->prepare(*model_, run);
 
   std::vector<EvalRequest> requests;

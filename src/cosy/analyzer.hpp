@@ -18,38 +18,14 @@ namespace kojak::cosy {
 class PlanCache;
 class ShardResultCache;
 
-/// DEPRECATED thin alias for the named evaluation backends (see
-/// eval_backend.hpp). Kept so existing configs keep compiling; every value
-/// maps 1:1 onto a registry name via to_string(). New code — and anything
-/// configurable from strings — should set AnalyzerConfig::backend instead,
-/// which also reaches backends this enum never will (user-registered ones).
-enum class EvalStrategy {
-  kInterpreter,         // "interpreter"
-  kSqlPushdown,         // "sql-pushdown"
-  kClientFetch,         // "client-fetch"
-  kBulkFetch,           // "bulk-fetch"
-  kShardedInterpreter,  // "interpreter-sharded"
-  kSqlWholeCondition,   // "sql-whole-condition" (paper §6, one stmt/context)
-};
-
-/// The registry name of a strategy (exact spelling EvalBackend::create
-/// accepts).
-[[nodiscard]] std::string_view to_string(EvalStrategy strategy);
-
 struct AnalyzerConfig {
-  /// Deprecated alias for `backend`; used only while `backend` is empty.
-  EvalStrategy strategy = EvalStrategy::kInterpreter;
-  /// Evaluation backend by registry name (e.g. "sql-whole-condition"); wins
-  /// over `strategy` when non-empty. Unknown names throw, listing what is
-  /// available.
-  std::string backend;
+  /// Evaluation backend by registry name (e.g. "sql-whole-condition", see
+  /// eval_backend.hpp). Unknown names throw, listing what is available.
+  std::string backend = "interpreter";
   /// A property is a performance *problem* iff severity > threshold (§4).
   double problem_threshold = 0.05;
   /// Region whose duration normalizes severities; empty -> the main region.
   std::string basis_region;
-  /// Deprecated alias: with the interpreter strategy selected, `parallel`
-  /// upgrades it to the interpreter-sharded backend.
-  bool parallel = false;
   /// Worker count for sharding backends (0 = hardware).
   std::size_t threads = 0;
   /// Evaluate only these properties (a "suite"); empty means every property
@@ -63,9 +39,6 @@ struct AnalyzerConfig {
   /// across analyze() calls and only dirty partitions recompute.
   /// cosy::Monitor supplies one; null (the default) recomputes everything.
   ShardResultCache* shard_cache = nullptr;
-
-  /// The backend name this config resolves to.
-  [[nodiscard]] std::string backend_name() const;
 };
 
 /// One evaluated (property, context) pair.
@@ -137,7 +110,7 @@ struct PropertyContext {
 class Analyzer {
  public:
   /// `store`/`handles` come from build_store; `conn` is required for the SQL
-  /// strategies and must hold the same data (see import_store). `pool`
+  /// backends and must hold the same data (see import_store). `pool`
   /// supplies sessions for backends that shard one run's contexts across
   /// several database sessions (sql-sharded); either a connection or a pool
   /// satisfies such a backend.

@@ -102,7 +102,7 @@ BatchResult BatchAnalyzer::analyze_all(const BatchConfig& config) {
 BatchResult BatchAnalyzer::analyze_runs(std::span<const std::size_t> runs,
                                         std::span<const PropertySuite> suites,
                                         const BatchConfig& config) {
-  const std::string backend = config.backend_name();
+  const std::string& backend = config.backend;
   // Resolving the requirement through the registry also validates the name
   // up front — before any worker spins up.
   const bool needs_db = EvalBackend::requires_connection(backend);
@@ -114,11 +114,11 @@ BatchResult BatchAnalyzer::analyze_runs(std::span<const std::size_t> runs,
   static const PropertySuite kAllSuite{"all", {}};
   if (suites.empty()) suites = std::span<const PropertySuite>(&kAllSuite, 1);
 
-  // The shared plan cache: the caller's long-lived one, a per-batch one, or
-  // none (translation from scratch per context, the pre-cache behavior).
+  // The shared plan cache: the caller's long-lived one, else a per-batch one
+  // whenever the backend compiles SQL.
   std::unique_ptr<PlanCache> owned_cache;
   PlanCache* cache = config.plan_cache;
-  if (cache == nullptr && config.share_plan_cache && needs_db) {
+  if (cache == nullptr && needs_db) {
     owned_cache = std::make_unique<PlanCache>(*model_);
     cache = owned_cache.get();
   }

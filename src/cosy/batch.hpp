@@ -23,33 +23,23 @@ struct PropertySuite {
 };
 
 struct BatchConfig {
-  /// Deprecated alias for `backend`; used only while `backend` is empty.
-  EvalStrategy strategy = EvalStrategy::kSqlPushdown;
-  /// Evaluation backend by registry name (see eval_backend.hpp); wins over
-  /// `strategy` when non-empty. Every (run, suite) task drives one backend
-  /// instance of this name.
-  std::string backend;
+  /// Evaluation backend by registry name (see eval_backend.hpp). Every
+  /// (run, suite) task drives one backend instance of this name.
+  std::string backend = "sql-pushdown";
   /// Worker threads (and concurrently leased connections); 0 = hardware.
   std::size_t threads = 0;
   double problem_threshold = 0.05;
   /// Severity basis region; empty -> the main region (per AnalyzerConfig).
   std::string basis_region;
-  /// Share one compiled-plan cache across all workers of this batch (SQL
-  /// backends): each property's SQL translation happens once per batch
-  /// instead of once per (run, context).
-  bool share_plan_cache = true;
-  /// Use this caller-owned cache instead of a per-batch one; survives the
+  /// Compiled-plan cache shared by every worker (SQL backends), so each
+  /// property's SQL translation happens once instead of once per (run,
+  /// context). Null: a per-batch cache. A caller-owned cache survives the
   /// call, so a service analyzing batch after batch keeps its warm plans
   /// (the ROADMAP's "persist PlanCache across experiments"). The summary
   /// reports this batch's traffic on it as a delta.
   PlanCache* plan_cache = nullptr;
   /// Rows kept in the cross-run worst-context summary.
   std::size_t top_contexts = 10;
-
-  /// The backend name this config resolves to.
-  [[nodiscard]] std::string backend_name() const {
-    return backend.empty() ? std::string(to_string(strategy)) : backend;
-  }
 };
 
 /// One unit of batch work: a (run, suite) pair with its finished report.
@@ -143,8 +133,8 @@ struct BatchResult {
 /// produces, only the wall (and modelled backend) time changes.
 class BatchAnalyzer {
  public:
-  /// `pool` supplies sessions for the SQL strategies (it must hold the same
-  /// imported data as `store`); the interpreter strategy needs none.
+  /// `pool` supplies sessions for the SQL backends (it must hold the same
+  /// imported data as `store`); the interpreter backends need none.
   BatchAnalyzer(const asl::Model& model, const asl::ObjectStore& store,
                 const StoreHandles& handles,
                 db::ConnectionPool* pool = nullptr);

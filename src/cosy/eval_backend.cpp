@@ -143,10 +143,7 @@ class SqlBackend final : public EvalBackend {
     return eval_.evaluate_property(property, args);
   }
 
-  [[nodiscard]] EvalStats stats() const override {
-    return {eval_.queries_issued(), eval_.plan_cache_hits(),
-            eval_.plan_cache_misses(), eval_.whole_fallbacks()};
-  }
+  [[nodiscard]] EvalStats stats() const override { return eval_.stats(); }
 
  private:
   std::string_view name_;  // points at the registry key (stable)
@@ -261,12 +258,7 @@ class ShardedSqlBackend final : public EvalBackend {
 
   [[nodiscard]] EvalStats stats() const override {
     EvalStats out = stats_;
-    if (primary_) {
-      out.sql_queries += primary_->queries_issued();
-      out.plan_cache_hits += primary_->plan_cache_hits();
-      out.plan_cache_misses += primary_->plan_cache_misses();
-      out.whole_fallbacks += primary_->whole_fallbacks();
-    }
+    if (primary_) out += primary_->stats();
     return out;
   }
 
@@ -280,12 +272,7 @@ class ShardedSqlBackend final : public EvalBackend {
     return *primary_;
   }
 
-  void absorb(const SqlEvaluator& eval) {
-    stats_.sql_queries += eval.queries_issued();
-    stats_.plan_cache_hits += eval.plan_cache_hits();
-    stats_.plan_cache_misses += eval.plan_cache_misses();
-    stats_.whole_fallbacks += eval.whole_fallbacks();
-  }
+  void absorb(const SqlEvaluator& eval) { stats_ += eval.stats(); }
 
   std::size_t threads_;
   std::optional<SqlEvaluator> primary_;  // deps().conn-backed, serial path
@@ -336,10 +323,7 @@ class DistributedSqlBackend final : public EvalBackend {
     return eval_->evaluate_property(property, args);
   }
 
-  [[nodiscard]] EvalStats stats() const override {
-    return {eval_->queries_issued(), eval_->plan_cache_hits(),
-            eval_->plan_cache_misses(), eval_->whole_fallbacks()};
-  }
+  [[nodiscard]] EvalStats stats() const override { return eval_->stats(); }
 
  private:
   // Declaration order is destruction order in reverse: the evaluator and
@@ -380,7 +364,7 @@ class BulkFetchBackend final : public EvalBackend {
   }
 
   [[nodiscard]] EvalStats stats() const override {
-    return {queries_, 0, 0, 0};
+    return {.sql_queries = queries_};
   }
 
  private:

@@ -11,6 +11,7 @@
 
 #include "asl/interp.hpp"
 #include "asl/model.hpp"
+#include "cosy/eval_stats.hpp"
 
 namespace kojak::db {
 class Connection;
@@ -28,17 +29,6 @@ class ShardResultCache;
 struct EvalRequest {
   const asl::PropertyInfo* property = nullptr;
   const std::vector<asl::RtValue>* args = nullptr;
-};
-
-/// Backend-side accounting of one analysis (mirrors the counters
-/// AnalysisReport reports).
-struct EvalStats {
-  std::uint64_t sql_queries = 0;
-  std::uint64_t plan_cache_hits = 0;
-  std::uint64_t plan_cache_misses = 0;
-  /// sql-whole-condition only: contexts re-evaluated site-by-site because
-  /// the single-statement path did not apply.
-  std::uint64_t whole_fallbacks = 0;
 };
 
 /// Everything a backend may need, supplied by the analyzer. Which fields

@@ -157,15 +157,6 @@ CompiledPlan finalize(const Compiled& compiled, PlanBuild&& build,
 
 }  // namespace
 
-std::string_view to_string(SqlEvalMode mode) {
-  switch (mode) {
-    case SqlEvalMode::kPushdown: return "pushdown";
-    case SqlEvalMode::kClientSide: return "client-side";
-    case SqlEvalMode::kWholeCondition: return "whole-condition";
-  }
-  return "?";
-}
-
 PlanCache::PlanCache(const asl::Model& model, std::size_t max_plans)
     : model_(&model), fingerprint_(model.fingerprint()), max_plans_(max_plans) {}
 
@@ -255,7 +246,7 @@ class SqlExprEval {
   }
 
   db::QueryResult run(const std::string& sql) {
-    ++owner_.queries_;
+    ++owner_.stats_.sql_queries;
     return owner_.conn_->execute(sql);
   }
 
@@ -350,7 +341,7 @@ class SqlExprEval {
   db::QueryResult run_prepared(const std::shared_ptr<const CompiledPlan>& plan,
                                std::span<const db::Value> values) {
     db::PreparedStatement& stmt = owner_.statement_for(plan);
-    ++owner_.queries_;
+    ++owner_.stats_.sql_queries;
     return owner_.conn_->execute(stmt, values);
   }
 
@@ -380,13 +371,13 @@ class SqlExprEval {
     if (auto plan = cache->find(prop_->name, &site, k, owner_.layout_)) {
       std::vector<db::Value> values;
       if (bind_plan(*plan, provided, values)) {
-        ++owner_.plan_hits_;
+        ++owner_.stats_.plan_cache_hits;
         cache->record(true);
         return {run_prepared(plan, values), plan->elem_class};
       }
       // Nullability guard failed: this context needs a different SQL shape.
       // Compile it fresh for this evaluation; the cached plan stays.
-      ++owner_.plan_misses_;
+      ++owner_.stats_.plan_cache_misses;
       cache->record(false);
       const Compiled compiled = compile();
       return {run(compiled.sql), compiled.elem_class};
@@ -402,7 +393,7 @@ class SqlExprEval {
         cache->insert(prop_->name, &site, k, owner_.layout_,
                       std::make_shared<CompiledPlan>(
                           finalize(compiled, std::move(build), values)));
-    ++owner_.plan_misses_;
+    ++owner_.stats_.plan_cache_misses;
     cache->record(false);
     return {run_prepared(plan, values), plan->elem_class};
   }
@@ -1434,7 +1425,7 @@ class WholeConditionCompiler {
     // occurrences through LET inlining produce the same coordinator and
     // count once); diagnostic-only compilations never count.
     if (count_rewrites_ && counted_rewrites_.insert(coordinator).second) {
-      catalog_->count_partition_union_rewrite();
+      catalog_->count_partition_union_rewrites();
     }
     // Funnel the coordinator through the CSE machinery like any other
     // scalar subquery: a shared rewritten aggregate dedupes into a cse CTE
@@ -2250,8 +2241,8 @@ std::optional<db::QueryResult> SqlEvaluator::try_execute_with_shard_cache(
     if (rows != nullptr) {
       ++hits;
     } else {
-      db.count_shard_cache_miss();
-      if (probe.stale) db.count_dirty_partition_recomputed();
+      db.count_shard_cache_misses();
+      if (probe.stale) db.count_dirty_partitions_recomputed();
       rows = shard_cache_->store(fp, cte.pinned, version,
                                  db.execute_select_with(*cte.body, values, {}));
     }
@@ -2290,7 +2281,7 @@ PropertyResult SqlEvaluator::evaluate_property(const asl::PropertyInfo& prop,
       // the scalar subquery). Re-evaluate site by site: that path is pinned
       // against the interpreter differentially, so results stay identical —
       // only the statement count grows for this context.
-      ++whole_fallbacks_;
+      ++stats_.whole_fallbacks;
     }
   }
   return evaluate_sitewise(prop, std::move(args));
@@ -2312,7 +2303,7 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
   std::shared_ptr<const CompiledPlan> plan = whole_plan_for(prop);
   std::vector<db::Value> values;
   if (plan != nullptr) {
-    ++plan_hits_;
+    ++stats_.plan_cache_hits;
     cache_->record(true);
   } else {
     // The catalog makes the compiler layout-aware (partition-union
@@ -2325,7 +2316,7 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
                             cse_ ? kWholeConditionCsePlanKind
                                  : kWholeConditionPlainPlanKind,
                             layout_, std::move(compiled));
-      ++plan_misses_;
+      ++stats_.plan_cache_misses;
       cache_->record(false);
     } else {
       plan = std::move(compiled);
@@ -2344,7 +2335,7 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
                                  prop.params[param.provided_index].second));
   }
 
-  ++queries_;
+  ++stats_.sql_queries;
   // With a coordinator attached, the statement's `part<K>` CTEs scatter to
   // its workers and the merge runs locally over the gathered rows; without
   // one (or when nothing is distributable) execution is the plain session
@@ -2379,7 +2370,7 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
       if (memoable) {
         if (std::shared_ptr<const db::QueryResult> rows =
                 shard_cache_->probe_statement(memo_fp, memo_version)) {
-          conn_->database().count_statement_memoized();
+          conn_->database().count_statements_memoized();
           return db::QueryResult(*rows);
         }
       }

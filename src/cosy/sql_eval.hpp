@@ -12,6 +12,7 @@
 
 #include "asl/interp.hpp"
 #include "asl/model.hpp"
+#include "cosy/eval_stats.hpp"
 #include "db/connection.hpp"
 
 namespace kojak::db {
@@ -37,8 +38,6 @@ class ShardResultCache;
 /// Prefer naming an evaluation path through the EvalBackend registry
 /// (eval_backend.hpp); this enum is the evaluator-internal selector.
 enum class SqlEvalMode { kPushdown, kClientSide, kWholeCondition };
-
-[[nodiscard]] std::string_view to_string(SqlEvalMode mode);
 
 /// One ASL set-expression site translated to a reusable SELECT: the SQL
 /// text with `?` placeholders in statement-text order, plus the binding
@@ -190,23 +189,12 @@ class SqlEvaluator {
   [[nodiscard]] asl::PropertyResult evaluate_property(
       const asl::PropertyInfo& prop, std::vector<asl::RtValue> args);
 
-  /// Number of SQL statements issued so far (bench bookkeeping).
-  [[nodiscard]] std::uint64_t queries_issued() const noexcept {
-    return queries_;
-  }
-  /// Plan-cache traffic from this evaluator (0/0 without a cache).
-  [[nodiscard]] std::uint64_t plan_cache_hits() const noexcept {
-    return plan_hits_;
-  }
-  [[nodiscard]] std::uint64_t plan_cache_misses() const noexcept {
-    return plan_misses_;
-  }
-  /// kWholeCondition only: contexts that could not run as one statement and
-  /// were re-evaluated site-by-site (results stay interpreter-identical; the
-  /// COSY suites compile without fallbacks, which tests assert).
-  [[nodiscard]] std::uint64_t whole_fallbacks() const noexcept {
-    return whole_fallbacks_;
-  }
+  /// This evaluator's accounting so far: SQL statements issued, plan-cache
+  /// traffic (0/0 without a cache) and, kWholeCondition only, contexts that
+  /// could not run as one statement and were re-evaluated site-by-site
+  /// (results stay interpreter-identical; the COSY suites compile without
+  /// fallbacks, which tests assert).
+  [[nodiscard]] EvalStats stats() const noexcept { return stats_; }
   /// Prepared statements resident in this evaluator (telemetry). Bounded
   /// when the attached PlanCache is capped: statements of evicted plan
   /// generations are pruned as new plans arrive.
@@ -345,10 +333,7 @@ class SqlEvaluator {
   PlanCache* cache_;
   bool cse_;
   std::uint64_t layout_ = 0;  ///< database layout fingerprint (plan keying)
-  std::uint64_t queries_ = 0;
-  std::uint64_t plan_hits_ = 0;
-  std::uint64_t plan_misses_ = 0;
-  std::uint64_t whole_fallbacks_ = 0;
+  EvalStats stats_;
   std::map<const CompiledPlan*, StatementEntry> statements_;
 };
 

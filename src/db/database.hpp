@@ -185,279 +185,127 @@ class Database {
   /// statement and diff. Tests pin the single-materialization contract of
   /// CTEs, the uncorrelated-subquery memo, and the partition-scan planner
   /// (pruning + parallel batches) on these.
+  ///
+  /// KOJAK_EXEC_COUNTERS is the one list of counters, in snapshot order.
+  /// Each X(name) entry generates the ExecStatsSnapshot field `name`, its
+  /// atomic, its load in exec_stats(), its copy when a Database moves, and
+  /// the relaxed bumper `count_<name>(n = 1)`.
+  // clang-format off
+#define KOJAK_EXEC_COUNTERS(X)                                                \
+  X(subquery_executions)           /* scalar-subquery plans run */             \
+  X(subquery_memo_hits)            /* served from the per-statement memo */    \
+  X(cte_materializations)          /* WITH entries materialized */             \
+  X(partition_scans)               /* partition heaps scanned by base scans */ \
+  X(partitions_pruned)             /* partitions skipped via routing */        \
+  X(parallel_scan_batches)         /* multi-partition scans run on the pool */ \
+  /* CTEs materialized concurrently on the scan pool (independent WITH         \
+     entries of one statement execution; the serial path never bumps it). */   \
+  X(cte_parallel_materializations)                                             \
+  /* Full-table aggregate subqueries a compiler rewrote into a                 \
+     per-partition CTE union against this database's layout (bumped by         \
+     cosy::WholeConditionCompiler at compile time, once per rewritten          \
+     aggregate site; plan-cache hits do not recompile and do not recount). */  \
+  X(partition_union_rewrites)                                                  \
+  /* Distributed scatter/gather accounting, bumped by db::Coordinator          \
+     against the coordinator-session database: shard tasks handed to           \
+     workers, re-attempts after a worker failure, duplicate dispatches of      \
+     shards whose primary worker blew the deadline, and worker-side            \
+     failures observed (injected or real). */                                  \
+  X(shards_dispatched)                                                         \
+  X(shard_retries)                                                             \
+  X(straggler_reissues)                                                        \
+  X(worker_failures)                                                           \
+  /* Incremental re-evaluation accounting, bumped by the whole-condition       \
+     pipeline when a cosy::ShardResultCache is attached: per-partition         \
+     `part<K>` CTE results served from cache (partition version                \
+     unchanged), recomputed because absent or stale, and — of the              \
+     misses — those where a prior entry existed at an older version            \
+     (the "dirty partition" recomputes an incremental pass pays for). */       \
+  X(shard_cache_hits)                                                          \
+  X(shard_cache_misses)                                                        \
+  X(dirty_partitions_recomputed)                                               \
+  /* Whole statements served from the statement-level memo: every table        \
+     the statement reads was at the version it last ran against, so the        \
+     pass reused the stored result without issuing the statement at all. */    \
+  X(statements_memoized)                                                       \
+  /* Replica partitions re-synced by db::Coordinator because the replica       \
+     was behind the source table's partition version at scatter time. */       \
+  X(replica_refreshes)                                                         \
+  /* Vectorized columnar accounting: partitions of STORAGE COLUMNAR            \
+     tables scanned through the batch kernels instead of the row heap,         \
+     fixed-width lane batches those scans processed, and live rows a           \
+     selection bitmap filtered out before any aggregate kernel touched         \
+     them (pruned partitions and tombstones do not count — only rows the       \
+     row path would have materialized and then rejected in WHERE). */          \
+  X(columnar_scans)                                                            \
+  X(vectorized_batches)                                                        \
+  X(rows_skipped_by_bitmap)                                                    \
+  /* Statement executions served by a fused single-pass evaluator: the         \
+     structural analysis (conjunct + aggregate descriptors) was reused         \
+     from the statement's cached plan annotation instead of being              \
+     re-derived from the AST. */                                               \
+  X(fused_plan_evals)                                                          \
+  /* Grouped vectorized accounting: statement executions served by the         \
+     vectorized hash GROUP BY evaluator, and distinct groups those             \
+     evaluations materialized (summed across partitions and executions). */    \
+  X(grouped_vector_evals)                                                      \
+  X(groups_built)                                                              \
+  /* Columnar hash equi-join accounting: hash tables built from a key          \
+     column slice (validity- and tombstone-masked), and live+valid             \
+     probe-side lanes fed through them. */                                     \
+  X(hash_join_builds)                                                          \
+  X(join_lanes_probed)                                                         \
+  /* Expression-VM accounting: bytecode programs compiled during fused         \
+     plan analysis (WHERE filters, aggregate arguments, group keys, join       \
+     keys — cached plans recompile nothing and recount nothing),               \
+     program-executions (one per program per statement execution that          \
+     took the compiled path), lane batches the VM interpreted, and total       \
+     lanes across those batches. */                                            \
+  X(expr_programs_compiled)                                                    \
+  X(expr_program_evals)                                                        \
+  X(expr_vm_batches)                                                           \
+  X(expr_vm_lanes)
+  // clang-format on
+
   struct ExecStatsSnapshot {
-    std::uint64_t subquery_executions = 0;  ///< scalar-subquery plans run
-    std::uint64_t subquery_memo_hits = 0;   ///< served from the per-statement memo
-    std::uint64_t cte_materializations = 0; ///< WITH entries materialized
-    std::uint64_t partition_scans = 0;      ///< partition heaps scanned by base scans
-    std::uint64_t partitions_pruned = 0;    ///< partitions skipped via routing
-    std::uint64_t parallel_scan_batches = 0;///< multi-partition scans run on the pool
-    /// CTEs materialized concurrently on the scan pool (independent WITH
-    /// entries of one statement execution; the serial path never bumps it).
-    std::uint64_t cte_parallel_materializations = 0;
-    /// Full-table aggregate subqueries a compiler rewrote into a
-    /// per-partition CTE union against this database's layout (bumped by
-    /// cosy::WholeConditionCompiler at compile time, once per rewritten
-    /// aggregate site; plan-cache hits do not recompile and do not recount).
-    std::uint64_t partition_union_rewrites = 0;
-    /// Distributed scatter/gather accounting, bumped by db::Coordinator
-    /// against the coordinator-session database: shard tasks handed to
-    /// workers, re-attempts after a worker failure, duplicate dispatches of
-    /// shards whose primary worker blew the deadline, and worker-side
-    /// failures observed (injected or real).
-    std::uint64_t shards_dispatched = 0;
-    std::uint64_t shard_retries = 0;
-    std::uint64_t straggler_reissues = 0;
-    std::uint64_t worker_failures = 0;
-    /// Incremental re-evaluation accounting, bumped by the whole-condition
-    /// pipeline when a cosy::ShardResultCache is attached: per-partition
-    /// `part<K>` CTE results served from cache (partition version
-    /// unchanged), recomputed because absent or stale, and — of the
-    /// misses — those where a prior entry existed at an older version
-    /// (the "dirty partition" recomputes an incremental pass pays for).
-    std::uint64_t shard_cache_hits = 0;
-    std::uint64_t shard_cache_misses = 0;
-    std::uint64_t dirty_partitions_recomputed = 0;
-    /// Whole statements served from the statement-level memo: every table
-    /// the statement reads was at the version it last ran against, so the
-    /// pass reused the stored result without issuing the statement at all.
-    std::uint64_t statements_memoized = 0;
-    /// Replica partitions re-synced by db::Coordinator because the replica
-    /// was behind the source table's partition version at scatter time.
-    std::uint64_t replica_refreshes = 0;
-    /// Vectorized columnar accounting: partitions of STORAGE COLUMNAR
-    /// tables scanned through the batch kernels instead of the row heap,
-    /// fixed-width lane batches those scans processed, and live rows a
-    /// selection bitmap filtered out before any aggregate kernel touched
-    /// them (pruned partitions and tombstones do not count — only rows the
-    /// row path would have materialized and then rejected in WHERE).
-    std::uint64_t columnar_scans = 0;
-    std::uint64_t vectorized_batches = 0;
-    std::uint64_t rows_skipped_by_bitmap = 0;
-    /// Statement executions served by a fused single-pass evaluator: the
-    /// structural analysis (conjunct + aggregate descriptors) was reused
-    /// from the statement's cached plan annotation instead of being
-    /// re-derived from the AST.
-    std::uint64_t fused_plan_evals = 0;
-    /// Grouped vectorized accounting: statement executions served by the
-    /// vectorized hash GROUP BY evaluator, and distinct groups those
-    /// evaluations materialized (summed across partitions and executions).
-    std::uint64_t grouped_vector_evals = 0;
-    std::uint64_t groups_built = 0;
-    /// Columnar hash equi-join accounting: hash tables built from a key
-    /// column slice (validity- and tombstone-masked), and live+valid
-    /// probe-side lanes fed through them.
-    std::uint64_t hash_join_builds = 0;
-    std::uint64_t join_lanes_probed = 0;
-    /// Expression-VM accounting: bytecode programs compiled during fused
-    /// plan analysis (WHERE filters, aggregate arguments, group keys, join
-    /// keys — cached plans recompile nothing and recount nothing),
-    /// program-executions (one per program per statement execution that
-    /// took the compiled path), lane batches the VM interpreted, and total
-    /// lanes across those batches.
-    std::uint64_t expr_programs_compiled = 0;
-    std::uint64_t expr_program_evals = 0;
-    std::uint64_t expr_vm_batches = 0;
-    std::uint64_t expr_vm_lanes = 0;
+#define KOJAK_EXEC_FIELD(name) std::uint64_t name = 0;
+    KOJAK_EXEC_COUNTERS(KOJAK_EXEC_FIELD)
+#undef KOJAK_EXEC_FIELD
   };
   [[nodiscard]] ExecStatsSnapshot exec_stats() const noexcept {
-    return {exec_stats_.subquery_executions.load(std::memory_order_relaxed),
-            exec_stats_.subquery_memo_hits.load(std::memory_order_relaxed),
-            exec_stats_.cte_materializations.load(std::memory_order_relaxed),
-            exec_stats_.partition_scans.load(std::memory_order_relaxed),
-            exec_stats_.partitions_pruned.load(std::memory_order_relaxed),
-            exec_stats_.parallel_scan_batches.load(std::memory_order_relaxed),
-            exec_stats_.cte_parallel_materializations.load(
-                std::memory_order_relaxed),
-            exec_stats_.partition_union_rewrites.load(
-                std::memory_order_relaxed),
-            exec_stats_.shards_dispatched.load(std::memory_order_relaxed),
-            exec_stats_.shard_retries.load(std::memory_order_relaxed),
-            exec_stats_.straggler_reissues.load(std::memory_order_relaxed),
-            exec_stats_.worker_failures.load(std::memory_order_relaxed),
-            exec_stats_.shard_cache_hits.load(std::memory_order_relaxed),
-            exec_stats_.shard_cache_misses.load(std::memory_order_relaxed),
-            exec_stats_.dirty_partitions_recomputed.load(
-                std::memory_order_relaxed),
-            exec_stats_.statements_memoized.load(std::memory_order_relaxed),
-            exec_stats_.replica_refreshes.load(std::memory_order_relaxed),
-            exec_stats_.columnar_scans.load(std::memory_order_relaxed),
-            exec_stats_.vectorized_batches.load(std::memory_order_relaxed),
-            exec_stats_.rows_skipped_by_bitmap.load(std::memory_order_relaxed),
-            exec_stats_.fused_plan_evals.load(std::memory_order_relaxed),
-            exec_stats_.grouped_vector_evals.load(std::memory_order_relaxed),
-            exec_stats_.groups_built.load(std::memory_order_relaxed),
-            exec_stats_.hash_join_builds.load(std::memory_order_relaxed),
-            exec_stats_.join_lanes_probed.load(std::memory_order_relaxed),
-            exec_stats_.expr_programs_compiled.load(std::memory_order_relaxed),
-            exec_stats_.expr_program_evals.load(std::memory_order_relaxed),
-            exec_stats_.expr_vm_batches.load(std::memory_order_relaxed),
-            exec_stats_.expr_vm_lanes.load(std::memory_order_relaxed)};
+    ExecStatsSnapshot out;
+#define KOJAK_EXEC_LOAD(name) \
+  out.name = exec_stats_.name.load(std::memory_order_relaxed);
+    KOJAK_EXEC_COUNTERS(KOJAK_EXEC_LOAD)
+#undef KOJAK_EXEC_LOAD
+    return out;
   }
 
-  // Internal: bumped by the executor (relaxed; telemetry only).
-  void count_subquery_execution() noexcept {
-    exec_stats_.subquery_executions.fetch_add(1, std::memory_order_relaxed);
+  // Internal: bumped by the executor, db::Coordinator and the cosy SQL
+  // pipeline (relaxed; telemetry only).
+#define KOJAK_EXEC_BUMPER(name)                               \
+  void count_##name(std::uint64_t n = 1) noexcept {           \
+    exec_stats_.name.fetch_add(n, std::memory_order_relaxed); \
   }
-  void count_subquery_memo_hit() noexcept {
-    exec_stats_.subquery_memo_hits.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_cte_materialization() noexcept {
-    exec_stats_.cte_materializations.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_partition_scans(std::uint64_t n) noexcept {
-    exec_stats_.partition_scans.fetch_add(n, std::memory_order_relaxed);
-  }
-  void count_partitions_pruned(std::uint64_t n) noexcept {
-    exec_stats_.partitions_pruned.fetch_add(n, std::memory_order_relaxed);
-  }
-  void count_parallel_scan_batch() noexcept {
-    exec_stats_.parallel_scan_batches.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_cte_parallel_materializations(std::uint64_t n) noexcept {
-    exec_stats_.cte_parallel_materializations.fetch_add(
-        n, std::memory_order_relaxed);
-  }
-  void count_partition_union_rewrite() noexcept {
-    exec_stats_.partition_union_rewrites.fetch_add(1,
-                                                   std::memory_order_relaxed);
-  }
-  void count_shards_dispatched(std::uint64_t n) noexcept {
-    exec_stats_.shards_dispatched.fetch_add(n, std::memory_order_relaxed);
-  }
-  void count_shard_retry() noexcept {
-    exec_stats_.shard_retries.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_straggler_reissue() noexcept {
-    exec_stats_.straggler_reissues.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_worker_failure() noexcept {
-    exec_stats_.worker_failures.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_shard_cache_hits(std::uint64_t n) noexcept {
-    exec_stats_.shard_cache_hits.fetch_add(n, std::memory_order_relaxed);
-  }
-  void count_shard_cache_miss() noexcept {
-    exec_stats_.shard_cache_misses.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_dirty_partition_recomputed() noexcept {
-    exec_stats_.dirty_partitions_recomputed.fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  void count_statement_memoized() noexcept {
-    exec_stats_.statements_memoized.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_replica_refreshes(std::uint64_t n) noexcept {
-    exec_stats_.replica_refreshes.fetch_add(n, std::memory_order_relaxed);
-  }
-  void count_columnar_scans(std::uint64_t n) noexcept {
-    exec_stats_.columnar_scans.fetch_add(n, std::memory_order_relaxed);
-  }
-  void count_vectorized_batches(std::uint64_t n) noexcept {
-    exec_stats_.vectorized_batches.fetch_add(n, std::memory_order_relaxed);
-  }
-  void count_rows_skipped_by_bitmap(std::uint64_t n) noexcept {
-    exec_stats_.rows_skipped_by_bitmap.fetch_add(n, std::memory_order_relaxed);
-  }
-  void count_fused_plan_eval() noexcept {
-    exec_stats_.fused_plan_evals.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_grouped_vector_eval() noexcept {
-    exec_stats_.grouped_vector_evals.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_groups_built(std::uint64_t n) noexcept {
-    exec_stats_.groups_built.fetch_add(n, std::memory_order_relaxed);
-  }
-  void count_hash_join_build() noexcept {
-    exec_stats_.hash_join_builds.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_join_lanes_probed(std::uint64_t n) noexcept {
-    exec_stats_.join_lanes_probed.fetch_add(n, std::memory_order_relaxed);
-  }
-  void count_expr_programs_compiled(std::uint64_t n) noexcept {
-    exec_stats_.expr_programs_compiled.fetch_add(n, std::memory_order_relaxed);
-  }
-  void count_expr_program_evals(std::uint64_t n) noexcept {
-    exec_stats_.expr_program_evals.fetch_add(n, std::memory_order_relaxed);
-  }
-  void count_expr_vm_batch() noexcept {
-    exec_stats_.expr_vm_batches.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_expr_vm_lanes(std::uint64_t n) noexcept {
-    exec_stats_.expr_vm_lanes.fetch_add(n, std::memory_order_relaxed);
-  }
+  KOJAK_EXEC_COUNTERS(KOJAK_EXEC_BUMPER)
+#undef KOJAK_EXEC_BUMPER
 
  private:
   struct ExecStats {
-    std::atomic<std::uint64_t> subquery_executions{0};
-    std::atomic<std::uint64_t> subquery_memo_hits{0};
-    std::atomic<std::uint64_t> cte_materializations{0};
-    std::atomic<std::uint64_t> partition_scans{0};
-    std::atomic<std::uint64_t> partitions_pruned{0};
-    std::atomic<std::uint64_t> parallel_scan_batches{0};
-    std::atomic<std::uint64_t> cte_parallel_materializations{0};
-    std::atomic<std::uint64_t> partition_union_rewrites{0};
-    std::atomic<std::uint64_t> shards_dispatched{0};
-    std::atomic<std::uint64_t> shard_retries{0};
-    std::atomic<std::uint64_t> straggler_reissues{0};
-    std::atomic<std::uint64_t> worker_failures{0};
-    std::atomic<std::uint64_t> shard_cache_hits{0};
-    std::atomic<std::uint64_t> shard_cache_misses{0};
-    std::atomic<std::uint64_t> dirty_partitions_recomputed{0};
-    std::atomic<std::uint64_t> statements_memoized{0};
-    std::atomic<std::uint64_t> replica_refreshes{0};
-    std::atomic<std::uint64_t> columnar_scans{0};
-    std::atomic<std::uint64_t> vectorized_batches{0};
-    std::atomic<std::uint64_t> rows_skipped_by_bitmap{0};
-    std::atomic<std::uint64_t> fused_plan_evals{0};
-    std::atomic<std::uint64_t> grouped_vector_evals{0};
-    std::atomic<std::uint64_t> groups_built{0};
-    std::atomic<std::uint64_t> hash_join_builds{0};
-    std::atomic<std::uint64_t> join_lanes_probed{0};
-    std::atomic<std::uint64_t> expr_programs_compiled{0};
-    std::atomic<std::uint64_t> expr_program_evals{0};
-    std::atomic<std::uint64_t> expr_vm_batches{0};
-    std::atomic<std::uint64_t> expr_vm_lanes{0};
+#define KOJAK_EXEC_ATOMIC(name) std::atomic<std::uint64_t> name{0};
+    KOJAK_EXEC_COUNTERS(KOJAK_EXEC_ATOMIC)
+#undef KOJAK_EXEC_ATOMIC
 
     // Snapshot copy/move so Database itself stays movable (nobody may be
     // executing against a Database while it is moved anyway).
     ExecStats() = default;
     ExecStats(const ExecStats& other) { *this = other; }
     ExecStats& operator=(const ExecStats& other) {
-      const auto copy = [](std::atomic<std::uint64_t>& dst,
-                           const std::atomic<std::uint64_t>& src) {
-        dst.store(src.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-      };
-      copy(subquery_executions, other.subquery_executions);
-      copy(subquery_memo_hits, other.subquery_memo_hits);
-      copy(cte_materializations, other.cte_materializations);
-      copy(partition_scans, other.partition_scans);
-      copy(partitions_pruned, other.partitions_pruned);
-      copy(parallel_scan_batches, other.parallel_scan_batches);
-      copy(cte_parallel_materializations, other.cte_parallel_materializations);
-      copy(partition_union_rewrites, other.partition_union_rewrites);
-      copy(shards_dispatched, other.shards_dispatched);
-      copy(shard_retries, other.shard_retries);
-      copy(straggler_reissues, other.straggler_reissues);
-      copy(worker_failures, other.worker_failures);
-      copy(shard_cache_hits, other.shard_cache_hits);
-      copy(shard_cache_misses, other.shard_cache_misses);
-      copy(dirty_partitions_recomputed, other.dirty_partitions_recomputed);
-      copy(statements_memoized, other.statements_memoized);
-      copy(replica_refreshes, other.replica_refreshes);
-      copy(columnar_scans, other.columnar_scans);
-      copy(vectorized_batches, other.vectorized_batches);
-      copy(rows_skipped_by_bitmap, other.rows_skipped_by_bitmap);
-      copy(fused_plan_evals, other.fused_plan_evals);
-      copy(grouped_vector_evals, other.grouped_vector_evals);
-      copy(groups_built, other.groups_built);
-      copy(hash_join_builds, other.hash_join_builds);
-      copy(join_lanes_probed, other.join_lanes_probed);
-      copy(expr_programs_compiled, other.expr_programs_compiled);
-      copy(expr_program_evals, other.expr_program_evals);
-      copy(expr_vm_batches, other.expr_vm_batches);
-      copy(expr_vm_lanes, other.expr_vm_lanes);
+#define KOJAK_EXEC_COPY(name)                            \
+  name.store(other.name.load(std::memory_order_relaxed), \
+             std::memory_order_relaxed);
+      KOJAK_EXEC_COUNTERS(KOJAK_EXEC_COPY)
+#undef KOJAK_EXEC_COPY
       return *this;
     }
   };

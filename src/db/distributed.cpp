@@ -518,7 +518,7 @@ void Coordinator::dispatch(Worker& worker, std::shared_ptr<const ShardTask> task
         slot->cv.notify_all();
         return;
       } catch (...) {
-        db->count_worker_failure();
+        db->count_worker_failures();
         if (attempt >= options.max_attempts) {
           std::lock_guard lock(slot->m);
           if (!slot->error) slot->error = std::current_exception();
@@ -526,7 +526,7 @@ void Coordinator::dispatch(Worker& worker, std::shared_ptr<const ShardTask> task
           slot->cv.notify_all();
           return;
         }
-        db->count_shard_retry();
+        db->count_shard_retries();
       }
       std::this_thread::sleep_for(options.retry_backoff);
       {
@@ -575,7 +575,7 @@ QueryResult Coordinator::scatter_gather(
       // whichever attempt finishes first supplies the rows.
       slot.reissued = true;
       ++slot.inflight;
-      db.count_straggler_reissue();
+      db.count_straggler_reissues();
       lock.unlock();
       dispatch(*workers_[(i + 1) % workers_.size()], tasks[i], slots[i]);
       lock.lock();

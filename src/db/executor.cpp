@@ -1267,7 +1267,7 @@ class SelectExec {
               SelectExec body(db_, *stmt_.ctes[wave[i]].select, params_,
                               &scope_, &envs[i]);
               cte_results_[wave[i]] = body.run();
-              db_.count_cte_materialization();
+              db_.count_cte_materializations();
             }
           }));
         }
@@ -1290,7 +1290,7 @@ class SelectExec {
         for (const std::size_t i : wave) {
           SelectExec body(db_, *stmt_.ctes[i].select, params_, &scope_, env_);
           cte_results_[i] = body.run();
-          db_.count_cte_materialization();
+          db_.count_cte_materializations();
         }
       }
       for (const std::size_t i : wave) {
@@ -1392,7 +1392,7 @@ class SelectExec {
       subquery_key(*e.subquery, key);
       const auto hit = env_->subquery_memo.find(key);
       if (hit != env_->subquery_memo.end()) {
-        db_.count_subquery_memo_hit();
+        db_.count_subquery_memo_hits();
         subquery_values_[&e] = hit->second;
         return;
       }
@@ -1403,7 +1403,7 @@ class SelectExec {
       std::unique_ptr<sql::SelectStmt> sub = e.subquery->clone(&remap);
       SelectExec exec(db_, *sub, params_, &scope_, env_);
       QueryResult sub_result = exec.run();
-      db_.count_subquery_execution();
+      db_.count_subquery_executions();
       // Back-propagate plan verdicts the clone's execution produced onto
       // the original subquery (mutable annotation members), so the next
       // execution of the enclosing prepared statement clones a
@@ -1603,7 +1603,7 @@ class SelectExec {
     auto program = sql::ExprProgram::compile(
         e, source.base_slot, std::span(column_types), constant_value);
     if (program != nullptr && count_compiles_) {
-      db_.count_expr_programs_compiled(1);
+      db_.count_expr_programs_compiled();
     }
     return program;
   }
@@ -1632,7 +1632,7 @@ class SelectExec {
                                        std::span<const Table::ColumnSlice> cols,
                                        const std::uint8_t* demand,
                                        std::size_t begin, std::size_t end) {
-    db_.count_expr_vm_batch();
+    db_.count_expr_vm_batches();
     db_.count_expr_vm_lanes(end - begin);
     return program.run(scratch, bound, cols, demand, begin, end);
   }
@@ -1848,7 +1848,7 @@ class SelectExec {
     }
     if (program_evals > 0) db_.count_expr_program_evals(program_evals);
 
-    if (reused) db_.count_fused_plan_eval();
+    if (reused) db_.count_fused_plan_evals();
     return run_columnar_grouped(table, *plan, where_bound, key_bounds,
                                 agg_bounds, scan);
   }
@@ -1921,7 +1921,7 @@ class SelectExec {
         }
       }
       if (first_error) std::rethrow_exception(first_error);
-      db_.count_parallel_scan_batch();
+      db_.count_parallel_scan_batches();
     } else {
       sql::ExprProgram::Scratch scratch;
       for (std::size_t i = 0; i < count; ++i) filter_partition(i, scratch);
@@ -1958,7 +1958,7 @@ class SelectExec {
     db_.count_partition_scans(count);
     db_.count_columnar_scans(count);
     const std::size_t nkeys = plan.group_keys.size();
-    if (nkeys > 0) db_.count_grouped_vector_eval();
+    if (nkeys > 0) db_.count_grouped_vector_evals();
 
     std::size_t live = 0;
     std::size_t nonempty = 0;
@@ -2230,7 +2230,7 @@ class SelectExec {
         }
       }
       if (first_error) std::rethrow_exception(first_error);
-      db_.count_parallel_scan_batch();
+      db_.count_parallel_scan_batches();
       std::size_t total = 0;
       for (const std::vector<Row>& bucket : buckets) total += bucket.size();
       rows.reserve(total);
@@ -2520,7 +2520,7 @@ class SelectExec {
             });
         break;
     }
-    db_.count_hash_join_build();
+    db_.count_hash_join_builds();
     db_.count_join_lanes_probed(probed);
 
     // Build-from-inner already emits outer-major (probe order) with

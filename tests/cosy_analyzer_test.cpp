@@ -111,11 +111,11 @@ TEST(Analyzer, StrategiesAgree) {
 
   cosy::AnalyzerConfig interp_config;
   cosy::AnalyzerConfig sql_config;
-  sql_config.strategy = cosy::EvalStrategy::kSqlPushdown;
+  sql_config.backend = "sql-pushdown";
   cosy::AnalyzerConfig fetch_config;
-  fetch_config.strategy = cosy::EvalStrategy::kClientFetch;
+  fetch_config.backend = "client-fetch";
   cosy::AnalyzerConfig bulk_config;
-  bulk_config.strategy = cosy::EvalStrategy::kBulkFetch;
+  bulk_config.backend = "bulk-fetch";
 
   const cosy::AnalysisReport a = analyzer.analyze(1, interp_config);
   const cosy::AnalysisReport b = analyzer.analyze(1, sql_config);
@@ -149,7 +149,7 @@ TEST(Analyzer, ParallelEvaluationIsDeterministic) {
   cosy::Analyzer analyzer(world.model, world.store, world.handles);
   cosy::AnalyzerConfig serial_config;
   cosy::AnalyzerConfig parallel_config;
-  parallel_config.parallel = true;
+  parallel_config.backend = "interpreter-sharded";
   const cosy::AnalysisReport a = analyzer.analyze(1, serial_config);
   const cosy::AnalysisReport b = analyzer.analyze(1, parallel_config);
   ASSERT_EQ(a.findings.size(), b.findings.size());
@@ -164,7 +164,7 @@ TEST(Analyzer, SqlStrategyWithoutConnectionThrows) {
   World world(perf::workloads::scalable_stencil(), {1, 2});
   cosy::Analyzer analyzer(world.model, world.store, world.handles, nullptr);
   cosy::AnalyzerConfig config;
-  config.strategy = cosy::EvalStrategy::kSqlPushdown;
+  config.backend = "sql-pushdown";
   EXPECT_THROW((void)analyzer.analyze(1, config), kojak::support::EvalError);
 }
 

@@ -95,25 +95,33 @@ void expect_same(const PropertyResult& a, const PropertyResult& b,
 // Registry
 
 TEST(EvalBackendRegistry, ListsAllBuiltins) {
-  const std::vector<std::string> names = cosy::EvalBackend::names();
-  for (const char* expected :
-       {"interpreter", "interpreter-sharded", "sql-pushdown",
-        "sql-whole-condition", "sql-whole-condition-plain", "sql-sharded",
-        "client-fetch", "bulk-fetch"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
-    EXPECT_TRUE(cosy::EvalBackend::exists(expected)) << expected;
-    EXPECT_FALSE(cosy::EvalBackend::describe(expected).empty()) << expected;
+  // The exact built-in set, sorted, with whether each needs a connection:
+  // adding or removing a backend must edit this list. Test doubles this
+  // binary registers carry a "test-" prefix and are not built-ins.
+  const std::vector<std::pair<std::string, bool>> builtins = {
+      {"bulk-fetch", true},
+      {"client-fetch", true},
+      {"interpreter", false},
+      {"interpreter-sharded", false},
+      {"sql-distributed", true},
+      {"sql-pushdown", true},
+      {"sql-sharded", true},
+      {"sql-whole-condition", true},
+      {"sql-whole-condition-plain", true},
+  };
+  std::vector<std::string> names = cosy::EvalBackend::names();
+  std::erase_if(names, [](const std::string& name) {
+    return name.starts_with("test-");
+  });
+  std::vector<std::string> expected;
+  for (const auto& [name, needs_connection] : builtins) {
+    expected.push_back(name);
+    EXPECT_TRUE(cosy::EvalBackend::exists(name)) << name;
+    EXPECT_FALSE(cosy::EvalBackend::describe(name).empty()) << name;
+    EXPECT_EQ(cosy::EvalBackend::requires_connection(name), needs_connection)
+        << name;
   }
-  EXPECT_FALSE(cosy::EvalBackend::requires_connection("interpreter"));
-  EXPECT_FALSE(cosy::EvalBackend::requires_connection("interpreter-sharded"));
-  EXPECT_TRUE(cosy::EvalBackend::requires_connection("sql-pushdown"));
-  EXPECT_TRUE(cosy::EvalBackend::requires_connection("sql-whole-condition"));
-  EXPECT_TRUE(
-      cosy::EvalBackend::requires_connection("sql-whole-condition-plain"));
-  EXPECT_TRUE(cosy::EvalBackend::requires_connection("sql-sharded"));
-  EXPECT_TRUE(cosy::EvalBackend::requires_connection("client-fetch"));
-  EXPECT_TRUE(cosy::EvalBackend::requires_connection("bulk-fetch"));
+  EXPECT_EQ(names, expected);
 }
 
 TEST(EvalBackendRegistry, UnknownNamesThrowListingAvailable) {
@@ -191,36 +199,6 @@ TEST(EvalBackendRegistry, UserBackendsPlugIntoTheAnalyzer) {
   EXPECT_TRUE(report.findings.empty());
   EXPECT_TRUE(report.not_applicable.empty());
   EXPECT_TRUE(report.tuned());
-}
-
-// ---------------------------------------------------------------------------
-// Name coverage of the deprecated enum aliases (they must match registry
-// spellings exactly — a config string round-trips through either surface).
-
-TEST(EvalBackendRegistry, StrategyAliasesSpellRegistryNames) {
-  for (const cosy::EvalStrategy strategy :
-       {cosy::EvalStrategy::kInterpreter, cosy::EvalStrategy::kSqlPushdown,
-        cosy::EvalStrategy::kClientFetch, cosy::EvalStrategy::kBulkFetch,
-        cosy::EvalStrategy::kShardedInterpreter,
-        cosy::EvalStrategy::kSqlWholeCondition}) {
-    const std::string name{to_string(strategy)};
-    EXPECT_NE(name, "?");
-    EXPECT_TRUE(cosy::EvalBackend::exists(name)) << name;
-  }
-  EXPECT_EQ(to_string(cosy::EvalStrategy::kSqlWholeCondition),
-            "sql-whole-condition");
-  EXPECT_EQ(to_string(cosy::EvalStrategy::kShardedInterpreter),
-            "interpreter-sharded");
-  EXPECT_EQ(to_string(cosy::SqlEvalMode::kPushdown), "pushdown");
-  EXPECT_EQ(to_string(cosy::SqlEvalMode::kClientSide), "client-side");
-  EXPECT_EQ(to_string(cosy::SqlEvalMode::kWholeCondition), "whole-condition");
-
-  cosy::AnalyzerConfig legacy;
-  legacy.strategy = cosy::EvalStrategy::kInterpreter;
-  legacy.parallel = true;  // deprecated flag upgrades to the sharded backend
-  EXPECT_EQ(legacy.backend_name(), "interpreter-sharded");
-  legacy.backend = "sql-whole-condition";  // explicit name wins
-  EXPECT_EQ(legacy.backend_name(), "sql-whole-condition");
 }
 
 // ---------------------------------------------------------------------------
@@ -445,7 +423,7 @@ TEST(WholeCondition, CseNamesAvoidModelTableCollisions) {
   const std::vector<RtValue> args = {RtValue::of_object(holder)};
   expect_same(interp.evaluate_property(*prop, args),
               whole.evaluate_property(*prop, args), "SharedSum");
-  EXPECT_EQ(whole.whole_fallbacks(), 0u);
+  EXPECT_EQ(whole.stats().whole_fallbacks, 0u);
 }
 
 struct ProfileCase {
@@ -627,8 +605,8 @@ TEST_P(WholeConditionRandomStore, AgreesWithInterpreter) {
   EXPECT_GT(checked, 40u);
   // Data gaps surface as NULL columns, not as statement failures: the
   // single-statement contract holds even on gappy stores.
-  EXPECT_EQ(whole.whole_fallbacks(), 0u);
-  EXPECT_EQ(whole.queries_issued(), checked);
+  EXPECT_EQ(whole.stats().whole_fallbacks, 0u);
+  EXPECT_EQ(whole.stats().sql_queries, checked);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WholeConditionRandomStore,
@@ -675,7 +653,7 @@ TEST(WholeCondition, UniqueOverSeveralMembersFallsBackCorrectly) {
   const PropertyResult b = whole.evaluate_property(*prop, args);
   EXPECT_EQ(a.status, PropertyResult::Status::kNotApplicable);
   expect_same(a, b, "MeasuredCost with duplicate summaries");
-  EXPECT_GT(whole.whole_fallbacks(), 0u);
+  EXPECT_GT(whole.stats().whole_fallbacks, 0u);
 }
 
 TEST(WholeCondition, GapNullsInEqualityStayNotApplicable) {
@@ -733,7 +711,7 @@ TEST(WholeCondition, GapNullsInEqualityStayNotApplicable) {
   const auto on_full = interp.evaluate_property(
       *model.find_property("AvgIsFive"), {RtValue::of_object(full)});
   EXPECT_EQ(on_full.status, PropertyResult::Status::kHolds);
-  EXPECT_EQ(whole.whole_fallbacks(), 0u);
+  EXPECT_EQ(whole.stats().whole_fallbacks, 0u);
 }
 
 TEST(WholeCondition, NonCompilablePropertyFallsBackToSitewise) {
@@ -783,7 +761,7 @@ TEST(WholeCondition, NonCompilablePropertyFallsBackToSitewise) {
   const std::vector<RtValue> args = {RtValue::of_object(holder)};
   expect_same(sitewise.evaluate_property(*prop, args),
               whole.evaluate_property(*prop, args), "DeepFanout");
-  EXPECT_EQ(whole.whole_fallbacks(), 1u);
+  EXPECT_EQ(whole.stats().whole_fallbacks, 1u);
 }
 
 TEST(WholeCondition, NullAttributeSemanticsMatchTheInterpreter) {
@@ -864,7 +842,7 @@ TEST(WholeCondition, NullAttributeSemanticsMatchTheInterpreter) {
             PropertyResult::Status::kNotApplicable);
   EXPECT_EQ(eval_one("FlagOrName", linked).status,
             PropertyResult::Status::kHolds);
-  EXPECT_EQ(whole.whole_fallbacks(), 0u);
+  EXPECT_EQ(whole.stats().whole_fallbacks, 0u);
 }
 
 TEST(WholeCondition, PlanCachePinsToTheModelInstance) {

@@ -86,7 +86,7 @@ TEST(PlanCache, CachedAnalysisIsIdenticalAndHits) {
   cosy::Analyzer analyzer(world.model, world.store, world.handles, &conn);
 
   cosy::AnalyzerConfig plain;
-  plain.strategy = cosy::EvalStrategy::kSqlPushdown;
+  plain.backend = "sql-pushdown";
   const cosy::AnalysisReport base = analyzer.analyze(2, plain);
   EXPECT_EQ(base.plan_cache_hits, 0u);
   EXPECT_EQ(base.plan_cache_misses, 0u);
@@ -119,7 +119,7 @@ TEST(PlanCache, ClientFetchModeCachesToo) {
 
   cosy::PlanCache cache(world.model);
   cosy::AnalyzerConfig plain;
-  plain.strategy = cosy::EvalStrategy::kClientFetch;
+  plain.backend = "client-fetch";
   cosy::AnalyzerConfig cached = plain;
   cached.plan_cache = &cache;
   EXPECT_EQ(render(analyzer.analyze(1, plain)),
@@ -165,7 +165,7 @@ TEST(PlanCache, LruCapBoundsResidentPlansWithoutChangingResults) {
   cosy::Analyzer analyzer(world.model, world.store, world.handles, &conn);
 
   cosy::AnalyzerConfig plain;
-  plain.strategy = cosy::EvalStrategy::kSqlPushdown;
+  plain.backend = "sql-pushdown";
   const std::string reference = render(analyzer.analyze(2, plain));
 
   cosy::PlanCache unbounded(world.model);
@@ -259,7 +259,7 @@ TEST(BatchAnalyzer, MatchesSequentialLoopByteForByte) {
   db::Connection conn(world.database, db::ConnectionProfile::in_memory());
   cosy::Analyzer sequential(world.model, world.store, world.handles, &conn);
   cosy::AnalyzerConfig seq_config;
-  seq_config.strategy = cosy::EvalStrategy::kSqlPushdown;
+  seq_config.backend = "sql-pushdown";
 
   db::ConnectionPool pool(world.database, db::ConnectionProfile::in_memory(),
                           4);
@@ -355,7 +355,7 @@ TEST(BatchAnalyzer, InterpreterStrategyNeedsNoPool) {
   World world;
   cosy::BatchAnalyzer batch(world.model, world.store, world.handles, nullptr);
   cosy::BatchConfig config;
-  config.strategy = cosy::EvalStrategy::kInterpreter;
+  config.backend = "interpreter";
   config.threads = 2;
   const cosy::BatchResult result = batch.analyze_all(config);
   EXPECT_EQ(result.items.size(), world.handles.runs.size());

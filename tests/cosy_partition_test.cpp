@@ -438,12 +438,12 @@ TEST(PartitionUnion, OneStatementPerContextWithParallelCteMaterialization) {
       asl::RtValue::of_object(world.fleets[0])};
   (void)whole.evaluate_property(*load, args);
   for (int i = 0; i < 3; ++i) {
-    const std::uint64_t queries_before = whole.queries_issued();
+    const std::uint64_t queries_before = whole.stats().sql_queries;
     const auto before = database.exec_stats();
     const asl::PropertyResult result = whole.evaluate_property(*load, args);
     const auto after = database.exec_stats();
     EXPECT_EQ(result.status, asl::PropertyResult::Status::kHolds);
-    EXPECT_EQ(whole.queries_issued() - queries_before, 1u) << i;
+    EXPECT_EQ(whole.stats().sql_queries - queries_before, 1u) << i;
     // All four part<K> shards of the one statement ran on the pool.
     EXPECT_GE(after.cte_parallel_materializations -
                   before.cte_parallel_materializations,
@@ -454,7 +454,7 @@ TEST(PartitionUnion, OneStatementPerContextWithParallelCteMaterialization) {
     // partition heap is walked at all.
     EXPECT_EQ(after.partition_scans - before.partition_scans, 0u) << i;
   }
-  EXPECT_EQ(whole.whole_fallbacks(), 0u);
+  EXPECT_EQ(whole.stats().whole_fallbacks, 0u);
 
   // Serial scan config: same statement, no parallel CTE batches.
   database.set_scan_config({.threads = 1, .min_parallel_rows = 1});
@@ -546,7 +546,7 @@ TEST(PartitionUnion, RandomValuesAgreeWithInterpreterWithinTolerance) {
         }
       }
     }
-    EXPECT_EQ(whole.whole_fallbacks(), 0u) << partitions;
+    EXPECT_EQ(whole.stats().whole_fallbacks, 0u) << partitions;
   }
 }
 
@@ -575,7 +575,7 @@ TEST(PartitionUnion, MinMaxDeclineBeyondTheFoldArgCap) {
       asl::RtValue::of_object(world.fleets[0])};
   EXPECT_EQ(render_result(whole.evaluate_property(*shape, args)),
             render_result(interp.evaluate_property(*shape, args)));
-  EXPECT_EQ(whole.whole_fallbacks(), 0u);
+  EXPECT_EQ(whole.stats().whole_fallbacks, 0u);
 }
 
 TEST(PartitionUnion, OwnerPinnedProbesStayFlat) {
@@ -635,14 +635,14 @@ TEST(PartitionUnion, PlanCacheKeyedOnLayoutFingerprint) {
   const asl::PropertyResult part_result =
       on_partitioned.evaluate_property(*load, args);
   EXPECT_GT(cache.size(), after_flat);
-  EXPECT_EQ(on_partitioned.plan_cache_hits(), 0u);
+  EXPECT_EQ(on_partitioned.stats().plan_cache_hits, 0u);
   EXPECT_EQ(render_result(flat_result), render_result(part_result));
 
   // Re-evaluating on either layout now hits its own plan.
   (void)on_flat.evaluate_property(*load, args);
   (void)on_partitioned.evaluate_property(*load, args);
-  EXPECT_EQ(on_flat.plan_cache_hits(), 1u);
-  EXPECT_EQ(on_partitioned.plan_cache_hits(), 1u);
+  EXPECT_EQ(on_flat.stats().plan_cache_hits, 1u);
+  EXPECT_EQ(on_partitioned.stats().plan_cache_hits, 1u);
 }
 
 TEST(PartitionedStore, ShardedBackendsByteIdenticalAtAnyThreadCount) {

@@ -96,7 +96,7 @@ TEST(SqlEval, QueriesAreIssued) {
               RtValue::of_object(world.handles.runs[1]),
               RtValue::of_object(world.handles.regions.at("main"))});
   EXPECT_EQ(result.status, PropertyResult::Status::kHolds);
-  EXPECT_GT(sql.queries_issued(), 0u);
+  EXPECT_GT(sql.stats().sql_queries, 0u);
 }
 
 TEST(SqlEval, RejectsInheritanceModels) {

@@ -1113,3 +1113,77 @@ TEST(Exec, PrepareRejectsMultiStatementScripts) {
   kdb::PreparedStatement stmt = db.prepare("SELECT COUNT(*) FROM emp;");
   EXPECT_EQ(db.execute(stmt).scalar().as_int(), 5);
 }
+
+// Every exec_stats() counter is wired to exactly one snapshot field: bumping
+// counter i by i + 1 moves that field by exactly i + 1 and no other, and a
+// moved Database carries the counters along unchanged. A swapped entry in
+// the snapshot load list or the move copy list fails here.
+TEST(Exec, ExecStatsCountersWiredOneToOne) {
+  using Snapshot = Database::ExecStatsSnapshot;
+  struct Counter {
+    const char* name;
+    std::uint64_t Snapshot::*field;
+    void (*bump)(Database&, std::uint64_t);
+  };
+  // clang-format off
+#define KOJAK_COUNTER(field)        \
+  Counter{#field, &Snapshot::field, \
+          [](Database& db, std::uint64_t n) { db.count_##field(n); }}
+  const std::vector<Counter> counters = {
+      KOJAK_COUNTER(subquery_executions),
+      KOJAK_COUNTER(subquery_memo_hits),
+      KOJAK_COUNTER(cte_materializations),
+      KOJAK_COUNTER(partition_scans),
+      KOJAK_COUNTER(partitions_pruned),
+      KOJAK_COUNTER(parallel_scan_batches),
+      KOJAK_COUNTER(cte_parallel_materializations),
+      KOJAK_COUNTER(partition_union_rewrites),
+      KOJAK_COUNTER(shards_dispatched),
+      KOJAK_COUNTER(shard_retries),
+      KOJAK_COUNTER(straggler_reissues),
+      KOJAK_COUNTER(worker_failures),
+      KOJAK_COUNTER(shard_cache_hits),
+      KOJAK_COUNTER(shard_cache_misses),
+      KOJAK_COUNTER(dirty_partitions_recomputed),
+      KOJAK_COUNTER(statements_memoized),
+      KOJAK_COUNTER(replica_refreshes),
+      KOJAK_COUNTER(columnar_scans),
+      KOJAK_COUNTER(vectorized_batches),
+      KOJAK_COUNTER(rows_skipped_by_bitmap),
+      KOJAK_COUNTER(fused_plan_evals),
+      KOJAK_COUNTER(grouped_vector_evals),
+      KOJAK_COUNTER(groups_built),
+      KOJAK_COUNTER(hash_join_builds),
+      KOJAK_COUNTER(join_lanes_probed),
+      KOJAK_COUNTER(expr_programs_compiled),
+      KOJAK_COUNTER(expr_program_evals),
+      KOJAK_COUNTER(expr_vm_batches),
+      KOJAK_COUNTER(expr_vm_lanes),
+  };
+  // clang-format on
+#undef KOJAK_COUNTER
+  // A counter added to the snapshot but not to this table fails here.
+  ASSERT_EQ(counters.size(), 29u);
+  ASSERT_EQ(sizeof(Snapshot), counters.size() * sizeof(std::uint64_t));
+
+  Database db;
+  for (std::size_t i = 0; i < counters.size(); ++i) {
+    const Snapshot before = db.exec_stats();
+    counters[i].bump(db, i + 1);
+    const Snapshot after = db.exec_stats();
+    for (std::size_t j = 0; j < counters.size(); ++j) {
+      const auto field = counters[j].field;
+      EXPECT_EQ(after.*field - before.*field, j == i ? i + 1 : 0)
+          << "bumped " << counters[i].name << ", read " << counters[j].name;
+    }
+  }
+
+  const Snapshot before_move = db.exec_stats();
+  const Database moved(std::move(db));
+  const Snapshot after_move = moved.exec_stats();
+  for (std::size_t j = 0; j < counters.size(); ++j) {
+    const auto field = counters[j].field;
+    EXPECT_EQ(after_move.*field, before_move.*field) << counters[j].name;
+    EXPECT_EQ(after_move.*field, j + 1) << counters[j].name;
+  }
+}

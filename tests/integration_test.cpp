@@ -43,7 +43,7 @@ TEST(Integration, FullPipelineThroughReportFile) {
   // 4. Analyze the largest run via SQL pushdown and check the headline.
   cosy::Analyzer analyzer(model, store, handles, &conn);
   cosy::AnalyzerConfig config;
-  config.strategy = cosy::EvalStrategy::kSqlPushdown;
+  config.backend = "sql-pushdown";
   const cosy::AnalysisReport report = analyzer.analyze(2, config);
   ASSERT_NE(report.bottleneck(), nullptr);
   EXPECT_EQ(report.bottleneck()->property, "SublinearSpeedup");
@@ -181,7 +181,7 @@ TEST(Integration, BackendProfilesPreserveResults) {
     cosy::import_store(conn, store);
     cosy::Analyzer analyzer(model, store, handles, &conn);
     cosy::AnalyzerConfig config;
-    config.strategy = cosy::EvalStrategy::kSqlPushdown;
+    config.backend = "sql-pushdown";
     const cosy::AnalysisReport report = analyzer.analyze(1, config);
     ASSERT_NE(report.bottleneck(), nullptr) << profile.name;
     bottlenecks.push_back(kojak::support::cat(
