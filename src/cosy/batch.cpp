@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -140,45 +139,37 @@ BatchResult BatchAnalyzer::analyze_runs(std::span<const std::size_t> runs,
   const PlanCache::Stats cache_before =
       cache != nullptr ? cache->stats() : PlanCache::Stats{};
 
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(result.items.size());
-  for (std::size_t s = 0; s < suites.size(); ++s) {
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      const std::size_t slot = s * runs.size() + r;
-      tasks.push_back([this, slot, s, r, &suites, &runs, &config, cache,
-                       needs_db, &backend, &result, &used_mutex,
-                       &used_sessions] {
-        AnalyzerConfig per_run;
-        per_run.backend = backend;
-        per_run.problem_threshold = config.problem_threshold;
-        per_run.basis_region = config.basis_region;
-        per_run.properties = suites[s].properties;
-        per_run.plan_cache = cache;
-        // Batch-level parallelism already saturates the workers; sharding
-        // backends must not fan out again inside each task.
-        per_run.threads = 1;
+  const auto analyze_slot = [&](std::size_t slot, std::size_t) {
+    const std::size_t s = slot / runs.size();
+    const std::size_t r = slot % runs.size();
+    AnalyzerConfig per_run;
+    per_run.backend = backend;
+    per_run.problem_threshold = config.problem_threshold;
+    per_run.basis_region = config.basis_region;
+    per_run.properties = suites[s].properties;
+    per_run.plan_cache = cache;
+    // Batch-level parallelism already saturates the workers; sharding
+    // backends must not fan out again inside each task.
+    per_run.threads = 1;
 
-        BatchItem& item = result.items[slot];
-        item.run_index = runs[r];
-        item.suite = suites[s].name;
-        if (!needs_db) {
-          Analyzer analyzer(*model_, *store_, *handles_);
-          item.report = analyzer.analyze(runs[r], per_run);
-        } else {
-          db::ConnectionPool::Lease lease = pool_->acquire();
-          {
-            const std::lock_guard lock(used_mutex);
-            used_sessions.insert(lease.get());
-          }
-          Analyzer analyzer(*model_, *store_, *handles_, lease.get());
-          item.report = analyzer.analyze(runs[r], per_run);
-        }
-      });
+    BatchItem& item = result.items[slot];
+    item.run_index = runs[r];
+    item.suite = suites[s].name;
+    if (!needs_db) {
+      Analyzer analyzer(*model_, *store_, *handles_);
+      item.report = analyzer.analyze(runs[r], per_run);
+    } else {
+      db::ConnectionPool::Lease lease = pool_->acquire();
+      {
+        const std::lock_guard lock(used_mutex);
+        used_sessions.insert(lease.get());
+      }
+      Analyzer analyzer(*model_, *store_, *handles_, lease.get());
+      item.report = analyzer.analyze(runs[r], per_run);
     }
-  }
-
+  };
   support::ThreadPool workers(config.threads);
-  workers.run_all(std::move(tasks));
+  workers.parallel_for(result.items.size(), 0, analyze_slot);
 
   BatchSummary& summary = result.summary;
   summary.wall_ms = std::chrono::duration<double, std::milli>(

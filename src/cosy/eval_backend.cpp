@@ -1,7 +1,7 @@
 #include "cosy/eval_backend.hpp"
 
 #include <algorithm>
-#include <future>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -62,11 +62,26 @@ class InterpreterBackend : public EvalBackend {
   const asl::Interpreter interp_;
 };
 
-/// The interpreter with the ROADMAP's intra-run parallelism: one huge run's
-/// context list is split into contiguous shards, one per worker, and every
-/// shard writes its own slice of the result array. The reduction order is
-/// the request order regardless of scheduling, so reports are byte-identical
-/// for any thread count.
+/// Runs body(i, worker) for i in [0, n) on a private pool of
+/// min(workers, n) threads, spawned only when that is more than one;
+/// otherwise the indices run inline on the caller.
+void sharded_for(
+    std::size_t n, std::size_t workers,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  workers = std::min(workers, n);
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i, 0);
+    return;
+  }
+  support::ThreadPool pool(workers);
+  pool.parallel_for(n, workers, body);
+}
+
+/// The interpreter with the ROADMAP's intra-run parallelism: workers claim
+/// the contexts of one huge run one at a time, and each writes its result
+/// into the request's slot. The reduction order is the request order
+/// regardless of scheduling, so reports are byte-identical for any thread
+/// count.
 class ShardedInterpreterBackend final : public InterpreterBackend {
  public:
   explicit ShardedInterpreterBackend(const EvalBackendDeps& deps)
@@ -78,42 +93,21 @@ class ShardedInterpreterBackend final : public InterpreterBackend {
 
   void evaluate_all(std::span<const EvalRequest> requests,
                     std::span<asl::PropertyResult> results) override {
-    const std::size_t n = requests.size();
-    if (n == 0) return;
+    const auto evaluate_one = [&](std::size_t i, std::size_t) {
+      results[i] = interp_.evaluate_property(*requests[i].property,
+                                             *requests[i].args);
+    };
     if (threads_ == 0) {
       // No explicit worker count: shard on the long-lived process pool
-      // instead of spawning threads per analysis (parallel_for chunks
-      // contiguously; results are indexed, so reduction is deterministic).
-      support::global_pool().parallel_for(n, [&](std::size_t i) {
-        results[i] = interp_.evaluate_property(*requests[i].property,
-                                               *requests[i].args);
-      });
-      return;
+      // instead of spawning threads per analysis.
+      support::global_pool().parallel_for(requests.size(), 0, evaluate_one);
+    } else {
+      // An explicit count gets its own pool: tests (and callers embedding
+      // the backend under an already-saturated scheduler) rely on exactly
+      // this many workers, which the hardware-sized global pool cannot
+      // promise.
+      sharded_for(requests.size(), threads_, evaluate_one);
     }
-    const std::size_t shards = std::min(threads_, n);
-    if (shards <= 1) {
-      EvalBackend::evaluate_all(requests, results);
-      return;
-    }
-    // An explicit count gets its own pool: tests (and callers embedding the
-    // backend under an already-saturated scheduler) rely on exactly this
-    // many workers, which the hardware-sized global pool cannot promise.
-    support::ThreadPool pool(shards);
-    std::vector<std::future<void>> done;
-    done.reserve(shards);
-    const std::size_t chunk = (n + shards - 1) / shards;
-    for (std::size_t s = 0; s < shards; ++s) {
-      const std::size_t begin = s * chunk;
-      const std::size_t end = std::min(begin + chunk, n);
-      if (begin >= end) break;
-      done.push_back(pool.submit([this, requests, results, begin, end] {
-        for (std::size_t i = begin; i < end; ++i) {
-          results[i] = interp_.evaluate_property(*requests[i].property,
-                                                 *requests[i].args);
-        }
-      }));
-    }
-    for (std::future<void>& f : done) f.get();  // rethrows shard failures
   }
 
  private:
@@ -150,10 +144,11 @@ class SqlBackend final : public EvalBackend {
   SqlEvaluator eval_;
 };
 
-/// The ROADMAP's sharded *SQL* backend: one run's context list is split into
-/// contiguous shards, each shard leases its own session from the
+/// The ROADMAP's sharded *SQL* backend: workers claim one run's contexts
+/// one at a time, and each worker leases its own session from the
 /// db::ConnectionPool and drives a whole-condition (+CSE) SqlEvaluator over
-/// it. Results land in their request slots, so the reduction is the same
+/// the contexts it claims. Without a pool it runs serially on `conn`.
+/// Results land in their request slots, so the reduction is the same
 /// deterministic index order `interpreter-sharded` uses — reports are
 /// byte-identical to `sql-whole-condition` for any thread count. The shared
 /// PlanCache (when supplied) means each property still compiles once per
@@ -179,81 +174,49 @@ class ShardedSqlBackend final : public EvalBackend {
   [[nodiscard]] asl::PropertyResult evaluate(
       const asl::PropertyInfo& property,
       const std::vector<asl::RtValue>& args) override {
-    if (deps().conn != nullptr) {
-      return primary().evaluate_property(property, args);
-    }
-    // Pool-only construction: lease a session for this one evaluation.
-    db::ConnectionPool::Lease lease = deps().pool->acquire();
-    SqlEvaluator eval(*deps().model, *lease, SqlEvalMode::kWholeCondition,
-                      deps().plan_cache);
-    eval.set_shard_cache(deps().shard_cache);
-    const asl::PropertyResult result = eval.evaluate_property(property, args);
-    absorb(eval);
+    const EvalRequest request{&property, &args};
+    asl::PropertyResult result;
+    evaluate_all({&request, 1}, {&result, 1});
     return result;
   }
 
   void evaluate_all(std::span<const EvalRequest> requests,
                     std::span<asl::PropertyResult> results) override {
     const std::size_t n = requests.size();
-    if (n == 0) return;
-    std::size_t shards =
-        threads_ != 0 ? threads_
-                      : std::max<std::size_t>(
-                            1, std::thread::hardware_concurrency());
-    if (deps().pool != nullptr) {
-      // Never ask for more leases than the pool can hand out at once: a
-      // shard holds its session for the whole chunk, so oversubscription
-      // would serialize on acquire() without buying anything.
-      shards = std::min(shards, deps().pool->capacity());
-    }
-    shards = std::min(shards, n);
-    if (shards <= 1 || deps().pool == nullptr) {
-      if (deps().conn == nullptr && deps().pool != nullptr) {
-        // Serial, pool-only: hold one lease for the whole list instead of
-        // re-leasing per context.
-        db::ConnectionPool::Lease lease = deps().pool->acquire();
-        SqlEvaluator eval(*deps().model, *lease, SqlEvalMode::kWholeCondition,
-                          deps().plan_cache);
-        eval.set_shard_cache(deps().shard_cache);
-        for (std::size_t i = 0; i < n; ++i) {
-          results[i] = eval.evaluate_property(*requests[i].property,
-                                              *requests[i].args);
-        }
-        absorb(eval);
-        return;
+    if (deps().pool == nullptr) {
+      for (std::size_t i = 0; i < n; ++i) {
+        results[i] = primary().evaluate_property(*requests[i].property,
+                                                 *requests[i].args);
       }
-      EvalBackend::evaluate_all(requests, results);
       return;
     }
-
-    // Declaration order matters on the error path: the pool must be
-    // destroyed (joining every worker) BEFORE the mutex and futures that
-    // its tasks reference, or an exception rethrown from get() would
-    // unwind them while shards still run.
-    std::mutex stats_mutex;
-    std::vector<std::future<void>> done;
-    support::ThreadPool pool(shards);
-    done.reserve(shards);
-    const std::size_t chunk = (n + shards - 1) / shards;
-    for (std::size_t s = 0; s < shards; ++s) {
-      const std::size_t begin = s * chunk;
-      const std::size_t end = std::min(begin + chunk, n);
-      if (begin >= end) break;
-      done.push_back(pool.submit([this, requests, results, begin, end,
-                                  &stats_mutex] {
-        db::ConnectionPool::Lease lease = deps().pool->acquire();
-        SqlEvaluator eval(*deps().model, *lease, SqlEvalMode::kWholeCondition,
-                          deps().plan_cache);
-        eval.set_shard_cache(deps().shard_cache);
-        for (std::size_t i = begin; i < end; ++i) {
-          results[i] = eval.evaluate_property(*requests[i].property,
-                                              *requests[i].args);
-        }
-        const std::lock_guard lock(stats_mutex);
-        absorb(eval);
-      }));
+    // Never ask for more leases than the pool can hand out at once: a
+    // worker holds its session until the join, so oversubscription would
+    // serialize on acquire() without buying anything.
+    const std::size_t workers = std::min(
+        {threads_ != 0 ? threads_
+                       : std::max<std::size_t>(
+                             1, std::thread::hardware_concurrency()),
+         deps().pool->capacity(), n});
+    // Each worker leases its session and builds its evaluator at its first
+    // claimed index. Evaluators are declared after the leases, so they are
+    // destroyed before their sessions return to the pool.
+    std::vector<db::ConnectionPool::Lease> leases(workers);
+    std::vector<std::optional<SqlEvaluator>> evals(workers);
+    sharded_for(n, workers, [&](std::size_t i, std::size_t worker) {
+      std::optional<SqlEvaluator>& eval = evals[worker];
+      if (!eval) {
+        leases[worker] = deps().pool->acquire();
+        eval.emplace(*deps().model, *leases[worker],
+                     SqlEvalMode::kWholeCondition, deps().plan_cache);
+        eval->set_shard_cache(deps().shard_cache);
+      }
+      results[i] = eval->evaluate_property(*requests[i].property,
+                                           *requests[i].args);
+    });
+    for (const std::optional<SqlEvaluator>& eval : evals) {
+      if (eval) stats_ += eval->stats();
     }
-    for (std::future<void>& f : done) f.get();  // rethrows shard failures
   }
 
   [[nodiscard]] EvalStats stats() const override {
@@ -272,11 +235,9 @@ class ShardedSqlBackend final : public EvalBackend {
     return *primary_;
   }
 
-  void absorb(const SqlEvaluator& eval) { stats_ += eval.stats(); }
-
   std::size_t threads_;
   std::optional<SqlEvaluator> primary_;  // deps().conn-backed, serial path
-  EvalStats stats_;  // accumulated from finished shard evaluators
+  EvalStats stats_;  // summed from the pooled evaluators after each join
 };
 
 /// The distributed scatter/gather backend: whole-condition evaluation with

@@ -6,11 +6,9 @@
 // volumes COSY manages (10^4..10^6 rows).
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <deque>
-#include <future>
 #include <map>
 #include <optional>
 #include <set>
@@ -42,14 +40,9 @@ namespace {
 
 /// Dedicated pool for partition scans and parallel CTE materialization,
 /// separate from support::global_pool() — statements that themselves run on
-/// global-pool workers (the sharded analysis backends) can block on these
-/// futures without starving their own pool. Deadlock-freedom WITHIN this
-/// pool rests on one protocol, not on tasks being leaves: every execution
-/// dispatched onto the pool runs under an ExecEnv with `on_pool` set, and
-/// both dispatch sites (run_heap_scan's partition fan-out and
-/// materialize_ctes' dependency waves) go strictly serial when they see
-/// that flag — a pool task never submits to the pool and blocks. Any new
-/// pool user must follow the same rule.
+/// global-pool workers (the sharded analysis backends) can wait on this
+/// pool without starving their own. Executions already on a scan-pool
+/// worker (parallel CTE bodies) run their scans inline: see scan_workers().
 support::ThreadPool& scan_pool() {
   static support::ThreadPool pool;
   return pool;
@@ -85,14 +78,8 @@ struct CteScope {
 /// execution: the uncorrelated-subquery memo. Structurally identical scalar
 /// subqueries execute once per statement execution; later occurrences are
 /// served from here (tests pin this via Database::exec_stats).
-///
-/// `on_pool` marks executions that already run on a scan-pool worker
-/// (parallel CTE materialization): such executions must stay strictly
-/// serial — submitting to the pool and blocking from inside a pool task is
-/// how a fixed-size pool deadlocks on itself.
 struct ExecEnv {
   std::unordered_map<std::string, Value> subquery_memo;
-  bool on_pool = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -1209,10 +1196,6 @@ class SelectExec {
     std::vector<std::vector<std::size_t>> deps(n);
     for (std::size_t i = 0; i < n; ++i) deps[i] = cte_dependencies(i);
 
-    const Database::ScanConfig& config = db_.scan_config();
-    std::size_t workers =
-        config.threads == 0 ? scan_pool().size() : config.threads;
-
     std::vector<bool> done(n, false);
     std::size_t materialized = 0;
     if (injected_ != nullptr) {
@@ -1241,56 +1224,24 @@ class SelectExec {
 
       std::size_t estimate = 0;
       for (const std::size_t i : wave) estimate += cte_scan_estimate(i);
-      const bool parallel = wave.size() >= 2 && workers >= 2 &&
-                            !env_->on_pool &&
-                            estimate >= config.min_parallel_rows;
-      if (parallel) {
-        // Each body gets a private ExecEnv seeded with the statement's memo
-        // (bodies on the pool must not share a mutable map); fresh entries
-        // merge back in declaration order, so the surviving memo is
-        // deterministic. on_pool keeps the bodies strictly serial inside —
-        // a pool task blocking on the pool is a self-deadlock.
-        std::vector<ExecEnv> envs(wave.size());
-        for (ExecEnv& env : envs) {
-          env.subquery_memo = env_->subquery_memo;
-          env.on_pool = true;
-        }
-        std::atomic<std::size_t> next{0};
-        const std::size_t tasks = std::min(workers, wave.size());
-        std::vector<std::future<void>> futures;
-        futures.reserve(tasks);
-        for (std::size_t w = 0; w < tasks; ++w) {
-          futures.push_back(scan_pool().submit([&] {
-            while (true) {
-              const std::size_t i = next.fetch_add(1);
-              if (i >= wave.size()) return;
-              SelectExec body(db_, *stmt_.ctes[wave[i]].select, params_,
-                              &scope_, &envs[i]);
-              cte_results_[wave[i]] = body.run();
-              db_.count_cte_materializations();
-            }
-          }));
-        }
-        std::exception_ptr first_error;
-        for (std::future<void>& future : futures) {
-          try {
-            future.get();
-          } catch (...) {
-            if (!first_error) first_error = std::current_exception();
-          }
-        }
-        if (first_error) std::rethrow_exception(first_error);
-        db_.count_cte_parallel_materializations(wave.size());
-        for (ExecEnv& env : envs) {
-          for (auto& [key, value] : env.subquery_memo) {
-            env_->subquery_memo.try_emplace(key, value);
-          }
-        }
-      } else {
-        for (const std::size_t i : wave) {
-          SelectExec body(db_, *stmt_.ctes[i].select, params_, &scope_, env_);
-          cte_results_[i] = body.run();
-          db_.count_cte_materializations();
+      const std::size_t workers = scan_workers(wave.size(), estimate);
+      // Parallel bodies each get a private ExecEnv seeded with the
+      // statement's memo (bodies on the pool must not share a mutable map);
+      // fresh entries merge back in declaration order, so the surviving
+      // memo is deterministic. Serial bodies share the statement's env.
+      std::vector<ExecEnv> envs(workers > 1 ? wave.size() : 0);
+      for (ExecEnv& env : envs) env.subquery_memo = env_->subquery_memo;
+      const auto materialize = [&](std::size_t i, std::size_t) {
+        SelectExec body(db_, *stmt_.ctes[wave[i]].select, params_, &scope_,
+                        envs.empty() ? env_ : &envs[i]);
+        cte_results_[wave[i]] = body.run();
+        db_.count_cte_materializations();
+      };
+      scan_pool().parallel_for(wave.size(), workers, materialize);
+      if (workers > 1) db_.count_cte_parallel_materializations(wave.size());
+      for (ExecEnv& env : envs) {
+        for (auto& [key, value] : env.subquery_memo) {
+          env_->subquery_memo.try_emplace(key, value);
         }
       }
       for (const std::size_t i : wave) {
@@ -1868,8 +1819,9 @@ class SelectExec {
       const std::vector<ValueType>& column_types, std::size_t first,
       std::size_t count, std::size_t live, std::size_t nonempty) {
     std::vector<std::vector<std::uint8_t>> sels(count);
-    const auto filter_partition = [&](std::size_t index,
-                                      sql::ExprProgram::Scratch& scratch) {
+    const std::size_t workers = scan_workers(nonempty, live);
+    std::vector<sql::ExprProgram::Scratch> scratch(workers);
+    const auto filter_partition = [&](std::size_t index, std::size_t worker) {
       const std::size_t p = first + index;
       const std::size_t lanes = table.partition_heap_size(p);
       std::vector<std::uint8_t>& sel = sels[index];
@@ -1882,8 +1834,9 @@ class SelectExec {
       }
       for (std::size_t b = 0; b < lanes; b += kVectorBatch) {
         const std::size_t e = std::min(lanes, b + kVectorBatch);
-        const sql::ExprProgram::Result res = run_program(
-            *where_program, scratch, where_bound, columns, sel.data(), b, e);
+        const sql::ExprProgram::Result res =
+            run_program(*where_program, scratch[worker], where_bound, columns,
+                        sel.data(), b, e);
         // Result lanes are batch-relative; undemanded lanes hold
         // unspecified values, so AND through the incoming bitmap.
         for (std::size_t i = b; i < e; ++i) {
@@ -1893,39 +1846,8 @@ class SelectExec {
       }
     };
 
-    const Database::ScanConfig& config = db_.scan_config();
-    std::size_t workers =
-        config.threads == 0 ? scan_pool().size() : config.threads;
-    workers = std::min(workers, nonempty);
-    if (env_->on_pool) workers = 1;  // pool tasks never block on the pool
-    if (workers > 1 && live >= config.min_parallel_rows) {
-      std::atomic<std::size_t> next{0};
-      std::vector<std::future<void>> futures;
-      futures.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        futures.push_back(scan_pool().submit([&] {
-          sql::ExprProgram::Scratch scratch;
-          while (true) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= count) return;
-            filter_partition(i, scratch);
-          }
-        }));
-      }
-      std::exception_ptr first_error;
-      for (auto& future : futures) {
-        try {
-          future.get();
-        } catch (...) {
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-      if (first_error) std::rethrow_exception(first_error);
-      db_.count_parallel_scan_batches();
-    } else {
-      sql::ExprProgram::Scratch scratch;
-      for (std::size_t i = 0; i < count; ++i) filter_partition(i, scratch);
-    }
+    scan_pool().parallel_for(count, workers, filter_partition);
+    if (workers > 1) db_.count_parallel_scan_batches();
     return sels;
   }
 
@@ -2149,6 +2071,26 @@ class SelectExec {
     return out;
   }
 
+  /// The one gate for scan-pool fan-out (heap scans, selection bitmaps, CTE
+  /// waves): the worker count for a parallel_for over `units` work-bearing
+  /// units (nonempty partitions, CTE bodies) reading about `rows` live
+  /// rows. 1 means stay serial on the caller: the config or the units
+  /// leave one worker (a range of mostly empty partitions gains nothing
+  /// from the pool), `rows` is under the dispatch threshold, or this
+  /// execution already runs on a scan-pool worker — parallel CTE bodies
+  /// scan inline, and the counters report no parallel batch for them.
+  [[nodiscard]] std::size_t scan_workers(std::size_t units,
+                                         std::size_t rows) const {
+    const Database::ScanConfig& config = db_.scan_config();
+    const std::size_t workers = std::min(
+        config.threads == 0 ? scan_pool().size() : config.threads, units);
+    if (workers <= 1 || rows < config.min_parallel_rows ||
+        scan_pool().owns_current_thread()) {
+      return 1;
+    }
+    return workers;
+  }
+
   /// Heap scan of a base table: every partition the plan did not prune, in
   /// partition order, heap order within each. Single-table statements fold
   /// the WHERE clause into the scan itself (the hot path stops producing
@@ -2193,43 +2135,13 @@ class SelectExec {
       if (rows_in_partition > 0) ++nonempty;
     }
 
-    const Database::ScanConfig& config = db_.scan_config();
-    std::size_t workers =
-        config.threads == 0 ? scan_pool().size() : config.threads;
-    // Fan out only over partitions that actually hold rows: a scan whose
-    // unpruned range is mostly empty partitions (skewed routing, heavy
-    // deletes) would otherwise pay pool dispatch for workers that find
-    // nothing to do, and a single loaded partition gains nothing from the
-    // pool at all.
-    workers = std::min(workers, nonempty);
-    // Executions already on a scan-pool worker (parallel CTE bodies) scan
-    // serially: blocking on the pool from inside it can deadlock the pool.
-    if (env_->on_pool) workers = 1;
-
+    const std::size_t workers = scan_workers(nonempty, live);
     std::vector<Row> rows;
-    if (workers > 1 && live >= config.min_parallel_rows) {
+    if (workers > 1) {
       std::vector<std::vector<Row>> buckets(count);
-      std::atomic<std::size_t> next{0};
-      std::vector<std::future<void>> futures;
-      futures.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        futures.push_back(scan_pool().submit([&] {
-          while (true) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= count) return;
-            scan_partition(first + i, buckets[i]);
-          }
-        }));
-      }
-      std::exception_ptr first_error;
-      for (auto& future : futures) {
-        try {
-          future.get();
-        } catch (...) {
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-      if (first_error) std::rethrow_exception(first_error);
+      scan_pool().parallel_for(count, workers, [&](std::size_t i, std::size_t) {
+        scan_partition(first + i, buckets[i]);
+      });
       db_.count_parallel_scan_batches();
       std::size_t total = 0;
       for (const std::vector<Row>& bucket : buckets) total += bucket.size();

@@ -138,15 +138,16 @@ class RunSimulator {
 
     std::vector<double> excl(P, 0.0);
     std::vector<double> ovhd_nonbarrier(P, 0.0);
+    // Every lane is sized before the per-PE loop, so PEs running on pool
+    // workers only ever add to their own slot.
     std::array<std::vector<double>, kTimingTypeCount> typed;
+    for (std::vector<double>& lane : typed) lane.assign(P, 0.0);
     const auto charge = [&](TimingType type, std::size_t pe, double ms) {
-      auto& lane = typed[static_cast<std::size_t>(type)];
-      if (lane.empty()) lane.assign(P, 0.0);
-      lane[pe] += ms;
+      typed[static_cast<std::size_t>(type)][pe] += ms;
       ovhd_nonbarrier[pe] += ms;
     };
 
-    const auto per_pe_body = [&](std::size_t pe) {
+    const auto per_pe_body = [&](std::size_t pe, std::size_t) {
       const int p = static_cast<int>(pe);
       // Computation: parallel share with imbalance ramp + serial replication.
       double compute = (spec.work_ms / static_cast<double>(nope_)) *
@@ -225,9 +226,9 @@ class RunSimulator {
     };
 
     if (options_.pool != nullptr && nope_ >= 16) {
-      options_.pool->parallel_for(P, per_pe_body);
+      options_.pool->parallel_for(P, 0, per_pe_body);
     } else {
-      for (std::size_t pe = 0; pe < P; ++pe) per_pe_body(pe);
+      for (std::size_t pe = 0; pe < P; ++pe) per_pe_body(pe, 0);
     }
 
     // Children run inside the region, before its trailing barrier.
@@ -302,9 +303,7 @@ class RunSimulator {
       acc.incl_sum += result.incl[pe];
     }
     for (std::size_t t = 0; t < kTimingTypeCount; ++t) {
-      if (!typed[t].empty()) {
-        for (std::size_t pe = 0; pe < P; ++pe) acc.typed[t] += typed[t][pe];
-      }
+      for (std::size_t pe = 0; pe < P; ++pe) acc.typed[t] += typed[t][pe];
     }
     if (spec.barrier_count > 0) {
       for (std::size_t pe = 0; pe < P; ++pe) {

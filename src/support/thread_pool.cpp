@@ -6,6 +6,13 @@
 
 namespace kojak::support {
 
+namespace {
+
+/// The pool whose worker_loop runs on this thread; null on other threads.
+thread_local const ThreadPool* current_pool = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -32,6 +39,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
+  current_pool = this;
   while (true) {
     std::function<void()> task;
     {
@@ -45,51 +53,46 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  const std::size_t num_chunks = std::min(n, size() * 4);
-  const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
+bool ThreadPool::owns_current_thread() const noexcept {
+  return current_pool == this;
+}
+
+void ThreadPool::parallel_for(
+    std::size_t n, std::size_t workers,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  const std::size_t tasks = std::min(workers == 0 ? size() : workers, n);
+  if (tasks <= 1 || owns_current_thread()) {
+    for (std::size_t i = 0; i < n; ++i) body(i, 0);
+    return;
+  }
 
   std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex error_mutex;
+  std::size_t error_index = n;
+  std::exception_ptr error;
   std::vector<std::future<void>> futures;
-  futures.reserve(num_chunks);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    futures.push_back(submit([&] {
-      while (true) {
-        const std::size_t begin = next.fetch_add(chunk);
-        if (begin >= n) return;
-        const std::size_t end = std::min(n, begin + chunk);
-        for (std::size_t i = begin; i < end; ++i) body(i);
+  futures.reserve(tasks);
+  for (std::size_t worker = 0; worker < tasks; ++worker) {
+    futures.push_back(submit([&, worker] {
+      while (!failed) {
+        const std::size_t i = next++;
+        if (i >= n) return;
+        try {
+          body(i, worker);
+        } catch (...) {
+          const std::lock_guard lock(error_mutex);
+          if (i < error_index) {
+            error_index = i;
+            error = std::current_exception();
+          }
+          failed = true;
+        }
       }
     }));
   }
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-void ThreadPool::run_all(std::vector<std::function<void()>> tasks) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(tasks.size());
-  for (auto& task : tasks) {
-    futures.push_back(submit(std::move(task)));
-  }
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  for (std::future<void>& future : futures) future.wait();
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& global_pool() {

@@ -12,10 +12,12 @@
 
 namespace kojak::support {
 
-/// Fixed-size worker pool. The simulator runs PE timelines on it and the
-/// analyzer evaluates property contexts on it. Results are always reduced in
-/// a deterministic order by the caller, so pooled execution never changes
-/// output (only wall time).
+/// Fixed-size worker pool. Every in-process fan-out in the library (the
+/// simulator's PE timelines, the sharded analysis backends, the batch
+/// analyzer's runs, the executor's partition scans and CTE waves) goes
+/// through parallel_for. Results are always reduced in a deterministic
+/// order by the caller, so pooled execution never changes output (only
+/// wall time).
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads = 0);
@@ -25,6 +27,9 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
+
+  /// True when the calling thread is one of this pool's workers.
+  [[nodiscard]] bool owns_current_thread() const noexcept;
 
   /// Enqueues a task; the future reports its result or exception.
   template <typename F>
@@ -40,14 +45,23 @@ class ThreadPool {
     return future;
   }
 
-  /// Runs body(i) for i in [0, n), blocking until all complete. Indices are
-  /// chunked contiguously; exceptions from any chunk are rethrown (first one).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
-
-  /// Runs heterogeneous tasks to completion (the batch analyzer's shape:
-  /// one task per run × suite, each task a full analysis). The first
-  /// exception is rethrown after every task finished.
-  void run_all(std::vector<std::function<void()>> tasks);
+  /// Runs body(i, worker) for every i in [0, n) on min(workers, n) tasks
+  /// (workers == 0 means size()) and blocks until all of them returned.
+  /// Each task claims indices one at a time from a shared counter; `worker`
+  /// is the task's id in [0, tasks), so callers can index per-worker state.
+  ///
+  /// Errors: once an index has thrown, tasks stop claiming new ones. Every
+  /// lower index was claimed before it and still runs, so the exception
+  /// rethrown — the lowest failing index's — is the one the serial loop
+  /// would have raised first.
+  ///
+  /// Runs inline on the caller, as worker 0 and in index order, when there
+  /// is at most one task or when the caller is itself one of this pool's
+  /// workers: nested use degrades to serial instead of deadlocking a pool
+  /// whose workers all wait on it.
+  void parallel_for(
+      std::size_t n, std::size_t workers,
+      const std::function<void(std::size_t i, std::size_t worker)>& body);
 
  private:
   void worker_loop();

@@ -1083,6 +1083,123 @@ TEST(Exec, ParallelCtesKeepDeterministicResults) {
   }
 }
 
+TEST(Exec, ParallelCteBodiesScanInline) {
+  // Nested fan-out: every body of a parallel CTE wave full-scans an
+  // 8-partition table. The bodies already run on scan-pool workers, so
+  // their scans stay on the worker that runs them (no parallel scan batch)
+  // instead of blocking on the pool they occupy.
+  Database db = make_partitioned_db(8, 400);
+  const char* query =
+      "WITH a AS (SELECT k, v FROM pt WHERE v % 3 = 0), "
+      "b AS (SELECT k, v FROM pt WHERE k % 5 = 1), "
+      "c AS (SELECT COUNT(*) AS n, SUM(v) AS s FROM pt) "
+      "SELECT a.k, b.v, (SELECT n FROM c), (SELECT s FROM c) "
+      "FROM a JOIN b ON b.k = a.k";
+  db.set_scan_config({.threads = 1, .min_parallel_rows = 1});
+  const QueryResult serial = db.execute(query);
+
+  db.set_scan_config({.threads = 4, .min_parallel_rows = 1});
+  const auto before = db.exec_stats();
+  const QueryResult parallel = db.execute(query);
+  const auto after = db.exec_stats();
+  EXPECT_EQ(after.cte_parallel_materializations -
+                before.cte_parallel_materializations,
+            3u);
+  EXPECT_EQ(after.parallel_scan_batches - before.parallel_scan_batches, 0u);
+  EXPECT_EQ(after.partition_scans - before.partition_scans, 24u);
+
+  ASSERT_GT(serial.row_count(), 0u);
+  ASSERT_EQ(serial.row_count(), parallel.row_count());
+  for (std::size_t r = 0; r < serial.row_count(); ++r) {
+    for (std::size_t c = 0; c < serial.column_count(); ++c) {
+      EXPECT_TRUE(serial.at(r, c).equals_total(parallel.at(r, c)))
+          << r << "," << c;
+    }
+  }
+}
+
+namespace {
+
+/// 8-partition table `et (k, v, a, b)` whose predicate
+/// `SQRT(a) + v / b > 0` raises in exactly two partitions: partition 1's
+/// rows carry a = -1 (SQRT of negative value), partition 6's rows carry
+/// b = 0 (division by zero). A serial scan reaches partition 1 first.
+Database make_failing_db(bool columnar) {
+  Database db;
+  db.execute(kojak::support::cat(
+      "CREATE TABLE et (k INTEGER, v INTEGER, a INTEGER, b INTEGER) "
+      "PARTITION BY HASH(k) PARTITIONS 8",
+      columnar ? " STORAGE COLUMNAR" : ""));
+  for (int i = 0; i < 400; ++i) {
+    db.execute(kojak::support::cat("INSERT INTO et VALUES (", i, ", ", i,
+                                   ", 1, 1)"));
+  }
+  const auto poison = [&](int partition, const char* assignment) {
+    const QueryResult keys = db.execute(kojak::support::cat(
+        "SELECT k FROM et PARTITION (", partition, ")"));
+    ASSERT_GT(keys.row_count(), 0u);
+    for (std::size_t r = 0; r < keys.row_count(); ++r) {
+      db.execute(kojak::support::cat("UPDATE et SET ", assignment,
+                                     " WHERE k = ", keys.at(r, 0).as_int()));
+    }
+  };
+  poison(1, "a = -1");
+  poison(6, "b = 0");
+  return db;
+}
+
+/// The message `query` raises, or "" when it succeeds.
+std::string error_of(Database& db, const std::string& query) {
+  try {
+    db.execute(query);
+  } catch (const EvalError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(Exec, ParallelErrorsMatchTheSerialError) {
+  // Two partitions fail with different errors. Whatever the schedule, a
+  // parallel scan, VM selection pass or CTE wave reports the error of the
+  // lowest failing partition, the one the serial loop raises, and the
+  // database keeps answering afterwards.
+  std::string waves = "WITH ";
+  for (int p = 0; p < 8; ++p) {
+    waves += kojak::support::cat(
+        p == 0 ? "" : ", ", "c", p, " AS (SELECT COUNT(*) AS n FROM et ",
+        "PARTITION (", p, ") WHERE SQRT(a) + v / b > 0)");
+  }
+  waves += " SELECT (SELECT n FROM c0) + (SELECT n FROM c7)";
+  const struct {
+    const char* path;
+    bool columnar;
+    std::string query;
+  } cases[] = {
+      {"heap scan", false, "SELECT k FROM et WHERE SQRT(a) + v / b > 0"},
+      {"selection bitmaps", true,
+       "SELECT COUNT(*) FROM et WHERE SQRT(a) + v / b > 0"},
+      {"CTE wave", false, waves},
+  };
+  for (const auto& c : cases) {
+    Database db = make_failing_db(c.columnar);
+    db.set_scan_config({.threads = 1, .min_parallel_rows = 1});
+    const std::string serial = error_of(db, c.query);
+    EXPECT_NE(serial.find("SQRT of negative value"), std::string::npos)
+        << c.path << ": " << serial;
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+      db.set_scan_config({.threads = threads, .min_parallel_rows = 1});
+      for (int repeat = 0; repeat < 20; ++repeat) {
+        ASSERT_EQ(error_of(db, c.query), serial)
+            << c.path << " at " << threads << " threads, run " << repeat;
+      }
+      EXPECT_EQ(db.execute("SELECT COUNT(*) FROM et").scalar().as_int(), 400)
+          << c.path;
+    }
+  }
+}
+
 TEST(Partitioned, DmlRoundTripUnderPartitioning) {
   Database db = make_partitioned_db(4, 60);
   // UPDATE of the partition column moves rows between partitions under the

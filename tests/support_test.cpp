@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <sstream>
+#include <thread>
 
 #include "support/csv.hpp"
 #include "support/diagnostics.hpp"
@@ -294,22 +296,95 @@ TEST(ThreadPool, SubmitPropagatesException) {
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ks::ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i]++; });
+  pool.parallel_for(hits.size(), 0,
+                    [&](std::size_t i, std::size_t) { hits[i]++; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForEmpty) {
   ks::ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL(); });
+  pool.parallel_for(0, 0, [](std::size_t, std::size_t) { FAIL(); });
+  pool.parallel_for(0, 8, [](std::size_t, std::size_t) { FAIL(); });
 }
 
 TEST(ThreadPool, ParallelForRethrows) {
   ks::ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(16,
-                                 [](std::size_t i) {
+  EXPECT_THROW(pool.parallel_for(16, 0,
+                                 [](std::size_t i, std::size_t) {
                                    if (i == 7) throw ks::Error("x");
                                  }),
                ks::Error);
+}
+
+TEST(ThreadPool, ParallelForWorkerIdsBelowTaskCount) {
+  ks::ThreadPool pool(4);
+  struct Shape {
+    std::size_t n;
+    std::size_t workers;
+    std::size_t tasks;  // min(workers or size(), n)
+  };
+  // workers > n, workers > size(), workers == 0 and a single task.
+  for (const Shape shape : {Shape{1000, 0, 4}, Shape{1000, 2, 2},
+                            Shape{3, 16, 3}, Shape{100, 8, 8},
+                            Shape{5, 1, 1}}) {
+    // Each index is written once; an index never run keeps n >= tasks.
+    std::vector<std::size_t> worker_of(shape.n, shape.n);
+    pool.parallel_for(shape.n, shape.workers,
+                      [&](std::size_t i, std::size_t worker) {
+                        worker_of[i] = worker;
+                      });
+    for (const std::size_t worker : worker_of) {
+      EXPECT_LT(worker, shape.tasks)
+          << shape.n << " indices, " << shape.workers << " workers";
+    }
+  }
+}
+
+TEST(ThreadPool, ParallelForRethrowsLowestFailingIndex) {
+  // Index 5 fails late, 20 and 40 fail early: whatever the schedule, the
+  // caller sees index 5's error (the serial loop's), and every index below
+  // it ran.
+  ks::ThreadPool pool(4);
+  for (int repeat = 0; repeat < 50; ++repeat) {
+    std::vector<std::atomic<int>> ran(64);
+    try {
+      pool.parallel_for(ran.size(), 0, [&](std::size_t i, std::size_t) {
+        ran[i]++;
+        if (i == 5) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          throw ks::Error("index 5");
+        }
+        if (i == 20 || i == 40) throw ks::Error(ks::cat("index ", i));
+      });
+      FAIL() << "no exception";
+    } catch (const ks::Error& error) {
+      EXPECT_STREQ(error.what(), "index 5") << "run " << repeat;
+    }
+    for (std::size_t i = 0; i <= 5; ++i) EXPECT_EQ(ran[i].load(), 1) << i;
+  }
+}
+
+TEST(ThreadPool, NestedParallelForRunsInline) {
+  // A parallel_for issued from one of the pool's own workers runs inline on
+  // that worker: the 1-thread pool's only worker cannot wait for tasks it
+  // would have to run itself.
+  ks::ThreadPool pool(1);
+  EXPECT_FALSE(pool.owns_current_thread());
+  std::vector<std::size_t> order;
+  std::atomic<int> off_thread{0};
+  auto nested = pool.submit([&] {
+    EXPECT_TRUE(pool.owns_current_thread());
+    const std::thread::id outer = std::this_thread::get_id();
+    pool.parallel_for(10, 4, [&](std::size_t i, std::size_t worker) {
+      if (std::this_thread::get_id() != outer || worker != 0) off_thread++;
+      order.push_back(i);
+    });
+  });
+  nested.get();
+  EXPECT_EQ(off_thread.load(), 0);
+  std::vector<std::size_t> expected(10);
+  std::iota(expected.begin(), expected.end(), 0u);
+  EXPECT_EQ(order, expected);
 }
 
 // ---------------------------------------------------------------------------
