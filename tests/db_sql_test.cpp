@@ -1,11 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <string>
+#include <variant>
+#include <vector>
+
+#include "asl/model.hpp"
+#include "cosy/schema_gen.hpp"
+#include "cosy/specs.hpp"
+#include "cosy/sql_eval.hpp"
+#include "db/connection.hpp"
+#include "db/database.hpp"
+#include "db/distributed.hpp"
 #include "db/sql/lexer.hpp"
 #include "db/sql/parser.hpp"
 #include "support/error.hpp"
 
+namespace cosy = kojak::cosy;
+namespace db = kojak::db;
 namespace sql = kojak::db::sql;
 using kojak::support::ParseError;
+using db::render_select_sql;
 
 // ---------------------------------------------------------------------------
 // Lexer
@@ -491,4 +506,99 @@ TEST(SqlParser, ParseSingleRejectsMultiStatementScripts) {
   EXPECT_NO_THROW((void)sql::parse_single(";;SELECT 1;;"));
   EXPECT_THROW((void)sql::parse_single(""), ParseError);
   EXPECT_THROW((void)sql::parse_single(";"), ParseError);
+}
+
+// ---------------------------------------------------------------------------
+// render_select_sql: SELECT -> text with `?` placeholders in text order
+
+namespace {
+
+std::string render_rows(const db::QueryResult& result) {
+  std::string out;
+  for (const db::Row& row : result.rows) {
+    for (const db::Value& value : row) out += value.to_display() + "|";
+    out += "\n";
+  }
+  return out;
+}
+
+const sql::SelectStmt& as_select(const sql::Statement& stmt) {
+  const auto* select = std::get_if<sql::SelectStmt>(&stmt);
+  if (select == nullptr) throw std::runtime_error("not a SELECT");
+  return *select;
+}
+
+}  // namespace
+
+TEST(SqlRender, ShardRenderingRoundTripsTextAndParamOrder) {
+  db::Database db;
+  db.execute("CREATE TABLE t (a INTEGER, b DOUBLE)");
+  db::PreparedStatement stmt = db.prepare(
+      "SELECT COALESCE(SUM(b), 0.0) AS s FROM t WHERE a > ? AND b < ?");
+  auto* select = std::get_if<sql::SelectStmt>(&stmt.ast());
+  ASSERT_NE(select, nullptr);
+  std::string text;
+  std::vector<std::size_t> order;
+  ASSERT_TRUE(render_select_sql(*select, text, order));
+  // The rendered text re-parses and the placeholders keep their order.
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1}));
+  db.execute("INSERT INTO t VALUES (5, 1.5)");
+  const std::vector<db::Value> params = {db::Value::integer(1),
+                                         db::Value::real(9.0)};
+  EXPECT_EQ(render_rows(db.execute(text, params)),
+            render_rows(db.execute(stmt, params)));
+}
+
+// The shard cache keys every partition-pinned CTE on its rendered text, and
+// a body that fails to render silently stays uncacheable. Pin the renderer
+// over every such body of the COSY suite on the monitoring layout (timing
+// junctions member-partitioned, so the partition-union rewrite fires): each
+// renders, the text re-parses, and rendering the re-parsed body reproduces
+// the text with its placeholders numbered in text order — a fixed point.
+TEST(SqlRender, CosyShardCteBodiesRenderToAFixedPoint) {
+  const kojak::asl::Model model = cosy::load_cosy_model();
+  db::Database database;
+  cosy::SchemaOptions schema;
+  schema.junction_partitions.push_back({"Region", "TotTimes", "member", 8});
+  schema.junction_partitions.push_back({"Region", "TypTimes", "member", 8});
+  cosy::create_schema(database, model, schema);
+  db::Connection conn(database, db::ConnectionProfile::in_memory());
+  cosy::SqlEvaluator eval(model, conn, cosy::SqlEvalMode::kWholeCondition);
+
+  std::size_t bodies = 0;
+  for (const kojak::asl::PropertyInfo& prop : model.properties()) {
+    const sql::Statement parsed =
+        sql::parse_single(eval.explain_whole_condition(prop));
+    const sql::SelectStmt& statement = as_select(parsed);
+    // The shard cache's structural rule: no nested CTEs, catalog tables
+    // only, at least one partition-pinned scan.
+    for (const sql::CommonTableExpr& cte : statement.ctes) {
+      const sql::SelectStmt& body = *cte.select;
+      if (!body.ctes.empty()) continue;
+      bool catalog_only = true;
+      bool pinned = false;
+      sql::for_each_table_ref(body, [&](const sql::TableRef& ref) {
+        if (database.find_table(ref.table) == nullptr) catalog_only = false;
+        if (ref.partition) pinned = true;
+      });
+      if (!catalog_only || !pinned) continue;
+      ++bodies;
+      SCOPED_TRACE(prop.name + " / " + cte.name);
+
+      std::string text;
+      std::vector<std::size_t> order;
+      ASSERT_TRUE(render_select_sql(body, text, order));
+      const sql::Statement reparsed = sql::parse_single(text);
+      std::string again;
+      std::vector<std::size_t> again_order;
+      ASSERT_TRUE(render_select_sql(as_select(reparsed), again, again_order));
+      EXPECT_EQ(again, text);
+      // A re-parse numbers `?` sequentially, so the fixed point of `order`
+      // is the identity over the same number of placeholders.
+      std::vector<std::size_t> sequential(order.size());
+      std::iota(sequential.begin(), sequential.end(), std::size_t{0});
+      EXPECT_EQ(again_order, sequential);
+    }
+  }
+  EXPECT_GT(bodies, 0u);
 }
