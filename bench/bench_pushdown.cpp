@@ -30,7 +30,6 @@
 #include "cosy/eval_backend.hpp"
 #include "cosy/sql_eval.hpp"
 #include "db/connection_pool.hpp"
-#include "db/distributed.hpp"
 #include "support/str.hpp"
 #include "support/table.hpp"
 
@@ -138,7 +137,6 @@ void print_summary_table() {
       .add_column("pushdown ms", support::TablePrinter::Align::kRight)
       .add_column("whole ms", support::TablePrinter::Align::kRight)
       .add_column("whole+cse ms", support::TablePrinter::Align::kRight)
-      .add_column("dist ms", support::TablePrinter::Align::kRight)
       .add_column("whole gain", support::TablePrinter::Align::kRight)
       .add_column("cse gain", support::TablePrinter::Align::kRight)
       .add_column("client ms", support::TablePrinter::Align::kRight)
@@ -153,8 +151,6 @@ void print_summary_table() {
           run_backend(world, "sql-whole-condition-plain", profile);
       const BackendOutcome cse =
           run_backend(world, "sql-whole-condition", profile);
-      const BackendOutcome dist =
-          run_backend(world, "sql-distributed", profile);
       const BackendOutcome fetch = run_backend(world, "client-fetch", profile);
       const BackendOutcome bulk = run_backend(world, "bulk-fetch", profile);
       cosy::Analyzer analyzer(world.model, *world.store, world.handles);
@@ -164,7 +160,6 @@ void print_summary_table() {
            support::format_double(push.virtual_ms, 5),
            support::format_double(whole.virtual_ms, 5),
            support::format_double(cse.virtual_ms, 5),
-           support::format_double(dist.virtual_ms, 5),
            support::format_double(push.virtual_ms / whole.virtual_ms, 3),
            support::format_double(whole.virtual_ms / cse.virtual_ms, 3),
            support::format_double(fetch.virtual_ms, 5),
@@ -178,13 +173,7 @@ void print_summary_table() {
                "statement; +cse hoists shared subexpressions into WITH CTEs "
                "that execute once and bind once) ===\n"
             << table.render()
-            << "('dist' is sql-distributed: the same whole-condition "
-               "statements through the coordinator/worker split — COSY's "
-               "owner-pinned statements carry no part<K> CTEs, so they fall "
-               "through to the session and the column shows the split is "
-               "free when nothing scatters; the scatter/gather table below "
-               "is where the shards move. 'whole q' equals the context "
-               "count: one statement per "
+            << "('whole q' equals the context count: one statement per "
                "(property, context) — the CSE pass keeps that invariant while "
                "cutting bound-parameter wire values and repeated engine-side "
                "scans. 'client' fetches data components record "
@@ -333,118 +322,6 @@ void print_union_table() {
             << table.render() << "\n";
 }
 
-// ---------------------------------------------------------------------------
-// Distributed scatter/gather: the SAME partition-union statements, with the
-// part<K> CTEs scattered as shard tasks to modelled-remote workers (per-shard
-// wire cost: statement text + sliced params out, result rows back) instead of
-// materializing on the session engine. The gather barrier charges the session
-// the slowest worker's delta, so the modelled win over one worker is the
-// per-shard wire costs overlapping across the fleet — exactly what
-// bench_compare --pair BM_DistributedScatter BM_DistributedSerial prints.
-
-/// Session + replica fleet + coordinator, built once per (partitions,
-/// workers) and reused across iterations (replica construction copies the
-/// whole database and would otherwise dominate).
-struct DistributedRig {
-  db::Connection session;
-  db::ReplicaSet replicas;
-  db::Coordinator coordinator;
-
-  DistributedRig(db::Database& database, std::size_t workers)
-      : session(database, db::ConnectionProfile::postgres()),
-        replicas(database, workers),
-        coordinator(session, db::make_workers(replicas, session.profile())) {}
-};
-
-DistributedRig& distributed_rig(std::size_t partitions, std::size_t workers) {
-  static std::map<std::pair<std::size_t, std::size_t>,
-                  std::unique_ptr<DistributedRig>>
-      cache;
-  auto& slot = cache[{partitions, workers}];
-  if (!slot) {
-    slot = std::make_unique<DistributedRig>(
-        union_world().database_for(partitions), workers);
-  }
-  return *slot;
-}
-
-struct DistributedOutcome {
-  double wire_ms = 0;
-  double real_ms = 0;
-  std::uint64_t shards = 0;
-};
-
-/// Sweeps UnionLoad over every fleet with the coordinator in the loop;
-/// `workers == 1` is the serial baseline (one remote worker executes every
-/// shard back to back: the same per-shard wire costs with zero overlap).
-DistributedOutcome run_distributed(std::size_t partitions,
-                                   std::size_t workers) {
-  UnionWorld& world = union_world();
-  db::Database& database = world.database_for(partitions);
-  DistributedRig& rig = distributed_rig(partitions, workers);
-  cosy::SqlEvaluator eval(world.model, rig.session,
-                          cosy::SqlEvalMode::kWholeCondition);
-  eval.set_coordinator(&rig.coordinator);
-  const asl::PropertyInfo* prop = world.model.find_property("UnionLoad");
-  const auto before = database.exec_stats();
-  const double v0 = rig.session.clock().now_ms();
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const asl::ObjectId fleet : world.fleets) {
-    (void)eval.evaluate_property(*prop, {asl::RtValue::of_object(fleet)});
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  const auto after = database.exec_stats();
-  DistributedOutcome outcome;
-  outcome.wire_ms = rig.session.clock().now_ms() - v0;
-  outcome.real_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  outcome.shards = after.shards_dispatched - before.shards_dispatched;
-  return outcome;
-}
-
-void print_distributed_table() {
-  constexpr std::size_t kPartitions = 8;
-  support::TablePrinter table;
-  table.add_column("workers")
-      .add_column("wire ms", support::TablePrinter::Align::kRight)
-      .add_column("vs serial", support::TablePrinter::Align::kRight)
-      .add_column("shards", support::TablePrinter::Align::kRight)
-      .add_column("real ms", support::TablePrinter::Align::kRight);
-  const DistributedOutcome serial = run_distributed(kPartitions, 1);
-  for (const std::size_t workers :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    const DistributedOutcome outcome =
-        workers == 1 ? serial : run_distributed(kPartitions, workers);
-    table.add_row({support::cat(workers, " worker(s)"),
-                   support::format_double(outcome.wire_ms, 5),
-                   support::format_double(serial.wire_ms / outcome.wire_ms, 3),
-                   std::to_string(outcome.shards),
-                   support::format_double(outcome.real_ms, 4)});
-  }
-  std::cout << "\n=== Distributed scatter/gather (8-partition layout, "
-               "modelled-remote postgres workers): part<K> CTEs ship as "
-               "per-shard statements and the gather barrier charges the "
-               "MAKESPAN — the wire-cost win over one worker is per-shard "
-               "costs overlapping across the fleet; results are "
-               "byte-identical at every width ===\n"
-            << table.render() << "\n";
-}
-
-void register_distributed_bench(const char* label, std::size_t workers,
-                                std::size_t partitions) {
-  benchmark::RegisterBenchmark(
-      support::cat(label, "/parts_", partitions).c_str(),
-      [workers, partitions](benchmark::State& state) {
-        DistributedOutcome outcome;
-        for (auto _ : state) {
-          outcome = run_distributed(partitions, workers);
-        }
-        state.counters["wire_virtual_ms"] = outcome.wire_ms;
-        state.counters["shards"] = static_cast<double>(outcome.shards);
-      })
-      ->Unit(benchmark::kMillisecond)
-      ->Iterations(2);
-}
-
 /// `union_layout` selects the partitioned database; the paired flat bench
 /// keeps the SAME name suffix but always measures the single-heap layout,
 /// so bench_compare --pair diffs the rewrite and nothing else.
@@ -492,16 +369,11 @@ void register_backend_bench(const char* label, const std::string& backend,
 int main(int argc, char** argv) {
   print_summary_table();
   print_union_table();
-  print_distributed_table();
   for (const std::size_t partitions : {std::size_t{4}, std::size_t{8}}) {
     register_union_bench("BM_PartitionUnion", /*union_layout=*/true,
                          partitions);
     register_union_bench("BM_PartitionFlat", /*union_layout=*/false,
                          partitions);
-    register_distributed_bench("BM_DistributedScatter", /*workers=*/4,
-                               partitions);
-    register_distributed_bench("BM_DistributedSerial", /*workers=*/1,
-                               partitions);
   }
   for (std::size_t i = 0; i < scales().size(); ++i) {
     register_backend_bench("BM_Pushdown", "sql-pushdown", i, 2);

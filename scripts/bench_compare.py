@@ -16,8 +16,7 @@ away from the committed baseline.
 
 --pair PREFIX_A PREFIX_B (repeatable) additionally prints current-report
 real-time ratios between two benchmark families (the Release CI job uses it
-for the partition-union-vs-flat and distributed-scatter-vs-serial deltas of
-bench_pushdown).
+for the partition-union-vs-flat delta of bench_pushdown, among others).
 """
 
 from __future__ import annotations

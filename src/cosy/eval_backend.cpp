@@ -12,7 +12,6 @@
 #include "cosy/sql_eval.hpp"
 #include "db/connection.hpp"
 #include "db/connection_pool.hpp"
-#include "db/distributed.hpp"
 #include "support/error.hpp"
 #include "support/str.hpp"
 #include "support/thread_pool.hpp"
@@ -240,62 +239,6 @@ class ShardedSqlBackend final : public EvalBackend {
   EvalStats stats_;  // summed from the pooled evaluators after each join
 };
 
-/// The distributed scatter/gather backend: whole-condition evaluation with
-/// statement execution routed through a db::Coordinator. Each statement's
-/// partition-pinned `part<K>` CTEs scatter across Worker replicas (built
-/// here from a ReplicaSet of the session's database unless the deps supply
-/// a coordinator), the gathered rows are injected into the residual merge,
-/// and failures/stragglers are absorbed by retry and re-issue — reports
-/// stay byte-identical to `sql-whole-condition` for any worker count. The
-/// worker kind follows the session's cost profile: modelled-remote workers
-/// (each behind its own db::Connection paying per-shard wire costs) for
-/// distributed profiles, in-process workers otherwise.
-class DistributedSqlBackend final : public EvalBackend {
- public:
-  explicit DistributedSqlBackend(const EvalBackendDeps& deps)
-      : EvalBackend(deps) {
-    if (deps.coordinator != nullptr) {
-      coordinator_ = deps.coordinator;
-    } else {
-      if (deps.conn == nullptr) lease_.emplace(deps.pool->acquire());
-      db::Connection& session = deps.conn != nullptr ? *deps.conn : **lease_;
-      const std::size_t workers = deps.threads != 0 ? deps.threads : 2;
-      replicas_.emplace(session.database(), workers);
-      owned_coordinator_.emplace(
-          session, db::make_workers(*replicas_, session.profile()));
-      // Staleness guard: ingest into the session's database between
-      // analyses version-bumps partitions, and the coordinator refreshes
-      // the affected replica partitions before the next scatter.
-      owned_coordinator_->attach_replicas(&*replicas_);
-      coordinator_ = &*owned_coordinator_;
-    }
-    eval_.emplace(*deps.model, coordinator_->session(),
-                  SqlEvalMode::kWholeCondition, deps.plan_cache);
-    eval_->set_coordinator(coordinator_);
-  }
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "sql-distributed";
-  }
-
-  [[nodiscard]] asl::PropertyResult evaluate(
-      const asl::PropertyInfo& property,
-      const std::vector<asl::RtValue>& args) override {
-    return eval_->evaluate_property(property, args);
-  }
-
-  [[nodiscard]] EvalStats stats() const override { return eval_->stats(); }
-
- private:
-  // Declaration order is destruction order in reverse: the evaluator and
-  // coordinator go before the replicas they execute against, the lease last.
-  std::optional<db::ConnectionPool::Lease> lease_;
-  std::optional<db::ReplicaSet> replicas_;
-  std::optional<db::Coordinator> owned_coordinator_;
-  db::Coordinator* coordinator_ = nullptr;
-  std::optional<SqlEvaluator> eval_;
-};
-
 /// One bulk transfer of every table in prepare(), then in-memory
 /// interpretation (the batch ablation point of the strategy comparison).
 class BulkFetchBackend final : public EvalBackend {
@@ -397,17 +340,6 @@ Registry& registry() {
          /*needs_store=*/false, /*needs_connection=*/true,
          [](const EvalBackendDeps& deps) {
            return std::make_unique<ShardedSqlBackend>(deps);
-         },
-         /*pool_satisfies_connection=*/true});
-    add({"sql-distributed",
-         "whole-condition statements executed through a coordinator/worker "
-         "split: partition-pinned part<K> CTEs scatter to per-worker "
-         "Database replicas (modelled-remote or in-process by connection "
-         "profile) with straggler re-issue and retry-with-backoff, merged "
-         "locally — byte-identical to sql-whole-condition",
-         /*needs_store=*/false, /*needs_connection=*/true,
-         [](const EvalBackendDeps& deps) {
-           return std::make_unique<DistributedSqlBackend>(deps);
          },
          /*pool_satisfies_connection=*/true});
     add({"client-fetch",

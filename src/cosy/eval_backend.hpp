@@ -16,7 +16,6 @@
 namespace kojak::db {
 class Connection;
 class ConnectionPool;
-class Coordinator;
 }
 
 namespace kojak::cosy {
@@ -46,12 +45,6 @@ struct EvalBackendDeps {
   PlanCache* plan_cache = nullptr;
   /// Worker count for intra-run sharding backends; 0 means hardware.
   std::size_t threads = 0;
-  /// Pre-built scatter/gather coordinator for sql-distributed (tests inject
-  /// one with faulted workers). Null: the backend builds its own worker
-  /// fleet — `threads` workers (default 2) over a ReplicaSet of the
-  /// session's database, modelled-remote when the session profile is
-  /// distributed, in-process otherwise.
-  db::Coordinator* coordinator = nullptr;
   /// Incremental shard-result cache for the whole-condition SQL family
   /// (cosy::Monitor supplies one that lives across epochs): partition-pinned
   /// `part<K>` CTE results are served from cache and only dirty partitions

@@ -10,8 +10,8 @@
 #include "asl/compilability.hpp"
 #include "cosy/db_import.hpp"
 #include "cosy/shard_cache.hpp"
-#include "db/distributed.hpp"
 #include "cosy/schema_gen.hpp"
+#include "db/sql/render.hpp"
 #include "support/error.hpp"
 #include "support/str.hpp"
 
@@ -2111,9 +2111,9 @@ void SqlEvaluator::ensure_shard_analysis(db::PreparedStatement& stmt,
   }
   if (memoable) analysis.memo_refs = std::move(memo_refs);
 
-  // Cacheable CTEs: same structural rule as the distributed coordinator's
-  // shard planner — no nested CTEs, catalog tables only, at least one
-  // partition-pinned scan, and the body renders back to SQL text.
+  // Cacheable CTEs: no nested CTEs, catalog tables only, at least one
+  // partition-pinned scan, and the body renders back to SQL text (the
+  // text is the fingerprint stem below).
   for (db::sql::CommonTableExpr& cte : select->ctes) {
     db::sql::SelectStmt& body = *cte.select;
     if (!body.ctes.empty()) continue;
@@ -2140,7 +2140,7 @@ void SqlEvaluator::ensure_shard_analysis(db::PreparedStatement& stmt,
     if (!catalog_only || !pinned) continue;
     ShardCteAnalysis::Cte entry;
     std::string text;
-    if (!db::render_select_sql(body, text, entry.order)) continue;
+    if (!db::sql::render_select_sql(body, text, entry.order)) continue;
     // Fingerprint stem = database identity + layout + body text, fixed for
     // the analysis lifetime (both invalidate it). The identity term scopes
     // entries to one store; the layout term retires entries cleanly across
@@ -2336,16 +2336,7 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
   }
 
   ++stats_.sql_queries;
-  // With a coordinator attached, the statement's `part<K>` CTEs scatter to
-  // its workers and the merge runs locally over the gathered rows; without
-  // one (or when nothing is distributable) execution is the plain session
-  // path. Either way the result is byte-identical.
   const db::QueryResult result = [&] {
-    if (coordinator_ != nullptr) {
-      return cache_ != nullptr
-                 ? coordinator_->execute(statement_for(plan), values)
-                 : coordinator_->execute(plan->sql, values);
-    }
     // Incremental path: with a shard cache attached, the statement-level
     // memo is consulted first — when every table the statement reads is at
     // the version it last ran against, the stored result is returned and

@@ -15,10 +15,6 @@
 #include "cosy/eval_stats.hpp"
 #include "db/connection.hpp"
 
-namespace kojak::db {
-class Coordinator;
-}
-
 namespace kojak::cosy {
 
 class ShardResultCache;
@@ -210,23 +206,12 @@ class SqlEvaluator {
     return layout_;
   }
 
-  /// Routes whole-condition statement execution through a distributed
-  /// coordinator: the statement's `part<K>` CTEs scatter to the
-  /// coordinator's workers and the merge executes locally over the gathered
-  /// rows. Null (the default) executes everything on the session. The
-  /// coordinator must outlive the evaluator and wrap the same session.
-  void set_coordinator(db::Coordinator* coordinator) noexcept {
-    coordinator_ = coordinator;
-  }
-
   /// Attaches an incremental shard-result cache: whole-condition statements
   /// resolve their partition-pinned `part<K>` CTEs through the cache,
   /// recomputing only partitions whose version token moved since the last
   /// pass, and the residual merge executes with the cached rows injected
   /// (byte-identical to a cold run; still one charged statement). The cache
   /// must be used against a single Database and must outlive the evaluator.
-  /// Precedence: a coordinator, when also attached, wins — scatter/gather
-  /// and the shard cache do not compose.
   void set_shard_cache(ShardResultCache* cache) noexcept {
     shard_cache_ = cache;
   }
@@ -327,7 +312,6 @@ class SqlEvaluator {
 
   const asl::Model* model_;
   db::Connection* conn_;
-  db::Coordinator* coordinator_ = nullptr;
   ShardResultCache* shard_cache_ = nullptr;
   SqlEvalMode mode_;
   PlanCache* cache_;

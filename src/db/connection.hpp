@@ -102,9 +102,9 @@ class Connection {
   QueryResult execute(PreparedStatement& stmt, std::span<const Value> params = {});
 
   /// Executes a SELECT with some WITH entries pre-materialized (the
-  /// distributed coordinator's gather path): injected names resolve to
-  /// worker results instead of executing their bodies. Charged like any
-  /// other statement against this session's cost profile.
+  /// shard-result cache's path): injected names resolve to the cached rows
+  /// instead of executing their bodies. Charged like any other statement
+  /// against this session's cost profile.
   QueryResult execute_with_ctes(sql::SelectStmt& stmt,
                                 std::span<const Value> params,
                                 std::span<const Database::InjectedCte> injected);

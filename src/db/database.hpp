@@ -83,10 +83,9 @@ class Database {
   QueryResult execute(PreparedStatement& stmt, std::span<const Value> params = {});
 
   /// One externally-materialized CTE handed to execute_select_with. The
-  /// distributed coordinator executes `part<K>` shard bodies on workers and
-  /// injects the gathered rows here; the executor skips the matching WITH
-  /// entries and resolves their names to the injected results instead.
-  /// `rows` must outlive the call.
+  /// shard-result cache injects cached `part<K>` rows here; the executor
+  /// skips the matching WITH entries and resolves their names to the
+  /// injected results instead. `rows` must outlive the call.
   struct InjectedCte {
     std::string_view name;
     const QueryResult* rows = nullptr;
@@ -94,9 +93,9 @@ class Database {
   /// Executes `stmt` with some of its WITH entries pre-materialized. CTEs
   /// whose names are absent from `injected` materialize as usual; names in
   /// `injected` that match no WITH entry are simply additional visible
-  /// derived tables. The residual coordinator expressions (scalar
-  /// subqueries over the injected names) execute unchanged, so the result
-  /// is byte-identical to a plain execute() of the same statement.
+  /// derived tables. The residual merge expressions (scalar subqueries
+  /// over the injected names) execute unchanged, so the result is
+  /// byte-identical to a plain execute() of the same statement.
   QueryResult execute_select_with(sql::SelectStmt& stmt,
                                   std::span<const Value> params,
                                   std::span<const InjectedCte> injected);
@@ -206,15 +205,6 @@ class Database {
      cosy::WholeConditionCompiler at compile time, once per rewritten          \
      aggregate site; plan-cache hits do not recompile and do not recount). */  \
   X(partition_union_rewrites)                                                  \
-  /* Distributed scatter/gather accounting, bumped by db::Coordinator          \
-     against the coordinator-session database: shard tasks handed to           \
-     workers, re-attempts after a worker failure, duplicate dispatches of      \
-     shards whose primary worker blew the deadline, and worker-side            \
-     failures observed (injected or real). */                                  \
-  X(shards_dispatched)                                                         \
-  X(shard_retries)                                                             \
-  X(straggler_reissues)                                                        \
-  X(worker_failures)                                                           \
   /* Incremental re-evaluation accounting, bumped by the whole-condition       \
      pipeline when a cosy::ShardResultCache is attached: per-partition         \
      `part<K>` CTE results served from cache (partition version                \
@@ -228,9 +218,6 @@ class Database {
      the statement reads was at the version it last ran against, so the        \
      pass reused the stored result without issuing the statement at all. */    \
   X(statements_memoized)                                                       \
-  /* Replica partitions re-synced by db::Coordinator because the replica       \
-     was behind the source table's partition version at scatter time. */       \
-  X(replica_refreshes)                                                         \
   /* Vectorized columnar accounting: partitions of STORAGE COLUMNAR            \
      tables scanned through the batch kernels instead of the row heap,         \
      fixed-width lane batches those scans processed, and live rows a           \
@@ -281,8 +268,8 @@ class Database {
     return out;
   }
 
-  // Internal: bumped by the executor, db::Coordinator and the cosy SQL
-  // pipeline (relaxed; telemetry only).
+  // Internal: bumped by the executor and the cosy SQL pipeline (relaxed;
+  // telemetry only).
 #define KOJAK_EXEC_BUMPER(name)                               \
   void count_##name(std::uint64_t n = 1) noexcept {           \
     exec_stats_.name.fetch_add(n, std::memory_order_relaxed); \

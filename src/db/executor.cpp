@@ -1018,7 +1018,7 @@ class SelectExec {
   /// (null at top level — one is created locally). `injected` optionally
   /// names externally-materialized results: WITH entries matching an
   /// injected name are not executed, their names resolve to the injected
-  /// rows (the distributed coordinator's gather path).
+  /// rows (the shard-result cache's injection path).
   SelectExec(Database& db, sql::SelectStmt& stmt, std::span<const Value> params,
              const CteScope* enclosing = nullptr, ExecEnv* env = nullptr,
              const CteScope* injected = nullptr)
@@ -1199,7 +1199,7 @@ class SelectExec {
     std::vector<bool> done(n, false);
     std::size_t materialized = 0;
     if (injected_ != nullptr) {
-      // Pre-materialized entries (distributed gather): mark them done so no
+      // Pre-materialized entries (shard-cache hits): mark them done so no
       // wave executes their bodies, and expose the injected rows under the
       // declared names. Declaration order is preserved ahead of every wave,
       // so lookup shadowing behaves as in the serial materialization.
@@ -2707,8 +2707,8 @@ class SelectExec {
   CteScope scope_;
   std::deque<QueryResult> cte_results_;
   ExecEnv* env_;
-  /// Externally-materialized CTE results (scatter/gather injection); null
-  /// for ordinary executions.
+  /// Externally-materialized CTE results (shard-cache injection); null for
+  /// ordinary executions.
   const CteScope* injected_ = nullptr;
   std::vector<ScanSource> sources_;
   std::unordered_map<const Expr*, Value> subquery_values_;

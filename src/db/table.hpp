@@ -151,7 +151,7 @@ class Table {
   // the row across partitions bumps BOTH sides (the tombstoned source and
   // the appending target). Versions are what incremental consumers key on:
   // a cached per-partition result is valid exactly while the partition's
-  // version is unchanged, and replica staleness is a version comparison.
+  // version is unchanged.
   [[nodiscard]] std::uint64_t partition_version(std::size_t partition) const {
     return parts_.at(partition).version;
   }

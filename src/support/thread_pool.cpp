@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <latch>
 
 namespace kojak::support {
 
@@ -71,27 +72,31 @@ void ThreadPool::parallel_for(
   std::mutex error_mutex;
   std::size_t error_index = n;
   std::exception_ptr error;
-  std::vector<std::future<void>> futures;
-  futures.reserve(tasks);
-  for (std::size_t worker = 0; worker < tasks; ++worker) {
-    futures.push_back(submit([&, worker] {
-      while (!failed) {
-        const std::size_t i = next++;
-        if (i >= n) return;
-        try {
-          body(i, worker);
-        } catch (...) {
-          const std::lock_guard lock(error_mutex);
-          if (i < error_index) {
-            error_index = i;
-            error = std::current_exception();
+  std::latch done(static_cast<std::ptrdiff_t>(tasks));
+  {
+    std::lock_guard lock(mutex_);
+    for (std::size_t worker = 0; worker < tasks; ++worker) {
+      tasks_.emplace([&, worker] {
+        while (!failed) {
+          const std::size_t i = next++;
+          if (i >= n) break;
+          try {
+            body(i, worker);
+          } catch (...) {
+            const std::lock_guard error_lock(error_mutex);
+            if (i < error_index) {
+              error_index = i;
+              error = std::current_exception();
+            }
+            failed = true;
           }
-          failed = true;
         }
-      }
-    }));
+        done.count_down();
+      });
+    }
   }
-  for (std::future<void>& future : futures) future.wait();
+  cv_.notify_all();
+  done.wait();
   if (error) std::rethrow_exception(error);
 }
 

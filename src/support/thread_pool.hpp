@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -12,12 +11,12 @@
 
 namespace kojak::support {
 
-/// Fixed-size worker pool. Every in-process fan-out in the library (the
-/// simulator's PE timelines, the sharded analysis backends, the batch
-/// analyzer's runs, the executor's partition scans and CTE waves) goes
-/// through parallel_for. Results are always reduced in a deterministic
-/// order by the caller, so pooled execution never changes output (only
-/// wall time).
+/// Fixed-size worker pool whose only entry point is parallel_for. Every
+/// in-process fan-out in the library (the simulator's PE timelines, the
+/// sharded analysis backends, the batch analyzer's runs, the executor's
+/// partition scans and CTE waves) goes through it. Results are always
+/// reduced in a deterministic order by the caller, so pooled execution
+/// never changes output (only wall time).
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads = 0);
@@ -30,20 +29,6 @@ class ThreadPool {
 
   /// True when the calling thread is one of this pool's workers.
   [[nodiscard]] bool owns_current_thread() const noexcept;
-
-  /// Enqueues a task; the future reports its result or exception.
-  template <typename F>
-  [[nodiscard]] std::future<std::invoke_result_t<F>> submit(F&& task) {
-    using R = std::invoke_result_t<F>;
-    auto packaged = std::make_shared<std::packaged_task<R()>>(std::forward<F>(task));
-    std::future<R> future = packaged->get_future();
-    {
-      std::lock_guard lock(mutex_);
-      tasks_.emplace([packaged] { (*packaged)(); });
-    }
-    cv_.notify_one();
-    return future;
-  }
 
   /// Runs body(i, worker) for every i in [0, n) on min(workers, n) tasks
   /// (workers == 0 means size()) and blocks until all of them returned.

@@ -103,7 +103,6 @@ TEST(EvalBackendRegistry, ListsAllBuiltins) {
       {"client-fetch", true},
       {"interpreter", false},
       {"interpreter-sharded", false},
-      {"sql-distributed", true},
       {"sql-pushdown", true},
       {"sql-sharded", true},
       {"sql-whole-condition", true},

@@ -148,8 +148,7 @@ TEST(ColumnarStore, AllBackendsByteIdenticalAcrossLayouts) {
 
   for (const char* backend :
        {"interpreter", "sql-pushdown", "sql-whole-condition",
-        "sql-whole-condition-plain", "sql-distributed", "client-fetch",
-        "bulk-fetch"}) {
+        "sql-whole-condition-plain", "client-fetch", "bulk-fetch"}) {
     const std::string reference =
         render_exact(analyze(world, world.row_flat, backend, 0));
     EXPECT_FALSE(reference.empty()) << backend;

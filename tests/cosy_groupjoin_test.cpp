@@ -271,8 +271,8 @@ TEST(GroupJoin, AnalyzerBackendsByteIdenticalAcrossLayouts) {
   world.row_part.set_scan_config({.threads = 4, .min_parallel_rows = 1});
   world.col_part.set_scan_config({.threads = 4, .min_parallel_rows = 1});
 
-  for (const char* backend : {"interpreter", "sql-pushdown",
-                              "sql-whole-condition", "sql-distributed"}) {
+  for (const char* backend :
+       {"interpreter", "sql-pushdown", "sql-whole-condition"}) {
     const std::string reference =
         render_exact(analyze(world, world.row_flat, backend));
     EXPECT_FALSE(reference.empty()) << backend;

@@ -1255,15 +1255,10 @@ TEST(Exec, ExecStatsCountersWiredOneToOne) {
       KOJAK_COUNTER(parallel_scan_batches),
       KOJAK_COUNTER(cte_parallel_materializations),
       KOJAK_COUNTER(partition_union_rewrites),
-      KOJAK_COUNTER(shards_dispatched),
-      KOJAK_COUNTER(shard_retries),
-      KOJAK_COUNTER(straggler_reissues),
-      KOJAK_COUNTER(worker_failures),
       KOJAK_COUNTER(shard_cache_hits),
       KOJAK_COUNTER(shard_cache_misses),
       KOJAK_COUNTER(dirty_partitions_recomputed),
       KOJAK_COUNTER(statements_memoized),
-      KOJAK_COUNTER(replica_refreshes),
       KOJAK_COUNTER(columnar_scans),
       KOJAK_COUNTER(vectorized_batches),
       KOJAK_COUNTER(rows_skipped_by_bitmap),
@@ -1280,7 +1275,7 @@ TEST(Exec, ExecStatsCountersWiredOneToOne) {
   // clang-format on
 #undef KOJAK_COUNTER
   // A counter added to the snapshot but not to this table fails here.
-  ASSERT_EQ(counters.size(), 29u);
+  ASSERT_EQ(counters.size(), 24u);
   ASSERT_EQ(sizeof(Snapshot), counters.size() * sizeof(std::uint64_t));
 
   Database db;

@@ -11,16 +11,15 @@
 #include "cosy/sql_eval.hpp"
 #include "db/connection.hpp"
 #include "db/database.hpp"
-#include "db/distributed.hpp"
 #include "db/sql/lexer.hpp"
 #include "db/sql/parser.hpp"
+#include "db/sql/render.hpp"
 #include "support/error.hpp"
 
 namespace cosy = kojak::cosy;
 namespace db = kojak::db;
 namespace sql = kojak::db::sql;
 using kojak::support::ParseError;
-using db::render_select_sql;
 
 // ---------------------------------------------------------------------------
 // Lexer
@@ -522,12 +521,6 @@ std::string render_rows(const db::QueryResult& result) {
   return out;
 }
 
-const sql::SelectStmt& as_select(const sql::Statement& stmt) {
-  const auto* select = std::get_if<sql::SelectStmt>(&stmt);
-  if (select == nullptr) throw std::runtime_error("not a SELECT");
-  return *select;
-}
-
 }  // namespace
 
 TEST(SqlRender, ShardRenderingRoundTripsTextAndParamOrder) {
@@ -539,7 +532,7 @@ TEST(SqlRender, ShardRenderingRoundTripsTextAndParamOrder) {
   ASSERT_NE(select, nullptr);
   std::string text;
   std::vector<std::size_t> order;
-  ASSERT_TRUE(render_select_sql(*select, text, order));
+  ASSERT_TRUE(sql::render_select_sql(*select, text, order));
   // The rendered text re-parses and the placeholders keep their order.
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1}));
   db.execute("INSERT INTO t VALUES (5, 1.5)");
@@ -569,7 +562,7 @@ TEST(SqlRender, CosyShardCteBodiesRenderToAFixedPoint) {
   for (const kojak::asl::PropertyInfo& prop : model.properties()) {
     const sql::Statement parsed =
         sql::parse_single(eval.explain_whole_condition(prop));
-    const sql::SelectStmt& statement = as_select(parsed);
+    const auto& statement = std::get<sql::SelectStmt>(parsed);
     // The shard cache's structural rule: no nested CTEs, catalog tables
     // only, at least one partition-pinned scan.
     for (const sql::CommonTableExpr& cte : statement.ctes) {
@@ -587,11 +580,12 @@ TEST(SqlRender, CosyShardCteBodiesRenderToAFixedPoint) {
 
       std::string text;
       std::vector<std::size_t> order;
-      ASSERT_TRUE(render_select_sql(body, text, order));
+      ASSERT_TRUE(sql::render_select_sql(body, text, order));
       const sql::Statement reparsed = sql::parse_single(text);
       std::string again;
       std::vector<std::size_t> again_order;
-      ASSERT_TRUE(render_select_sql(as_select(reparsed), again, again_order));
+      ASSERT_TRUE(sql::render_select_sql(std::get<sql::SelectStmt>(reparsed),
+                                         again, again_order));
       EXPECT_EQ(again, text);
       // A re-parse numbers `?` sequentially, so the fixed point of `order`
       // is the identity over the same number of placeholders.

@@ -281,18 +281,6 @@ TEST(Csv, ParsePlainLine) {
 // ---------------------------------------------------------------------------
 // ThreadPool
 
-TEST(ThreadPool, SubmitReturnsValue) {
-  ks::ThreadPool pool(2);
-  auto f = pool.submit([] { return 21 * 2; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesException) {
-  ks::ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw ks::Error("boom"); });
-  EXPECT_THROW(f.get(), ks::Error);
-}
-
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ks::ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
@@ -366,25 +354,26 @@ TEST(ThreadPool, ParallelForRethrowsLowestFailingIndex) {
 
 TEST(ThreadPool, NestedParallelForRunsInline) {
   // A parallel_for issued from one of the pool's own workers runs inline on
-  // that worker: the 1-thread pool's only worker cannot wait for tasks it
-  // would have to run itself.
-  ks::ThreadPool pool(1);
+  // that worker: with both workers of the 2-thread pool busy in the outer
+  // loop, neither could wait for tasks it would have to run itself.
+  ks::ThreadPool pool(2);
   EXPECT_FALSE(pool.owns_current_thread());
-  std::vector<std::size_t> order;
+  std::vector<std::vector<std::size_t>> orders(2);
   std::atomic<int> off_thread{0};
-  auto nested = pool.submit([&] {
+  pool.parallel_for(2, 2, [&](std::size_t outer_i, std::size_t) {
     EXPECT_TRUE(pool.owns_current_thread());
     const std::thread::id outer = std::this_thread::get_id();
     pool.parallel_for(10, 4, [&](std::size_t i, std::size_t worker) {
       if (std::this_thread::get_id() != outer || worker != 0) off_thread++;
-      order.push_back(i);
+      orders[outer_i].push_back(i);
     });
   });
-  nested.get();
   EXPECT_EQ(off_thread.load(), 0);
   std::vector<std::size_t> expected(10);
   std::iota(expected.begin(), expected.end(), 0u);
-  EXPECT_EQ(order, expected);
+  for (const std::vector<std::size_t>& order : orders) {
+    EXPECT_EQ(order, expected);
+  }
 }
 
 // ---------------------------------------------------------------------------
