@@ -281,6 +281,10 @@ int main(int argc, char** argv) {
       std::cout << report.sql_queries << " SQL statements issued ("
                 << options.backend << ")\n";
     }
+    if (report.whole_fallbacks > 0) {
+      std::cout << report.whole_fallbacks
+                << " context(s) fell back to site-wise evaluation\n";
+    }
     return report.tuned() ? 0 : 1;
   } catch (const support::Error& error) {
     std::cerr << "error: " << error.what() << '\n';

@@ -213,6 +213,7 @@ AnalysisReport Analyzer::analyze(std::size_t run_index,
 
   const EvalStats stats = backend->stats();
   report.sql_queries = stats.sql_queries;
+  report.whole_fallbacks = stats.whole_fallbacks;
   report.plan_cache_hits = stats.plan_cache_hits;
   report.plan_cache_misses = stats.plan_cache_misses;
 

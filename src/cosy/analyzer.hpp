@@ -63,6 +63,9 @@ struct AnalysisReport {
   /// Contexts where evaluation was not applicable (data gaps), for audit.
   std::vector<Finding> not_applicable;
   std::uint64_t sql_queries = 0;  ///< statements issued (SQL backends)
+  /// sql-whole-condition contexts that did not run as one statement and
+  /// were re-evaluated site-wise (see EvalStats::whole_fallbacks).
+  std::uint64_t whole_fallbacks = 0;
   /// Plan-cache traffic (SQL backends with a PlanCache). Telemetry, not
   /// part of the deterministic contract: with a cache shared by concurrent
   /// analyses, racing workers may both compile a cold site, so the split

@@ -7,7 +7,6 @@
 #include <set>
 #include <span>
 
-#include "asl/compilability.hpp"
 #include "cosy/db_import.hpp"
 #include "cosy/shard_cache.hpp"
 #include "cosy/schema_gen.hpp"
@@ -17,6 +16,7 @@
 
 namespace kojak::cosy {
 
+using asl::ast::AggKind;
 using asl::ast::Expr;
 using asl::EnumVal;
 using asl::ObjectId;
@@ -93,8 +93,68 @@ std::size_t count_occurrences(std::string_view text, std::string_view needle) {
   return occurrences_outside_literals(text, needle).size();
 }
 
-/// Binder-correlation test shared with the compilability classifier.
-using asl::mentions_name;
+/// True when `e` mentions `name` outside a shadowing comprehension or
+/// aggregate binder of the same name: the binder-correlation test of both
+/// SQL translators.
+bool mentions_name(const Expr& e,  // NOLINT(misc-no-recursion)
+                   const std::string& name) {
+  if (e.kind == Expr::Kind::kIdent && e.name == name) return true;
+  // A nested binder of the same name shadows the outer one.
+  if ((e.kind == Expr::Kind::kComprehension ||
+       e.kind == Expr::Kind::kAggregate) &&
+      e.name == name) {
+    return e.base && mentions_name(*e.base, name);
+  }
+  if (e.base && mentions_name(*e.base, name)) return true;
+  if (e.lhs && mentions_name(*e.lhs, name)) return true;
+  if (e.rhs && mentions_name(*e.rhs, name)) return true;
+  if (e.agg_value && mentions_name(*e.agg_value, name)) return true;
+  if (e.filter && mentions_name(*e.filter, name)) return true;
+  for (const auto& arg : e.args) {
+    if (mentions_name(*arg, name)) return true;
+  }
+  return false;
+}
+
+/// The SQL spelling of an ASL binary operator.
+const char* sql_operator(asl::ast::BinOp op) {
+  using asl::ast::BinOp;
+  switch (op) {
+    case BinOp::kAdd: return "+";
+    case BinOp::kSub: return "-";
+    case BinOp::kMul: return "*";
+    case BinOp::kDiv: return "/";
+    case BinOp::kEq: return "=";
+    case BinOp::kNe: return "<>";
+    case BinOp::kLt: return "<";
+    case BinOp::kLe: return "<=";
+    case BinOp::kGt: return ">";
+    case BinOp::kGe: return ">=";
+    case BinOp::kAnd: return "AND";
+    case BinOp::kOr: return "OR";
+  }
+  return "?";
+}
+
+/// ASL's total equality for two operands that may both be legal nulls
+/// (RtValue::equals: null equals null, and nothing else).
+std::string total_equality(const std::string& lhs, const std::string& rhs) {
+  return support::cat("(COALESCE((", lhs, " = ", rhs, "), FALSE) OR (", lhs,
+                      " IS NULL AND ", rhs, " IS NULL))");
+}
+
+/// Unrolls the member chain `root.a.b` into `chain` (base-most first) and
+/// returns its root.
+const Expr* unroll_member_chain(const Expr& e,
+                                std::vector<const Expr*>& chain) {
+  const Expr* root = &e;
+  while (root->kind == Expr::Kind::kMember) {
+    chain.push_back(root);
+    root = root->base.get();
+  }
+  std::reverse(chain.begin(), chain.end());
+  return root;
+}
 
 }  // namespace
 
@@ -154,6 +214,252 @@ CompiledPlan finalize(const Compiled& compiled, PlanBuild&& build,
   }
   return plan;
 }
+
+struct EnvFrame;
+
+/// A name visible during whole-condition compilation: a property argument
+/// (becomes a `?` parameter) or an expression alias (LET binding or inlined
+/// function parameter, compiled on reference in the scope it was written
+/// in).
+struct Binding {
+  enum class Kind { kArg, kExpr };
+  std::string_view name;
+  Kind kind = Kind::kArg;
+  std::size_t arg_index = 0;          // kArg
+  Type type;                          // declared static type
+  const Expr* expr = nullptr;         // kExpr
+  const EnvFrame* def_env = nullptr;  // scope the expr was written in
+};
+struct EnvFrame {
+  Binding binding;
+  const EnvFrame* parent = nullptr;
+};
+
+/// One set query under construction: FROM/JOIN fragments plus WHERE
+/// conjuncts, with the set's members bound to alias `b`.
+struct SetSpec {
+  std::string binder;  // empty until a comprehension/aggregate names one
+  std::uint32_t elem_class = 0;
+  std::vector<std::string> from_joins;
+  std::vector<std::string> conjuncts;
+  int alias_counter = 0;
+  /// Whole-condition scope the set expression was written in: where its
+  /// uncorrelated subexpressions compile. The site-wise translator keeps
+  /// its scope in its own environment and leaves this null.
+  const EnvFrame* env = nullptr;
+  /// Catalog table and alias of from_joins[0] — what the partition-union
+  /// rewrite checks against the layout metadata.
+  std::string base_table;
+  std::string base_alias;
+
+  [[nodiscard]] std::string from_where() const {
+    std::string out = " FROM ";
+    for (std::size_t i = 0; i < from_joins.size(); ++i) {
+      if (i > 0) out += ' ';
+      out += from_joins[i];
+    }
+    if (!conjuncts.empty()) {
+      out += " WHERE ";
+      for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+        if (i > 0) out += " AND ";
+        out += conjuncts[i];
+      }
+    }
+    return out;
+  }
+};
+
+/// SQL text of a set-filter operand, with what ASL equality needs to know
+/// about its nulls.
+struct FilterSql {
+  enum class Null {
+    kNever,  ///< never a legal null at run time
+    kLegal,  ///< may be a legal null (an unset attribute)
+    kIs,     ///< null in this compilation (the null literal, or a value
+             ///< that is null in the compiling context)
+  };
+  std::string sql;
+  Null null = Null::kNever;
+};
+
+/// ASL equality inside a set filter. A side that is null here turns it into
+/// IS [NOT] NULL of the other side; two sides that may both be legal nulls
+/// compare with the total equality; a legal null differs from any value;
+/// anything else compares plainly.
+std::string filter_equality(asl::ast::BinOp op, const FilterSql& lhs,
+                            const FilterSql& rhs) {
+  using Null = FilterSql::Null;
+  const bool eq = op == asl::ast::BinOp::kEq;
+  if (lhs.null == Null::kIs || rhs.null == Null::kIs) {
+    const std::string& tested = rhs.null == Null::kIs ? lhs.sql : rhs.sql;
+    return support::cat("(", tested, eq ? " IS NULL)" : " IS NOT NULL)");
+  }
+  if (lhs.null == Null::kLegal && rhs.null == Null::kLegal) {
+    const std::string equal = total_equality(lhs.sql, rhs.sql);
+    return eq ? equal : support::cat("(NOT ", equal, ")");
+  }
+  if (!eq && (lhs.null == Null::kLegal || rhs.null == Null::kLegal)) {
+    return support::cat("(COALESCE((", lhs.sql, " <> ", rhs.sql, "), TRUE))");
+  }
+  return support::cat("(", lhs.sql, eq ? " = " : " <> ", rhs.sql, ")");
+}
+
+/// The set translation both SQL translators share: a setof attribute chain
+/// (or a comprehension over one) becomes FROM/JOIN/WHERE text, a member
+/// path rooted at the binder becomes one JOIN per object hop, and a set
+/// filter becomes a WHERE conjunct. Each translator supplies its own leaf
+/// rules: the owner of a setof access, and a filter subexpression that does
+/// not mention the binder.
+class SetTranslator {
+ public:
+  /// A setof attribute chain or a comprehension over one; `env` is the
+  /// whole-condition scope the set is written in.
+  SetSpec compile_set(const Expr& e,  // NOLINT(misc-no-recursion)
+                      const EnvFrame* env) {
+    if (e.kind == Expr::Kind::kComprehension) {
+      return filtered_set(*e.base, e.name, e.filter.get(), env);
+    }
+    if (e.kind != Expr::Kind::kMember) {
+      throw not_compilable(
+          "set expression must be a setof attribute chain or a "
+          "comprehension over one");
+    }
+    SetSpec sq;
+    sq.env = env;
+    const auto [owner, owner_class] = set_owner(*e.base, sq);
+    const asl::ClassInfo& cls = model_->class_info(owner_class);
+    const auto attr = cls.find_attr(e.name);
+    if (!attr || cls.attrs[*attr].type.kind != TypeKind::kSet) {
+      throw not_compilable(support::cat(
+          "'", e.name, "' is not a setof attribute of ", cls.name));
+    }
+    sq.elem_class = cls.attrs[*attr].type.id;
+    sq.base_table = junction_table(cls.name, e.name);
+    sq.base_alias = "j";
+    sq.from_joins.push_back(sq.base_table + " j");
+    sq.from_joins.push_back(
+        support::cat("JOIN ", model_->class_info(sq.elem_class).name,
+                     " b ON b.id = j.member"));
+    sq.conjuncts.push_back(support::cat("j.owner = ", owner));
+    return sq;
+  }
+
+  /// The set `base` with `binder` naming its members and `filter` (if any)
+  /// compiled into the WHERE clause: a comprehension, or an aggregate's
+  /// range.
+  SetSpec filtered_set(const Expr& base,  // NOLINT(misc-no-recursion)
+                       const std::string& binder, const Expr* filter,
+                       const EnvFrame* env) {
+    SetSpec sq = compile_set(base, env);
+    sq.binder = binder;
+    if (filter != nullptr) sq.conjuncts.push_back(over_binder(*filter, sq).sql);
+    return sq;
+  }
+
+  /// Filter or aggregate-value expression with the set's binder in scope.
+  /// Subexpressions not touching the binder go to the translator's leaf
+  /// rule; subexpressions that do are limited to member chains and scalar
+  /// glue — the engine's scalar subqueries cannot be correlated with an
+  /// enclosing row.
+  FilterSql over_binder(const Expr& e,  // NOLINT(misc-no-recursion)
+                        SetSpec& sq) {
+    using Kind = Expr::Kind;
+    if (e.kind == Kind::kNullLit) return {"NULL", FilterSql::Null::kIs};
+    if (!sq.binder.empty() && !mentions_name(e, sq.binder)) {
+      return filter_leaf(e, sq);
+    }
+    switch (e.kind) {
+      case Kind::kIdent:
+        if (e.name == sq.binder) return {"b.id"};
+        break;  // unreachable: non-binder idents hit the leaf rule
+      case Kind::kMember: {
+        std::vector<const Expr*> chain;
+        const Expr* root = unroll_member_chain(e, chain);
+        if (root->kind != Kind::kIdent || root->name != sq.binder) {
+          throw not_compilable(
+              "member path in a set filter must be rooted at the binder");
+        }
+        return {join_path(sq, "b", sq.elem_class, chain).first,
+                FilterSql::Null::kLegal};
+      }
+      case Kind::kUnary: {
+        const std::string operand = over_binder(*e.lhs, sq).sql;
+        return {support::cat(
+            e.un_op == asl::ast::UnOp::kNot ? "(NOT " : "(-", operand, ")")};
+      }
+      case Kind::kBinary: {
+        // Sequence the sides explicitly: both may emit parameters, and the
+        // recording order must be deterministic.
+        const FilterSql lhs = over_binder(*e.lhs, sq);
+        const FilterSql rhs = over_binder(*e.rhs, sq);
+        if (e.bin_op == asl::ast::BinOp::kEq ||
+            e.bin_op == asl::ast::BinOp::kNe) {
+          return {filter_equality(e.bin_op, lhs, rhs)};
+        }
+        return {support::cat("(", lhs.sql, " ", sql_operator(e.bin_op), " ",
+                             rhs.sql, ")")};
+      }
+      default:
+        break;
+    }
+    throw not_compilable(support::cat(
+        "expression correlated with binder '", sq.binder,
+        "' is not compilable (aggregates/calls over the binder are not "
+        "supported)"));
+  }
+
+  /// Walks `chain` starting from `alias` (an instance of `cls_id`), adding
+  /// one JOIN per intermediate object reference; returns the final column
+  /// and its attribute type.
+  std::pair<std::string, Type> join_path(SetSpec& sq, std::string alias,
+                                         std::uint32_t cls_id,
+                                         std::span<const Expr* const> chain) {
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+      const asl::ClassInfo& cls = model_->class_info(cls_id);
+      const auto attr = cls.find_attr(chain[i]->name);
+      if (!attr) {
+        throw not_compilable(support::cat("class ", cls.name,
+                                          " has no attribute '",
+                                          chain[i]->name, "'"));
+      }
+      const Type& attr_type = cls.attrs[*attr].type;
+      if (i + 1 == chain.size()) {
+        if (attr_type.kind == TypeKind::kSet) {
+          throw not_compilable(support::cat("set-valued attribute '",
+                                            chain[i]->name,
+                                            "' in scalar position"));
+        }
+        return {support::cat(alias, ".", chain[i]->name), attr_type};
+      }
+      if (attr_type.kind != TypeKind::kClass) {
+        throw not_compilable(support::cat("'.", chain[i]->name,
+                                          "' must be an object reference"));
+      }
+      const std::string next = support::cat("t", sq.alias_counter++);
+      sq.from_joins.push_back(
+          support::cat("JOIN ", model_->class_info(attr_type.id).name, " ",
+                       next, " ON ", next, ".id = ", alias, ".",
+                       chain[i]->name));
+      alias = next;
+      cls_id = attr_type.id;
+    }
+    throw not_compilable("empty member path");
+  }
+
+ protected:
+  explicit SetTranslator(const asl::Model& model) : model_(&model) {}
+  ~SetTranslator() = default;
+
+  /// SQL text and class of the object that owns a setof access.
+  virtual std::pair<std::string, std::uint32_t> set_owner(
+      const Expr& e, const SetSpec& sq) = 0;
+  /// A filter subexpression that does not mention the binder.
+  virtual FilterSql filter_leaf(const Expr& e, const SetSpec& sq) = 0;
+  [[nodiscard]] virtual EvalError not_compilable(
+      std::string_view what) const = 0;
+
+  const asl::Model* model_;
+};
 
 }  // namespace
 
@@ -223,10 +529,10 @@ void PlanCache::record(bool hit) {
 
 /// Expression evaluator with one environment; issues SQL through the owning
 /// SqlEvaluator's connection.
-class SqlExprEval {
+class SqlExprEval final : public SetTranslator {
  public:
   SqlExprEval(SqlEvaluator& owner, const asl::PropertyInfo* prop = nullptr)
-      : owner_(owner), prop_(prop) {}
+      : SetTranslator(*owner.model_), owner_(owner), prop_(prop) {}
 
   void push(std::string name, TV value) {
     env_.emplace_back(std::move(name), std::move(value));
@@ -295,14 +601,6 @@ class SqlExprEval {
     if (build_ == nullptr) return value.to_sql_literal();
     return build_->marker({nullptr, CompiledPlan::Slot::kProvided, index, {}},
                           value);
-  }
-
-  /// Records that the compiled text assumed `origin` evaluates to null
-  /// (IS NULL forms); no placeholder is emitted.
-  void note_assert_null(const Expr* origin) {
-    if (build_ == nullptr) return;
-    build_->params.push_back({origin, CompiledPlan::Slot::kAssertNull, 0, {}});
-    build_->values.push_back(db::Value::null());
   }
 
   /// Evaluates a cached plan's parameters for the current context. Returns
@@ -512,192 +810,34 @@ class SqlExprEval {
     throw EvalError("unknown aggregate kind");
   }
 
-  // --- set compilation -------------------------------------------------------
+  // --- set compilation: the site-wise leaf rules --------------------------
 
-  struct SetQuery {
-    std::string binder_name;
-    std::string binder_alias = "b";
-    std::uint32_t elem_class = 0;
-    std::vector<std::string> from_joins;  // FROM fragment + JOIN fragments
-    std::vector<std::string> conjuncts;
-    int alias_counter = 0;
-
-    [[nodiscard]] std::string from_where() const {
-      std::string out = " FROM ";
-      for (std::size_t i = 0; i < from_joins.size(); ++i) {
-        if (i > 0) out += ' ';
-        out += from_joins[i];
-      }
-      if (!conjuncts.empty()) {
-        out += " WHERE ";
-        for (std::size_t i = 0; i < conjuncts.size(); ++i) {
-          if (i > 0) out += " AND ";
-          out += conjuncts[i];
-        }
-      }
-      return out;
+  std::pair<std::string, std::uint32_t> set_owner(const Expr& e,
+                                                  const SetSpec&) override {
+    const TV base = eval(e);
+    if (base.t.kind != TypeKind::kClass) {
+      throw not_compilable("set base must be an object");
     }
-  };
-
-  SetQuery compile_set(const Expr& e) {
-    if (e.kind == Expr::Kind::kMember) {
-      const TV base = eval(*e.base);
-      if (base.t.kind != TypeKind::kClass) {
-        throw EvalError("SQL strategy: set base must be an object");
-      }
-      const asl::ClassInfo& cls = model().class_info(base.t.id);
-      const auto attr = cls.find_attr(e.name);
-      if (!attr || cls.attrs[*attr].type.kind != TypeKind::kSet) {
-        throw EvalError(support::cat("SQL strategy: '", e.name,
-                                     "' is not a setof attribute of ",
-                                     cls.name));
-      }
-      const ObjectId owner_id = base.v.as_object();
-      if (owner_id == asl::kNullObject) {
-        throw EvalError("SQL strategy: set access on null object");
-      }
-      SetQuery sq;
-      sq.elem_class = cls.attrs[*attr].type.id;
-      const std::string elem_table = model().class_info(sq.elem_class).name;
-      sq.from_joins.push_back(junction_table(cls.name, e.name) + " j");
-      sq.from_joins.push_back(
-          support::cat("JOIN ", elem_table, " b ON b.id = j.member"));
-      sq.conjuncts.push_back(support::cat(
-          "j.owner = ",
-          emit_object(e.base.get(), owner_id,
-                      "SQL strategy: set access on null object")));
-      return sq;
+    if (base.v.is_null()) {
+      throw EvalError("SQL strategy: set access on null object");
     }
-    if (e.kind == Expr::Kind::kComprehension) {
-      SetQuery sq = compile_set(*e.base);
-      sq.binder_name = e.name;
-      if (e.filter) {
-        sq.conjuncts.push_back(sql_expr(*e.filter, sq));
-      }
-      return sq;
-    }
-    throw EvalError(
-        "SQL strategy: set expression must be a setof attribute chain or a "
-        "comprehension over one");
+    return {emit_object(&e, base.v.as_object(),
+                        "SQL strategy: set access on null object"),
+            base.t.id};
   }
 
-  /// Compiles a scalar expression over the binder of `sq` into SQL text;
-  /// sub-expressions not touching the binder evaluate client-side into
-  /// bound parameters or literals (this is how uncorrelated nested
-  /// aggregates become scalar constants in the query).
-  std::string sql_expr(const Expr& e, SetQuery& sq) {
-    using Kind = Expr::Kind;
-    if (!sq.binder_name.empty() && !mentions_name(e, sq.binder_name)) {
-      return emit_scalar(&e, eval(e));
-    }
-    switch (e.kind) {
-      case Kind::kIdent:
-        if (e.name == sq.binder_name) return sq.binder_alias + ".id";
-        break;  // unreachable: non-binder idents hit the scalar path
-      case Kind::kMember:
-        return compile_path(e, sq);
-      case Kind::kUnary: {
-        const std::string operand = sql_expr(*e.lhs, sq);
-        if (e.un_op == asl::ast::UnOp::kNot) {
-          return support::cat("(NOT ", operand, ")");
-        }
-        return support::cat("(-", operand, ")");
-      }
-      case Kind::kBinary: {
-        using asl::ast::BinOp;
-        // `x == null` / `x != null` compile to IS [NOT] NULL.
-        if (e.bin_op == BinOp::kEq || e.bin_op == BinOp::kNe) {
-          const Expr* lhs = e.lhs.get();
-          const Expr* rhs = e.rhs.get();
-          // 0 = not a null side; 1 = statically null; 2 = null this context.
-          const auto null_side = [&](const Expr& side) -> int {
-            if (side.kind == Kind::kNullLit) return 1;
-            if (mentions_name(side, sq.binder_name)) return 0;
-            return eval(side).v.is_null() ? 2 : 0;
-          };
-          const int rhs_null = null_side(*rhs);
-          const int lhs_null = rhs_null != 0 ? 0 : null_side(*lhs);
-          if (rhs_null != 0 || lhs_null != 0) {
-            const Expr& tested = rhs_null != 0 ? *lhs : *rhs;
-            const Expr& nulled = rhs_null != 0 ? *rhs : *lhs;
-            const std::string tested_sql = sql_expr(tested, sq);
-            if ((rhs_null | lhs_null) == 2) note_assert_null(&nulled);
-            return support::cat("(", tested_sql,
-                                e.bin_op == BinOp::kEq ? " IS NULL)"
-                                                       : " IS NOT NULL)");
-          }
-        }
-        const char* op = nullptr;
-        switch (e.bin_op) {
-          case BinOp::kAdd: op = "+"; break;
-          case BinOp::kSub: op = "-"; break;
-          case BinOp::kMul: op = "*"; break;
-          case BinOp::kDiv: op = "/"; break;
-          case BinOp::kEq: op = "="; break;
-          case BinOp::kNe: op = "<>"; break;
-          case BinOp::kLt: op = "<"; break;
-          case BinOp::kLe: op = "<="; break;
-          case BinOp::kGt: op = ">"; break;
-          case BinOp::kGe: op = ">="; break;
-          case BinOp::kAnd: op = "AND"; break;
-          case BinOp::kOr: op = "OR"; break;
-        }
-        // Sequence the sides explicitly: both emit parameters, and their
-        // recording order must be deterministic.
-        const std::string lhs_sql = sql_expr(*e.lhs, sq);
-        const std::string rhs_sql = sql_expr(*e.rhs, sq);
-        return support::cat("(", lhs_sql, " ", op, " ", rhs_sql, ")");
-      }
-      default:
-        break;
-    }
-    throw EvalError(support::cat(
-        "SQL strategy: expression correlated with binder '", sq.binder_name,
-        "' is not compilable (aggregates/calls over the binder are not "
-        "supported)"));
+  /// Evaluates the subexpression now and binds its value: uncorrelated
+  /// nested aggregates become scalar constants of the query. A non-null
+  /// value is bound under a kValue guard, so it is never null when the
+  /// plan runs.
+  FilterSql filter_leaf(const Expr& e, const SetSpec&) override {
+    const TV tv = eval(e);
+    return {emit_scalar(&e, tv),
+            tv.v.is_null() ? FilterSql::Null::kIs : FilterSql::Null::kNever};
   }
 
-  /// Member chain rooted at the binder: each intermediate ref-attribute hop
-  /// becomes a JOIN; the final attribute becomes a column reference.
-  std::string compile_path(const Expr& e, SetQuery& sq) {
-    // Unroll the chain: base-most first.
-    std::vector<const Expr*> chain;
-    const Expr* cur = &e;
-    while (cur->kind == Expr::Kind::kMember) {
-      chain.push_back(cur);
-      cur = cur->base.get();
-    }
-    if (cur->kind != Expr::Kind::kIdent || cur->name != sq.binder_name) {
-      throw EvalError("SQL strategy: member path must be rooted at the binder");
-    }
-    std::reverse(chain.begin(), chain.end());
-
-    std::string alias = sq.binder_alias;
-    std::uint32_t cls_id = sq.elem_class;
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      const asl::ClassInfo& cls = model().class_info(cls_id);
-      const auto attr = cls.find_attr(chain[i]->name);
-      if (!attr) {
-        throw EvalError(support::cat("class ", cls.name, " has no attribute '",
-                                     chain[i]->name, "'"));
-      }
-      const Type& attr_type = cls.attrs[*attr].type;
-      if (i + 1 == chain.size()) {
-        return support::cat(alias, ".", chain[i]->name);
-      }
-      if (attr_type.kind != TypeKind::kClass) {
-        throw EvalError(support::cat("SQL strategy: '.", chain[i]->name,
-                                     "' must be an object reference"));
-      }
-      const std::string next_alias = support::cat("t", sq.alias_counter++);
-      sq.from_joins.push_back(
-          support::cat("JOIN ", model().class_info(attr_type.id).name, " ",
-                       next_alias, " ON ", next_alias, ".id = ", alias, ".",
-                       chain[i]->name));
-      alias = next_alias;
-      cls_id = attr_type.id;
-    }
-    throw EvalError("empty member path");  // unreachable
+  [[nodiscard]] EvalError not_compilable(std::string_view what) const override {
+    return EvalError(support::cat("SQL strategy: ", what));
   }
 
   [[nodiscard]] std::string literal_of(const TV& tv) const {
@@ -831,7 +971,7 @@ class SqlExprEval {
         }
         const SiteResult site =
             run_site(e, SiteKind::kSetIds, {}, [&]() -> Compiled {
-              SetQuery sq = compile_set(e);
+              const SetSpec sq = compile_set(e, nullptr);
               return {support::cat("SELECT b.id", sq.from_where()),
                       sq.elem_class};
             });
@@ -848,27 +988,13 @@ class SqlExprEval {
         if (client_side()) return eval_client_aggregate(e);
         const SiteResult site =
             run_site(e, SiteKind::kSetAgg, {}, [&]() -> Compiled {
-              SetQuery sq = compile_set(*e.base);
-              sq.binder_name = e.name;
-              if (e.filter) sq.conjuncts.push_back(sql_expr(*e.filter, sq));
-              std::string select;
-              switch (e.agg_kind) {
-                case asl::ast::AggKind::kCount:
-                  select = "COUNT(*)";
-                  break;
-                case asl::ast::AggKind::kMin:
-                  select = support::cat("MIN(", sql_expr(*e.agg_value, sq), ")");
-                  break;
-                case asl::ast::AggKind::kMax:
-                  select = support::cat("MAX(", sql_expr(*e.agg_value, sq), ")");
-                  break;
-                case asl::ast::AggKind::kSum:
-                  select = support::cat("SUM(", sql_expr(*e.agg_value, sq), ")");
-                  break;
-                case asl::ast::AggKind::kAvg:
-                  select = support::cat("AVG(", sql_expr(*e.agg_value, sq), ")");
-                  break;
-              }
+              SetSpec sq =
+                  filtered_set(*e.base, e.name, e.filter.get(), nullptr);
+              const std::string select =
+                  e.agg_kind == AggKind::kCount
+                      ? "COUNT(*)"
+                      : support::cat(asl::ast::to_string(e.agg_kind), "(",
+                                     over_binder(*e.agg_value, sq).sql, ")");
               return {support::cat("SELECT ", select, sq.from_where()),
                       sq.elem_class};
             });
@@ -901,7 +1027,7 @@ class SqlExprEval {
         }
         const SiteResult site =
             run_site(e, SiteKind::kSetIds, {}, [&]() -> Compiled {
-              SetQuery sq = compile_set(*e.base);
+              const SetSpec sq = compile_set(*e.base, nullptr);
               return {support::cat("SELECT b.id", sq.from_where()),
                       sq.elem_class};
             });
@@ -922,7 +1048,7 @@ class SqlExprEval {
         } else {
           const SiteResult site =
               run_site(e, SiteKind::kSetCount, {}, [&]() -> Compiled {
-                SetQuery sq = compile_set(*e.base);
+                const SetSpec sq = compile_set(*e.base, nullptr);
                 return {support::cat("SELECT COUNT(*)", sq.from_where()),
                         sq.elem_class};
               });
@@ -1027,9 +1153,9 @@ namespace {
 /// context becomes not-applicable, exactly as the interpreter's thrown
 /// EvalError would have.
 ///
-/// Anything outside the compilable subset (see asl::classify_whole_condition)
-/// throws EvalError; the evaluator then falls back to site-wise evaluation.
-class WholeConditionCompiler {
+/// Anything outside the compilable subset throws EvalError naming the first
+/// blocker; the evaluator then falls back to site-wise evaluation.
+class WholeConditionCompiler final : public SetTranslator {
  public:
   /// With `cse` on, the compiler additionally
   ///   * reuses one `?` marker per property argument, so structurally
@@ -1059,7 +1185,7 @@ class WholeConditionCompiler {
                          std::span<const RtValue> args, bool cse = true,
                          db::Database* catalog = nullptr,
                          bool count_rewrites = true)
-      : model_(&model), prop_(&prop), args_(args), cse_(cse),
+      : SetTranslator(model), prop_(&prop), args_(args), cse_(cse),
         catalog_(catalog), count_rewrites_(count_rewrites) {}
 
   /// Produces the plan plus the bind values of the compiling context.
@@ -1117,61 +1243,11 @@ class WholeConditionCompiler {
   }
 
  private:
-  struct EnvFrame;
-
-  /// A name visible during compilation: a property argument (becomes a `?`
-  /// parameter) or an expression alias (LET binding or inlined function
-  /// parameter, compiled on reference in the scope it was written in).
-  struct Binding {
-    enum class Kind { kArg, kExpr };
-    std::string_view name;
-    Kind kind = Kind::kArg;
-    std::size_t arg_index = 0;          // kArg
-    Type type;                          // declared static type
-    const Expr* expr = nullptr;         // kExpr
-    const EnvFrame* def_env = nullptr;  // scope the expr was written in
-  };
-  struct EnvFrame {
-    Binding binding;
-    const EnvFrame* parent = nullptr;
-  };
-
   /// SQL text with its static ASL type (needed to resolve member chains and
   /// junction tables without a runtime context).
   struct TSql {
     std::string sql;
     Type type;
-  };
-
-  /// One scalar subquery under construction: FROM/JOIN fragments plus WHERE
-  /// conjuncts, with the set's binder bound to alias `b`.
-  struct SetSpec {
-    std::string binder;  // empty until a comprehension/aggregate names one
-    std::uint32_t elem_class = 0;
-    std::vector<std::string> from_joins;
-    std::vector<std::string> conjuncts;
-    int alias_counter = 0;
-    const EnvFrame* env = nullptr;  // scope for uncorrelated subexpressions
-    /// Catalog table and alias of from_joins[0] — what the partition-union
-    /// rewrite checks against the layout metadata.
-    std::string base_table;
-    std::string base_alias;
-
-    [[nodiscard]] std::string from_where() const {
-      std::string out = " FROM ";
-      for (std::size_t i = 0; i < from_joins.size(); ++i) {
-        if (i > 0) out += ' ';
-        out += from_joins[i];
-      }
-      if (!conjuncts.empty()) {
-        out += " WHERE ";
-        for (std::size_t i = 0; i < conjuncts.size(); ++i) {
-          if (i > 0) out += " AND ";
-          out += conjuncts[i];
-        }
-      }
-      return out;
-    }
   };
 
   struct DepthGuard {
@@ -1198,9 +1274,47 @@ class WholeConditionCompiler {
     return nullptr;
   }
 
-  [[nodiscard]] EvalError not_compilable(std::string_view what) const {
+  [[nodiscard]] EvalError not_compilable(std::string_view what) const override {
     return EvalError(support::cat("whole-condition: ", what, " (property ",
                                   prop_->name, ")"));
+  }
+
+  std::pair<std::string, std::uint32_t> set_owner(
+      const Expr& e, const SetSpec& sq) override {
+    TSql owner = scalar(e, sq.env);
+    if (owner.type.kind != TypeKind::kClass) {
+      throw not_compilable("set base is not an object");
+    }
+    return {std::move(owner.sql), owner.type.id};
+  }
+
+  /// Compiles the subexpression symbolically; filter_null() says how
+  /// equality treats its NULL.
+  FilterSql filter_leaf(const Expr& e, const SetSpec& sq) override {
+    return {scalar(e, sq.env).sql, filter_null(e, sq.env)};
+  }
+
+  /// A property argument is never null here: a context whose argument is
+  /// null goes site-wise (see evaluate_whole). The NULL of a member chain
+  /// rooted at UNIQUE may be a data gap (an empty UNIQUE, which the
+  /// interpreter throws on), so it compares plainly and matches no member.
+  /// Anything else may_be_null() admits is a legal null.
+  FilterSql::Null filter_null(const Expr& e, const EnvFrame* env) {
+    const Expr* value = &e;
+    const EnvFrame* value_env = env;
+    resolve(value, value_env);
+    if (value->kind == Expr::Kind::kIdent &&
+        lookup(value->name, value_env) != nullptr) {
+      return FilterSql::Null::kNever;  // resolved to a property argument
+    }
+    if (value->kind == Expr::Kind::kMember) {
+      std::vector<const Expr*> chain;
+      const Expr* root = unroll_member_chain(*value, chain);
+      resolve(root, value_env);
+      if (root->kind == Expr::Kind::kUnique) return FilterSql::Null::kNever;
+    }
+    return may_be_null(e, env, 0) ? FilterSql::Null::kLegal
+                                  : FilterSql::Null::kNever;
   }
 
   /// True when the interpreter can evaluate `e` to a raw null *without
@@ -1286,32 +1400,21 @@ class WholeConditionCompiler {
     return base;
   }
 
-  /// Aggregate operators the partition-union rewrite understands.
-  enum class PartAgg { kCount, kSum, kAvg, kMin, kMax };
-
   [[nodiscard]] static std::string flat_aggregate_select(
-      PartAgg op, const std::string& arg) {
-    switch (op) {
-      case PartAgg::kCount:
-        return "COUNT(*)";
-      case PartAgg::kSum:
-        // ASL's SUM of an empty set is 0 (no barrier records means zero
-        // barrier time, not a data gap), so the NULL of SQL's empty SUM
-        // must not propagate.
-        return support::cat("COALESCE(SUM(", arg, "), 0.0)");
-      case PartAgg::kAvg:
-        return support::cat("AVG(", arg, ")");
-      case PartAgg::kMin:
-        return support::cat("MIN(", arg, ")");
-      case PartAgg::kMax:
-        return support::cat("MAX(", arg, ")");
+      AggKind op, const std::string& arg) {
+    if (op == AggKind::kCount) return "COUNT(*)";
+    // ASL's SUM of an empty set is 0 (no barrier records means zero barrier
+    // time, not a data gap), so the NULL of SQL's empty SUM must not
+    // propagate.
+    if (op == AggKind::kSum) {
+      return support::cat("COALESCE(SUM(", arg, "), 0.0)");
     }
-    return {};
+    return support::cat(asl::ast::to_string(op), "(", arg, ")");
   }
 
   /// Complete aggregate subquery over `sq`: the partition-union rewrite
   /// when the layout rewards it, the flat single-scan subquery otherwise.
-  std::string aggregate_scalar(PartAgg op, const std::string& arg,
+  std::string aggregate_scalar(AggKind op, const std::string& arg,
                                const SetSpec& sq) {
     if (auto rewritten = partition_union(op, arg, sq)) return *rewritten;
     return hoistable(flat_aggregate_select(op, arg), sq.from_where());
@@ -1329,14 +1432,14 @@ class WholeConditionCompiler {
   /// the partition column — per-owner probes stay ONE flat subquery the
   /// executor prunes at bind time, because a union of one live shard plus
   /// N-1 provably empty ones would only add wire and parse cost.
-  std::optional<std::string> partition_union(PartAgg op, const std::string& arg,
+  std::optional<std::string> partition_union(AggKind op, const std::string& arg,
                                              const SetSpec& sq) {
     if (!cse_ || catalog_ == nullptr || sq.base_table.empty()) {
       return std::nullopt;
     }
     const auto layout = catalog_->table_layout(sq.base_table);
     if (!layout || layout->partitions <= 1) return std::nullopt;
-    if ((op == PartAgg::kMin || op == PartAgg::kMax) &&
+    if ((op == AggKind::kMin || op == AggKind::kMax) &&
         layout->partitions > kMaxFoldArgs) {
       // LEAST/GREATEST accept at most 64 arguments (the scalar-function
       // binder's cap); beyond that the statement would fail at bind time
@@ -1394,12 +1497,12 @@ class WholeConditionCompiler {
     };
     std::string coordinator;
     switch (op) {
-      case PartAgg::kCount:
-      case PartAgg::kSum:
+      case AggKind::kCount:
+      case AggKind::kSum:
         coordinator =
             folded(column_for(flat_aggregate_select(op, arg)), " + ", "(", ")");
         break;
-      case PartAgg::kAvg: {
+      case AggKind::kAvg: {
         // AVG re-derives from per-partition SUM and COUNT. Empty-set AVG
         // must stay NULL (a data gap upstream); the engine's IIF evaluates
         // only the taken branch, so the division is guarded.
@@ -1411,14 +1514,10 @@ class WholeConditionCompiler {
                                    " / ", folded(c, " + ", "(", ")"), ")");
         break;
       }
-      case PartAgg::kMin:
-        coordinator =
-            folded(column_for(support::cat("MIN(", arg, ")")), ", ", "LEAST(",
-                   ")");
-        break;
-      case PartAgg::kMax:
-        coordinator = folded(column_for(support::cat("MAX(", arg, ")")), ", ",
-                             "GREATEST(", ")");
+      case AggKind::kMin:
+      case AggKind::kMax:
+        coordinator = folded(column_for(flat_aggregate_select(op, arg)), ", ",
+                             op == AggKind::kMin ? "LEAST(" : "GREATEST(", ")");
         break;
     }
     // Telemetry: one count per distinct rewritten aggregate (repeated
@@ -1579,28 +1678,14 @@ class WholeConditionCompiler {
 
       case Kind::kAggregate: {
         if (!e.base) return scalar(*e.agg_value, env);  // identity form
-        SetSpec sq = set_spec(*e.base, env);
-        sq.binder = e.name;
-        sq.env = env;
-        if (e.filter) sq.conjuncts.push_back(over_binder(*e.filter, sq));
-        PartAgg op = PartAgg::kCount;
-        Type type = Type::of(TypeKind::kFloat);
-        switch (e.agg_kind) {
-          case asl::ast::AggKind::kCount:
-            op = PartAgg::kCount;
-            type = Type::of(TypeKind::kInt);
-            break;
-          case asl::ast::AggKind::kSum: op = PartAgg::kSum; break;
-          case asl::ast::AggKind::kAvg: op = PartAgg::kAvg; break;
-          case asl::ast::AggKind::kMin: op = PartAgg::kMin; break;
-          case asl::ast::AggKind::kMax: op = PartAgg::kMax; break;
-        }
+        SetSpec sq = filtered_set(*e.base, e.name, e.filter.get(), env);
+        const bool count = e.agg_kind == AggKind::kCount;
         // The value expression may add JOINs to sq; compile it before the
         // FROM/WHERE text is rendered.
-        const std::string arg = e.agg_kind == asl::ast::AggKind::kCount
-                                    ? std::string()
-                                    : over_binder(*e.agg_value, sq);
-        return {aggregate_scalar(op, arg, sq), type};
+        const std::string arg =
+            count ? std::string() : over_binder(*e.agg_value, sq).sql;
+        return {aggregate_scalar(e.agg_kind, arg, sq),
+                Type::of(count ? TypeKind::kInt : TypeKind::kFloat)};
       }
 
       case Kind::kUnique: {
@@ -1608,19 +1693,19 @@ class WholeConditionCompiler {
         // engine's scalar-subquery cardinality rule enforces "exactly one"
         // (several members abort the statement, zero yields NULL — both
         // surface as not-applicable, as the interpreter's throw would).
-        SetSpec sq = set_spec(*e.base, env);
+        const SetSpec sq = compile_set(*e.base, env);
         return {hoistable("b.id", sq.from_where()),
                 Type::class_of(sq.elem_class)};
       }
       case Kind::kExists: {
-        SetSpec sq = set_spec(*e.base, env);
-        return {support::cat("(", aggregate_scalar(PartAgg::kCount, {}, sq),
+        const SetSpec sq = compile_set(*e.base, env);
+        return {support::cat("(", aggregate_scalar(AggKind::kCount, {}, sq),
                              " > 0)"),
                 Type::of(TypeKind::kBool)};
       }
       case Kind::kSize: {
-        SetSpec sq = set_spec(*e.base, env);
-        return {aggregate_scalar(PartAgg::kCount, {}, sq),
+        const SetSpec sq = compile_set(*e.base, env);
+        return {aggregate_scalar(AggKind::kCount, {}, sq),
                 Type::of(TypeKind::kInt)};
       }
 
@@ -1665,8 +1750,7 @@ class WholeConditionCompiler {
         const std::string plain =
             support::cat("(", lhs.sql, " = ", rhs.sql, ")");
         if (lhs_legal && rhs_legal) {
-          equal = support::cat("(COALESCE(", plain, ", FALSE) OR (", lhs.sql,
-                               " IS NULL AND ", rhs.sql, " IS NULL))");
+          equal = total_equality(lhs.sql, rhs.sql);
         } else if (!lhs_legal && !rhs_legal) {
           equal = plain;  // NULL only arises from gaps: propagate it
         } else {
@@ -1692,21 +1776,6 @@ class WholeConditionCompiler {
                            rhs.sql, "))"),
               Type::of(TypeKind::kBool)};
     }
-    const char* op = nullptr;
-    switch (e.bin_op) {
-      case BinOp::kAdd: op = "+"; break;
-      case BinOp::kSub: op = "-"; break;
-      case BinOp::kMul: op = "*"; break;
-      case BinOp::kDiv: op = "/"; break;
-      case BinOp::kEq: op = "="; break;
-      case BinOp::kNe: op = "<>"; break;
-      case BinOp::kLt: op = "<"; break;
-      case BinOp::kLe: op = "<="; break;
-      case BinOp::kGt: op = ">"; break;
-      case BinOp::kGe: op = ">="; break;
-      case BinOp::kAnd: op = "AND"; break;
-      case BinOp::kOr: op = "OR"; break;
-    }
     const TSql lhs = scalar(*e.lhs, env);
     const TSql rhs = scalar(*e.rhs, env);
     Type type = Type::of(TypeKind::kBool);
@@ -1725,7 +1794,9 @@ class WholeConditionCompiler {
       default:
         break;
     }
-    return {support::cat("(", lhs.sql, " ", op, " ", rhs.sql, ")"), type};
+    return {support::cat("(", lhs.sql, " ", sql_operator(e.bin_op), " ",
+                         rhs.sql, ")"),
+            type};
   }
 
   TSql inline_call(const Expr& e, const EnvFrame* env) {  // NOLINT(misc-no-recursion)
@@ -1751,57 +1822,48 @@ class WholeConditionCompiler {
     return body;
   }
 
+  /// Follows LET/parameter aliases and inlines specification functions
+  /// until `e` is neither; updates `e` and its scope `env` in place.
+  void resolve(const Expr*& e, const EnvFrame*& env) {
+    for (int hops = 1;; ++hops) {
+      if (hops > kMaxInlineDepth) throw not_compilable("alias chain too deep");
+      if (e->kind == Expr::Kind::kIdent) {
+        const Binding* bound = lookup(e->name, env);
+        if (bound == nullptr || bound->kind != Binding::Kind::kExpr) return;
+        e = bound->expr;
+        env = bound->def_env;
+        continue;
+      }
+      if (e->kind != Expr::Kind::kCall) return;
+      const asl::FunctionInfo* fn = model_->find_function(e->name);
+      if (fn == nullptr || e->args.size() != fn->params.size()) {
+        throw not_compilable(support::cat("unresolvable call '", e->name, "'"));
+      }
+      const EnvFrame* fn_env = nullptr;
+      for (std::size_t i = 0; i < e->args.size(); ++i) {
+        fn_env = push(fn_env,
+                      Binding{fn->params[i].first, Binding::Kind::kExpr, 0,
+                              fn->params[i].second, e->args[i].get(), env});
+      }
+      e = fn->body;
+      env = fn_env;
+    }
+  }
+
   /// Member chain in scalar position. The root is resolved through LET
   /// aliases and function inlining; a UNIQUE root fuses into one subquery
   /// (`Summary(r,t).Incl` becomes `SELECT b.Incl FROM <set> WHERE ...`),
   /// any other object-valued root anchors a fresh per-class subquery.
   TSql member_chain(const Expr& e, const EnvFrame* env) {  // NOLINT(misc-no-recursion)
     std::vector<const Expr*> chain;
-    const Expr* root = &e;
-    while (root->kind == Expr::Kind::kMember) {
-      chain.push_back(root);
-      root = root->base.get();
-    }
-    std::reverse(chain.begin(), chain.end());
+    const Expr* root = unroll_member_chain(e, chain);
 
     const EnvFrame* root_env = env;
-    int hops = 0;
-    while (true) {
-      if (++hops > kMaxInlineDepth) {
-        throw not_compilable("alias chain too deep");
-      }
-      if (root->kind == Expr::Kind::kIdent) {
-        const Binding* bound = lookup(root->name, root_env);
-        if (bound != nullptr && bound->kind == Binding::Kind::kExpr) {
-          root = bound->expr;
-          root_env = bound->def_env;
-          continue;
-        }
-      }
-      if (root->kind == Expr::Kind::kCall) {
-        const asl::FunctionInfo* fn = model_->find_function(root->name);
-        if (fn == nullptr || root->args.size() != fn->params.size()) {
-          throw not_compilable(
-              support::cat("unresolvable call '", root->name, "'"));
-        }
-        const EnvFrame* fn_env = nullptr;
-        for (std::size_t i = 0; i < root->args.size(); ++i) {
-          fn_env = push(fn_env, Binding{fn->params[i].first,
-                                        Binding::Kind::kExpr, 0,
-                                        fn->params[i].second,
-                                        root->args[i].get(), root_env});
-        }
-        root = fn->body;
-        root_env = fn_env;
-        continue;
-      }
-      break;
-    }
+    resolve(root, root_env);
 
     if (root->kind == Expr::Kind::kUnique) {
-      SetSpec sq = set_spec(*root->base, root_env);
-      sq.env = root_env;
-      auto [column, type] = follow_path(sq, "b", sq.elem_class, chain);
+      SetSpec sq = compile_set(*root->base, root_env);
+      auto [column, type] = join_path(sq, "b", sq.elem_class, chain);
       return {hoistable(column, sq.from_where()), type};
     }
 
@@ -1817,166 +1879,8 @@ class WholeConditionCompiler {
     sq.base_alias = "a0";
     sq.from_joins.push_back(support::cat(sq.base_table, " a0"));
     sq.conjuncts.push_back(support::cat("a0.id = ", base.sql));
-    auto [column, type] = follow_path(sq, "a0", base.type.id, chain);
+    auto [column, type] = join_path(sq, "a0", base.type.id, chain);
     return {hoistable(column, sq.from_where()), type};
-  }
-
-  /// Walks `chain` starting from `alias` (an instance of `cls_id`), adding
-  /// one JOIN per intermediate object reference; returns the final column
-  /// and its attribute type.
-  std::pair<std::string, Type> follow_path(SetSpec& sq, std::string alias,
-                                           std::uint32_t cls_id,
-                                           std::span<const Expr* const> chain) {
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      const asl::ClassInfo& cls = model_->class_info(cls_id);
-      const auto attr = cls.find_attr(chain[i]->name);
-      if (!attr) {
-        throw not_compilable(support::cat("class ", cls.name,
-                                          " has no attribute '",
-                                          chain[i]->name, "'"));
-      }
-      const Type& attr_type = cls.attrs[*attr].type;
-      if (i + 1 == chain.size()) {
-        if (attr_type.kind == TypeKind::kSet) {
-          throw not_compilable(support::cat("set-valued attribute '",
-                                            chain[i]->name,
-                                            "' in scalar position"));
-        }
-        return {support::cat(alias, ".", chain[i]->name), attr_type};
-      }
-      if (attr_type.kind != TypeKind::kClass) {
-        throw not_compilable(support::cat("'.", chain[i]->name,
-                                          "' must be an object reference"));
-      }
-      const std::string next = support::cat("t", sq.alias_counter++);
-      sq.from_joins.push_back(
-          support::cat("JOIN ", model_->class_info(attr_type.id).name, " ",
-                       next, " ON ", next, ".id = ", alias, ".",
-                       chain[i]->name));
-      alias = next;
-      cls_id = attr_type.id;
-    }
-    throw not_compilable("empty member path");
-  }
-
-  // --- set position --------------------------------------------------------
-
-  SetSpec set_spec(const Expr& e, const EnvFrame* env) {  // NOLINT(misc-no-recursion)
-    if (e.kind == Expr::Kind::kMember) {
-      const TSql owner = scalar(*e.base, env);
-      if (owner.type.kind != TypeKind::kClass) {
-        throw not_compilable(
-            support::cat("set base of '.", e.name, "' is not an object"));
-      }
-      const asl::ClassInfo& cls = model_->class_info(owner.type.id);
-      const auto attr = cls.find_attr(e.name);
-      if (!attr || cls.attrs[*attr].type.kind != TypeKind::kSet) {
-        throw not_compilable(support::cat("'", e.name,
-                                          "' is not a setof attribute of ",
-                                          cls.name));
-      }
-      SetSpec sq;
-      sq.env = env;
-      sq.elem_class = cls.attrs[*attr].type.id;
-      sq.base_table = junction_table(cls.name, e.name);
-      sq.base_alias = "j";
-      sq.from_joins.push_back(sq.base_table + " j");
-      sq.from_joins.push_back(
-          support::cat("JOIN ", model_->class_info(sq.elem_class).name,
-                       " b ON b.id = j.member"));
-      sq.conjuncts.push_back(support::cat("j.owner = ", owner.sql));
-      return sq;
-    }
-    if (e.kind == Expr::Kind::kComprehension) {
-      SetSpec sq = set_spec(*e.base, env);
-      sq.binder = e.name;
-      sq.env = env;
-      if (e.filter) sq.conjuncts.push_back(over_binder(*e.filter, sq));
-      return sq;
-    }
-    throw not_compilable(
-        "set expression must be a setof attribute chain or a comprehension "
-        "over one");
-  }
-
-  /// Filter or aggregate-value expression with the set's binder in scope.
-  /// Subexpressions not touching the binder compile as uncorrelated scalars
-  /// (nested subqueries, parameters, literals); subexpressions that do are
-  /// limited to member chains and scalar glue — the engine's scalar
-  /// subqueries cannot be correlated with an enclosing row.
-  std::string over_binder(const Expr& e, SetSpec& sq) {  // NOLINT(misc-no-recursion)
-    if (!sq.binder.empty() && !mentions_name(e, sq.binder)) {
-      return scalar(e, sq.env).sql;
-    }
-    using Kind = Expr::Kind;
-    switch (e.kind) {
-      case Kind::kIdent:
-        if (e.name == sq.binder) return "b.id";
-        break;  // unreachable: non-binder idents hit the scalar path
-      case Kind::kMember: {
-        std::vector<const Expr*> chain;
-        const Expr* root = &e;
-        while (root->kind == Kind::kMember) {
-          chain.push_back(root);
-          root = root->base.get();
-        }
-        std::reverse(chain.begin(), chain.end());
-        if (root->kind != Kind::kIdent || root->name != sq.binder) {
-          throw not_compilable(
-              "member path in a set filter must be rooted at the binder");
-        }
-        return follow_path(sq, "b", sq.elem_class, chain).first;
-      }
-      case Kind::kUnary: {
-        const std::string operand = over_binder(*e.lhs, sq);
-        if (e.un_op == asl::ast::UnOp::kNot) {
-          return support::cat("(NOT ", operand, ")");
-        }
-        return support::cat("(-", operand, ")");
-      }
-      case Kind::kBinary: {
-        using asl::ast::BinOp;
-        if (e.bin_op == BinOp::kEq || e.bin_op == BinOp::kNe) {
-          const bool lhs_null = e.lhs->kind == Kind::kNullLit;
-          const bool rhs_null = e.rhs->kind == Kind::kNullLit;
-          if (lhs_null || rhs_null) {
-            const Expr& tested = lhs_null ? *e.rhs : *e.lhs;
-            const std::string tested_sql =
-                tested.kind == Kind::kNullLit ? "NULL"
-                                              : over_binder(tested, sq);
-            return support::cat("(", tested_sql,
-                                e.bin_op == BinOp::kEq ? " IS NULL)"
-                                                       : " IS NOT NULL)");
-          }
-        }
-        const char* op = nullptr;
-        switch (e.bin_op) {
-          case BinOp::kAdd: op = "+"; break;
-          case BinOp::kSub: op = "-"; break;
-          case BinOp::kMul: op = "*"; break;
-          case BinOp::kDiv: op = "/"; break;
-          case BinOp::kEq: op = "="; break;
-          case BinOp::kNe: op = "<>"; break;
-          case BinOp::kLt: op = "<"; break;
-          case BinOp::kLe: op = "<="; break;
-          case BinOp::kGt: op = ">"; break;
-          case BinOp::kGe: op = ">="; break;
-          case BinOp::kAnd: op = "AND"; break;
-          case BinOp::kOr: op = "OR"; break;
-        }
-        // Sequence the sides explicitly: both may emit parameters, and the
-        // recording order must be deterministic.
-        const std::string lhs_sql = over_binder(*e.lhs, sq);
-        const std::string rhs_sql = over_binder(*e.rhs, sq);
-        return support::cat("(", lhs_sql, " ", op, " ", rhs_sql, ")");
-      }
-      default:
-        break;
-    }
-    throw not_compilable(support::cat(
-        "expression correlated with binder '", sq.binder,
-        "' is not compilable (aggregates/calls over the binder are not "
-        "supported)"));
   }
 
   static constexpr int kMaxInlineDepth = 16;
@@ -1984,7 +1888,6 @@ class WholeConditionCompiler {
   /// most this many shards.
   static constexpr std::size_t kMaxFoldArgs = db::sql::kMaxScalarFnArgs;
 
-  const asl::Model* model_;
   const asl::PropertyInfo* prop_;
   std::span<const RtValue> args_;
   bool cse_;
@@ -2324,12 +2227,17 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
   }
 
   // Bind: whole-condition parameters are all caller-provided property
-  // arguments, so binding is a straight table lookup per context.
+  // arguments, so binding is a straight table lookup per context. The
+  // compiled text assumes no argument is null (a set filter compares an
+  // argument with a plain `=`), so a null argument goes site-wise.
   values.clear();
   values.reserve(plan->params.size());
   for (const CompiledPlan::Param& param : plan->params) {
     if (param.slot != CompiledPlan::Slot::kProvided) {
       throw EvalError("whole-condition plan has a non-provided parameter");
+    }
+    if (args[param.provided_index].is_null()) {
+      throw EvalError("whole-condition: null property argument");
     }
     values.push_back(to_db_value(args[param.provided_index],
                                  prop.params[param.provided_index].second));
@@ -2589,7 +2497,7 @@ std::string SqlEvaluator::explain_set(const Expr& set_expr,
   for (std::size_t i = 0; i < args.size() && i < prop.params.size(); ++i) {
     eval.push(prop.params[i].first, {args[i], prop.params[i].second});
   }
-  SqlExprEval::SetQuery sq = eval.compile_set(set_expr);
+  const SetSpec sq = eval.compile_set(set_expr, nullptr);
   return support::cat("SELECT b.id", sq.from_where());
 }
 

@@ -218,7 +218,8 @@ class SqlEvaluator {
 
   /// Compiles a property's entire condition/confidence/severity surface into
   /// the single whole-condition statement without executing it (tests and
-  /// --explain flows). Throws when the property is not compilable.
+  /// --explain flows). Throws EvalError naming the first blocker when the
+  /// property is not compilable: the compiler is the one judge of that.
   [[nodiscard]] std::string explain_whole_condition(
       const asl::PropertyInfo& prop);
 

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "asl/compilability.hpp"
 #include "asl/interp.hpp"
 #include "asl/sema.hpp"
 #include "cosy/analyzer.hpp"
@@ -225,13 +224,20 @@ TEST(AnalysisReport, TableWithZeroCapShowsEveryFinding) {
 // Whole-condition compilation (paper §6)
 
 TEST(WholeCondition, EveryShippedPropertyIsCompilable) {
+  // The whole-condition compiler is the only judge of what compiles:
+  // explaining a property runs the compiler and throws its first blocker.
   const asl::Model model = cosy::load_cosy_model();
-  const auto classified = asl::classify_whole_condition(model);
-  EXPECT_EQ(classified.size(), 13u);  // 5 paper + 8 extended
-  for (const auto& pc : classified) {
-    EXPECT_TRUE(pc.whole_condition_compilable())
-        << pc.property << ": " << pc.first_blocker()->site << " — "
-        << pc.first_blocker()->reason;
+  db::Database database;
+  cosy::create_schema(database, model);
+  db::Connection conn(database, db::ConnectionProfile::in_memory());
+  cosy::SqlEvaluator whole(model, conn, cosy::SqlEvalMode::kWholeCondition);
+  EXPECT_EQ(model.properties().size(), 13u);  // 5 paper + 8 extended
+  for (const asl::PropertyInfo& prop : model.properties()) {
+    try {
+      (void)whole.explain_whole_condition(prop);
+    } catch (const EvalError& error) {
+      ADD_FAILURE() << prop.name << ": " << error.what();
+    }
   }
 }
 
@@ -715,9 +721,9 @@ TEST(WholeCondition, GapNullsInEqualityStayNotApplicable) {
 
 TEST(WholeCondition, NonCompilablePropertyFallsBackToSitewise) {
   // An aggregate whose value expression applies SIZE to the binder is
-  // correlated — outside the compilable subset. The classifier must flag
-  // it, and the whole-condition evaluator must agree byte-for-byte with
-  // the site-wise evaluator it falls back to.
+  // correlated — outside the compilable subset. The compiler must name
+  // that blocker, and the whole-condition evaluator must agree
+  // byte-for-byte with the site-wise evaluator it falls back to.
   const asl::Model model = asl::load_model({R"(
     class Holder { String Name; setof Item Items; }
     class Item { float V; setof Sub Subs; }
@@ -730,12 +736,6 @@ TEST(WholeCondition, NonCompilablePropertyFallsBackToSitewise) {
   )"});
   const asl::PropertyInfo* prop = model.find_property("DeepFanout");
   ASSERT_NE(prop, nullptr);
-  const auto classified = asl::classify_whole_condition(model, *prop);
-  EXPECT_FALSE(classified.whole_condition_compilable());
-  ASSERT_NE(classified.first_blocker(), nullptr);
-  EXPECT_NE(classified.first_blocker()->reason.find("correlated"),
-            std::string::npos)
-      << classified.first_blocker()->reason;
 
   asl::ObjectStore store(model);
   const asl::ObjectId holder = store.create("Holder");
@@ -756,6 +756,14 @@ TEST(WholeCondition, NonCompilablePropertyFallsBackToSitewise) {
   cosy::import_store(conn, store);
 
   cosy::SqlEvaluator whole(model, conn, cosy::SqlEvalMode::kWholeCondition);
+  try {
+    (void)whole.explain_whole_condition(*prop);
+    ADD_FAILURE() << "DeepFanout compiled into one statement";
+  } catch (const EvalError& error) {
+    EXPECT_NE(std::string(error.what()).find("correlated"), std::string::npos)
+        << error.what();
+  }
+
   cosy::SqlEvaluator sitewise(model, conn, cosy::SqlEvalMode::kPushdown);
   const std::vector<RtValue> args = {RtValue::of_object(holder)};
   expect_same(sitewise.evaluate_property(*prop, args),
@@ -767,10 +775,39 @@ TEST(WholeCondition, NullAttributeSemanticsMatchTheInterpreter) {
   // ASL equality is total (null equals only null, never an error), ASL
   // AND/OR short-circuit left to right, and an unset attribute is a legal
   // null value — none of which SQL's three-valued logic gives for free.
-  // All four properties must agree with the interpreter WITHOUT falling
-  // back to the site-wise path.
+  // Every property must agree with the interpreter WITHOUT falling back to
+  // the site-wise path, except where a property argument itself is null.
+  // Inside a set filter, two unset references are equal, an unset
+  // reference equals a LET alias of another unset one, and an unset
+  // reference differs from a set one.
   const asl::Model model = asl::load_model({R"(
     class Node { String Name; bool Flag; Node Link; setof Node Kids; }
+    class Item { Item Ref; Item Other; }
+    class Holder { Item Pick; setof Item Items; }
+    Property RefsAgree(Holder h) {
+      CONDITION: SIZE({i IN h.Items WITH i.Ref == i.Other}) > 0;
+      CONFIDENCE: 1;
+      SEVERITY: 1;
+    };
+    Property RefIsPick(Holder h) {
+      LET Item p = h.Pick;
+      IN
+      CONDITION: SIZE({i IN h.Items WITH i.Ref == p}) > 0;
+      CONFIDENCE: 1;
+      SEVERITY: 1;
+    };
+    Property RefIsNotPick(Holder h) {
+      LET Item p = h.Pick;
+      IN
+      CONDITION: SIZE({i IN h.Items WITH i.Ref != p}) > 0;
+      CONFIDENCE: 1;
+      SEVERITY: 1;
+    };
+    Property RefIsArg(Holder h, Item x) {
+      CONDITION: SIZE({i IN h.Items WITH i.Ref == x}) > 0;
+      CONFIDENCE: 1;
+      SEVERITY: 1;
+    };
     Property LinkIsNull(Node n) {
       LET Node p = n.Link;
       IN
@@ -803,6 +840,30 @@ TEST(WholeCondition, NullAttributeSemanticsMatchTheInterpreter) {
   store.set_attr(linked, "Name", RtValue::of_string("b"));
   store.set_attr(linked, "Flag", RtValue::of_bool(true));
   store.set_attr(linked, "Link", RtValue::of_object(unlinked));
+  // `unset`: three items with every reference unset, Pick unset.
+  // `set`: Pick = a; a's Ref is a, Other is b; b's Other is a; c's Ref and
+  // Other are both b.
+  const asl::ObjectId unset = store.create("Holder");
+  for (int i = 0; i < 3; ++i) {
+    store.add_to_set(unset, "Items", store.create("Item"));
+  }
+  const asl::ObjectId a = store.create("Item");
+  const asl::ObjectId b = store.create("Item");
+  store.set_attr(a, "Ref", RtValue::of_object(a));
+  store.set_attr(a, "Other", RtValue::of_object(b));
+  store.set_attr(b, "Other", RtValue::of_object(a));
+  const asl::ObjectId c = store.create("Item");
+  store.set_attr(c, "Ref", RtValue::of_object(b));
+  store.set_attr(c, "Other", RtValue::of_object(b));
+  const asl::ObjectId set = store.create("Holder");
+  store.set_attr(set, "Pick", RtValue::of_object(a));
+  for (const asl::ObjectId item : {a, b, c}) {
+    store.add_to_set(set, "Items", item);
+  }
+  // `lone`: Pick = a; its one item has every reference unset.
+  const asl::ObjectId lone = store.create("Holder");
+  store.set_attr(lone, "Pick", RtValue::of_object(a));
+  store.add_to_set(lone, "Items", store.create("Item"));
 
   db::Database database;
   cosy::create_schema(database, model);
@@ -813,6 +874,8 @@ TEST(WholeCondition, NullAttributeSemanticsMatchTheInterpreter) {
   cosy::PlanCache cache(model);
   cosy::SqlEvaluator whole(model, conn, cosy::SqlEvalMode::kWholeCondition,
                            &cache);
+  cosy::SqlEvaluator sitewise(model, conn, cosy::SqlEvalMode::kPushdown,
+                              &cache);
 
   for (const char* prop_name :
        {"LinkIsNull", "LinkIsSet", "LinksSelf", "FlagOrName"}) {
@@ -825,6 +888,36 @@ TEST(WholeCondition, NullAttributeSemanticsMatchTheInterpreter) {
                   kojak::support::cat(prop_name, " node ", node));
     }
   }
+  const std::vector<std::vector<RtValue>> holder_args = {
+      {RtValue::of_object(unset)}, {RtValue::of_object(set)}};
+  for (const char* prop_name : {"RefsAgree", "RefIsPick"}) {
+    const asl::PropertyInfo* prop = model.find_property(prop_name);
+    ASSERT_NE(prop, nullptr) << prop_name;
+    for (const std::vector<RtValue>& args : holder_args) {
+      const std::string what =
+          kojak::support::cat(prop_name, " holder ", args[0].as_object());
+      const PropertyResult expected = interp.evaluate_property(*prop, args);
+      EXPECT_EQ(expected.status, PropertyResult::Status::kHolds) << what;
+      expect_same(expected, whole.evaluate_property(*prop, args), what);
+      expect_same(expected, sitewise.evaluate_property(*prop, args),
+                  what + " (site-wise)");
+    }
+  }
+  const asl::PropertyInfo* not_pick = model.find_property("RefIsNotPick");
+  ASSERT_NE(not_pick, nullptr);
+  const std::vector<RtValue> lone_args = {RtValue::of_object(lone)};
+  const PropertyResult differs = interp.evaluate_property(*not_pick, lone_args);
+  EXPECT_EQ(differs.status, PropertyResult::Status::kHolds);
+  expect_same(differs, whole.evaluate_property(*not_pick, lone_args),
+              "RefIsNotPick");
+  expect_same(differs, sitewise.evaluate_property(*not_pick, lone_args),
+              "RefIsNotPick (site-wise)");
+  const asl::PropertyInfo* ref_is_arg = model.find_property("RefIsArg");
+  ASSERT_NE(ref_is_arg, nullptr);
+  const std::vector<RtValue> set_a = {RtValue::of_object(set),
+                                      RtValue::of_object(a)};
+  expect_same(interp.evaluate_property(*ref_is_arg, set_a),
+              whole.evaluate_property(*ref_is_arg, set_a), "RefIsArg a");
   // Spot-check the interesting verdicts so the comparison can't pass
   // vacuously: a legal null holds `== null`, the unset Flag in an OR is a
   // data gap (interpreter would throw on as_bool), the set Flag decides
@@ -842,6 +935,17 @@ TEST(WholeCondition, NullAttributeSemanticsMatchTheInterpreter) {
   EXPECT_EQ(eval_one("FlagOrName", linked).status,
             PropertyResult::Status::kHolds);
   EXPECT_EQ(whole.stats().whole_fallbacks, 0u);
+
+  // A null property argument compared inside a set filter: the context
+  // goes site-wise, and the verdict still matches the interpreter.
+  const std::vector<RtValue> unset_null = {RtValue::of_object(unset),
+                                           RtValue::null()};
+  const PropertyResult expected =
+      interp.evaluate_property(*ref_is_arg, unset_null);
+  EXPECT_EQ(expected.status, PropertyResult::Status::kHolds);
+  expect_same(expected, whole.evaluate_property(*ref_is_arg, unset_null),
+              "RefIsArg null");
+  EXPECT_EQ(whole.stats().whole_fallbacks, 1u);
 }
 
 TEST(WholeCondition, PlanCachePinsToTheModelInstance) {
