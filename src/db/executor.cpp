@@ -902,113 +902,6 @@ struct KeyLanes {
 };
 
 // ---------------------------------------------------------------------------
-// Structural keys for the uncorrelated-subquery memo. Unlike
-// Expr::to_string, this rendering is unambiguous: parameters carry their
-// index, literals their type tag, and nested subqueries render in full —
-// equal keys mean equal results within one statement execution (subqueries
-// are uncorrelated, so nothing row-dependent can appear in them).
-
-void subquery_key(const sql::SelectStmt& s, std::string& out);
-
-void subquery_key(const Expr& e, std::string& out) {
-  out += static_cast<char>('A' + static_cast<int>(e.kind));
-  switch (e.kind) {
-    case Expr::Kind::kLiteral:
-      out += static_cast<char>('0' + static_cast<int>(e.literal.type()));
-      out += e.literal.to_display();
-      break;
-    case Expr::Kind::kColumnRef:
-      out += e.table;
-      out += '.';
-      out += e.column;
-      break;
-    case Expr::Kind::kParam:
-      out += std::to_string(e.param_index);
-      break;
-    case Expr::Kind::kUnary:
-      out += static_cast<char>('0' + static_cast<int>(e.un_op));
-      break;
-    case Expr::Kind::kBinary:
-      out += static_cast<char>('0' + static_cast<int>(e.bin_op));
-      break;
-    case Expr::Kind::kFuncCall:
-      out += e.func;
-      if (e.star_arg) out += '*';
-      if (e.distinct_arg) out += '!';
-      break;
-    case Expr::Kind::kIsNull:
-    case Expr::Kind::kInList:
-    case Expr::Kind::kLike:
-      if (e.negated) out += '!';
-      break;
-    case Expr::Kind::kSubquery:
-      subquery_key(*e.subquery, out);
-      break;
-    case Expr::Kind::kAliasRef:
-      out += std::to_string(e.alias_index);
-      break;
-  }
-  out += '(';
-  if (e.lhs) subquery_key(*e.lhs, out);
-  out += ',';
-  if (e.rhs) subquery_key(*e.rhs, out);
-  for (const auto& arg : e.args) {
-    out += ',';
-    subquery_key(*arg, out);
-  }
-  out += ')';
-}
-
-void subquery_key(const sql::SelectStmt& s, std::string& out) {
-  out += s.distinct ? "S!" : "S";
-  for (const auto& item : s.items) {
-    if (item.star) {
-      out += '*';
-      out += item.star_table;
-    } else {
-      subquery_key(*item.expr, out);
-    }
-    out += ',';
-  }
-  const auto table_ref_key = [&out](const sql::TableRef& ref) {
-    out += ref.table;
-    // `t PARTITION (0)` and `t PARTITION (1)` scan different rows; the
-    // selector must split the memo key or the second one would be served
-    // the first one's result.
-    if (ref.partition) out += support::cat("#p", *ref.partition);
-    out += ' ';
-    out += ref.alias;
-  };
-  if (s.from) {
-    out += "F";
-    table_ref_key(*s.from);
-  }
-  for (const auto& join : s.joins) {
-    out += "J";
-    table_ref_key(join.table);
-    if (join.on) subquery_key(*join.on, out);
-  }
-  if (s.where) {
-    out += "W";
-    subquery_key(*s.where, out);
-  }
-  for (const auto& g : s.group_by) {
-    out += "G";
-    subquery_key(*g, out);
-  }
-  if (s.having) {
-    out += "H";
-    subquery_key(*s.having, out);
-  }
-  for (const auto& key : s.order_by) {
-    out += key.descending ? "Od" : "Oa";
-    subquery_key(*key.expr, out);
-  }
-  if (s.limit) out += support::cat("L", *s.limit);
-  if (s.offset) out += support::cat("K", *s.offset);
-}
-
-// ---------------------------------------------------------------------------
 // SELECT execution
 
 class SelectExec {
@@ -1340,7 +1233,7 @@ class SelectExec {
       // shadowing CTE materializes and to the CTE afterwards, and the
       // count tells those two moments apart.
       std::string key = support::cat(scope_.visible_count(), ':');
-      subquery_key(*e.subquery, key);
+      sql::structural_key(*e.subquery, key);
       const auto hit = env_->subquery_memo.find(key);
       if (hit != env_->subquery_memo.end()) {
         db_.count_subquery_memo_hits();
@@ -1665,7 +1558,7 @@ class SelectExec {
         same = key.kind == Expr::Kind::kColumnRef &&
                key.resolved_slot == e.resolved_slot;
       } else {
-        if (rendered.empty()) subquery_key(e, rendered);
+        if (rendered.empty()) sql::structural_key(e, rendered);
         same = rendered == key_strs[k];
       }
       if (same) {
@@ -1705,7 +1598,7 @@ class SelectExec {
       auto key = compile_program(*g, base, plan->column_types);
       if (key == nullptr) return nullptr;
       plan->group_keys.push_back(std::move(key));
-      subquery_key(*g, key_strs.emplace_back());
+      sql::structural_key(*g, key_strs.emplace_back());
     }
 
     if (!collect_kernel_aggregates(base, plan->column_types,

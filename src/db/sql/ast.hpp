@@ -187,6 +187,18 @@ struct SelectStmt {
 void for_each_table_ref(const SelectStmt& stmt,
                         const std::function<void(const TableRef&)>& fn);
 
+/// Appends an unambiguous structural key of the node to `out`: parameters
+/// carry their index, literals their type tag, select items their alias,
+/// table references their partition selector, and nested subqueries and
+/// statement-level WITH entries render in full. Two trees with equal keys
+/// are the same statement; within one execution, two uncorrelated scalar
+/// subqueries with equal keys have equal results (the executor's subquery
+/// memo), and a text that parses to the key of a compiled tree is that
+/// tree's spelling.
+void structural_key(const Expr& e, std::string& out);
+void structural_key(const SelectStmt& s, std::string& out);
+[[nodiscard]] std::string structural_key(const SelectStmt& s);
+
 struct CreateTableStmt {
   TableSchema schema;
   bool if_not_exists = false;
