@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <set>
@@ -25,16 +26,10 @@ using asl::RtValue;
 using asl::Type;
 using asl::TypeKind;
 using support::EvalError;
+using SqlExpr = db::sql::ExprPtr;
+using SqlBinOp = db::sql::BinOp;
 
 namespace {
-
-/// Delimiter for placeholder markers in SQL text under construction: the
-/// compiler emits "\x01<param-id>\x01" wherever a bound parameter belongs,
-/// and the finalize pass rewrites markers to `?` in statement-text order.
-/// Composition order of SQL fragments therefore never has to match
-/// placeholder order (an aggregate's SELECT list is built after its WHERE
-/// conjuncts but precedes them in the text).
-constexpr char kMarker = '\x01';
 
 /// PlanCache kinds of whole-condition plans. The site-wise plans encode
 /// SiteKind * 2 + mode (values 2..11); whole plans are keyed on the
@@ -43,54 +38,49 @@ constexpr char kMarker = '\x01';
 constexpr int kWholeConditionCsePlanKind = 12;
 constexpr int kWholeConditionPlainPlanKind = 13;
 
-/// Non-overlapping occurrences of `needle` in `text` that start OUTSIDE
-/// SQL string literals ('...' with '' escaping) — a quoted constant whose
-/// content happens to spell a generated subquery must never be counted or
-/// rewritten by the CSE pass. Needles are complete parenthesized
-/// subqueries, so their internal literals are balanced and the scan state
-/// stays correct when a match is skipped over.
-std::vector<std::size_t> occurrences_outside_literals(std::string_view text,
-                                                      std::string_view needle) {
-  std::vector<std::size_t> out;
-  bool in_string = false;
-  for (std::size_t i = 0; i < text.size();) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\'' && i + 1 < text.size() && text[i + 1] == '\'') {
-        i += 2;  // escaped quote inside the literal
-        continue;
-      }
-      if (c == '\'') in_string = false;
-      ++i;
-      continue;
-    }
-    if (c == '\'') {
-      in_string = true;
-      ++i;
-      continue;
-    }
-    if (text.compare(i, needle.size(), needle) == 0) {
-      out.push_back(i);
-      i += needle.size();
-      continue;
-    }
-    ++i;
-  }
-  return out;
+// --- db::sql tree builders ---------------------------------------------------
+// Both translators build the engine's SQL tree directly; statement text is
+// always db::sql::render_select_sql of the tree.
+
+using db::sql::make_binary;
+using db::sql::make_column;
+using db::sql::make_is_null;
+using db::sql::make_literal;
+using db::sql::make_param;
+using db::sql::make_subquery;
+using db::sql::make_unary;
+
+template <typename... Args>
+SqlExpr sql_call(std::string func, Args... args) {
+  std::vector<SqlExpr> list;
+  (list.push_back(std::move(args)), ...);
+  return db::sql::make_call(std::move(func), std::move(list));
 }
 
-/// Replaces every literal-aware occurrence of `needle` in `text`.
-void replace_all(std::string& text, std::string_view needle,
-                 std::string_view replacement) {
-  const std::vector<std::size_t> positions =
-      occurrences_outside_literals(text, needle);
-  for (auto it = positions.rbegin(); it != positions.rend(); ++it) {
-    text.replace(*it, needle.size(), replacement);
-  }
+SqlExpr sql_count_star() {
+  SqlExpr e = sql_call("COUNT");
+  e->star_arg = true;
+  return e;
 }
 
-std::size_t count_occurrences(std::string_view text, std::string_view needle) {
-  return occurrences_outside_literals(text, needle).size();
+db::sql::TableRef sql_table(std::string table, std::string alias) {
+  return {std::move(table), std::move(alias), std::nullopt, {}};
+}
+
+/// `SELECT <item> [FROM <table>] [WHERE <where>]`.
+std::unique_ptr<db::sql::SelectStmt> sql_select(SqlExpr item,
+                                                std::string table,
+                                                SqlExpr where) {
+  auto s = std::make_unique<db::sql::SelectStmt>();
+  s->items.push_back({std::move(item), {}, false, {}});
+  if (!table.empty()) s->from = sql_table(std::move(table), {});
+  s->where = std::move(where);
+  return s;
+}
+
+/// `(SELECT <column> FROM <cte>)`: a scalar read of a generated CTE.
+SqlExpr sql_cte_read(const std::string& column, const std::string& cte) {
+  return make_subquery(sql_select(make_column({}, column), cte, nullptr));
 }
 
 /// True when `e` mentions `name` outside a shadowing comprehension or
@@ -116,31 +106,42 @@ bool mentions_name(const Expr& e,  // NOLINT(misc-no-recursion)
   return false;
 }
 
-/// The SQL spelling of an ASL binary operator.
-const char* sql_operator(asl::ast::BinOp op) {
+/// The SQL operator of an ASL unary operator.
+db::sql::UnOp sql_operator(asl::ast::UnOp op) {
+  return op == asl::ast::UnOp::kNot ? db::sql::UnOp::kNot : db::sql::UnOp::kNeg;
+}
+
+/// The SQL operator of an ASL binary operator.
+SqlBinOp sql_operator(asl::ast::BinOp op) {
   using asl::ast::BinOp;
   switch (op) {
-    case BinOp::kAdd: return "+";
-    case BinOp::kSub: return "-";
-    case BinOp::kMul: return "*";
-    case BinOp::kDiv: return "/";
-    case BinOp::kEq: return "=";
-    case BinOp::kNe: return "<>";
-    case BinOp::kLt: return "<";
-    case BinOp::kLe: return "<=";
-    case BinOp::kGt: return ">";
-    case BinOp::kGe: return ">=";
-    case BinOp::kAnd: return "AND";
-    case BinOp::kOr: return "OR";
+    case BinOp::kAdd: return SqlBinOp::kAdd;
+    case BinOp::kSub: return SqlBinOp::kSub;
+    case BinOp::kMul: return SqlBinOp::kMul;
+    case BinOp::kDiv: return SqlBinOp::kDiv;
+    case BinOp::kEq: return SqlBinOp::kEq;
+    case BinOp::kNe: return SqlBinOp::kNe;
+    case BinOp::kLt: return SqlBinOp::kLt;
+    case BinOp::kLe: return SqlBinOp::kLe;
+    case BinOp::kGt: return SqlBinOp::kGt;
+    case BinOp::kGe: return SqlBinOp::kGe;
+    case BinOp::kAnd: return SqlBinOp::kAnd;
+    case BinOp::kOr: return SqlBinOp::kOr;
   }
-  return "?";
+  throw EvalError("unknown binary operator");
 }
 
 /// ASL's total equality for two operands that may both be legal nulls
 /// (RtValue::equals: null equals null, and nothing else).
-std::string total_equality(const std::string& lhs, const std::string& rhs) {
-  return support::cat("(COALESCE((", lhs, " = ", rhs, "), FALSE) OR (", lhs,
-                      " IS NULL AND ", rhs, " IS NULL))");
+SqlExpr total_equality(SqlExpr lhs, SqlExpr rhs) {
+  SqlExpr both_null = make_binary(SqlBinOp::kAnd, make_is_null(lhs->clone()),
+                                 make_is_null(rhs->clone()));
+  return make_binary(
+      SqlBinOp::kOr,
+      sql_call("COALESCE",
+               make_binary(SqlBinOp::kEq, std::move(lhs), std::move(rhs)),
+               make_literal(db::Value::boolean(false))),
+      std::move(both_null));
 }
 
 /// Unrolls the member chain `root.a.b` into `chain` (base-most first) and
@@ -156,6 +157,14 @@ const Expr* unroll_member_chain(const Expr& e,
   return root;
 }
 
+/// A site the SQL translators cannot compile. Whole-condition evaluation
+/// falls back to site-wise on any EvalError; a site-wise compile failure is
+/// not a data gap and escapes evaluate_sitewise as this error.
+class CompileLimit final : public EvalError {
+ public:
+  using EvalError::EvalError;
+};
+
 }  // namespace
 
 /// A runtime value paired with its static ASL type; the SQL strategy needs
@@ -169,41 +178,45 @@ namespace {
 
 /// Accumulates parameters while a plan is being recorded. `params` and
 /// `values` align index-by-index in emission order (kAssertNull entries
-/// carry a dummy value); finalize() reorders both to text order.
+/// carry a dummy value); a `?` node's param_index points into them until
+/// finalize() renumbers the tree in text order.
 struct PlanBuild {
   std::vector<CompiledPlan::Param> params;
   std::vector<db::Value> values;
 
-  std::string marker(CompiledPlan::Param param, db::Value value) {
+  std::size_t add(CompiledPlan::Param param, db::Value value) {
     params.push_back(std::move(param));
     values.push_back(std::move(value));
-    return support::cat(kMarker, params.size() - 1, kMarker);
+    return params.size() - 1;
   }
 };
 
 /// What a site's compile callback produces.
 struct Compiled {
-  std::string sql;
+  std::unique_ptr<db::sql::SelectStmt> select;
   std::uint32_t elem_class = 0;
 };
 
-/// Rewrites placeholder markers to `?` and orders params to match.
-CompiledPlan finalize(const Compiled& compiled, PlanBuild&& build,
+/// Statement text of a compiled tree; the text is what ships on the inline
+/// path and what explain shows.
+std::string render(const db::sql::SelectStmt& select) {
+  std::string text;
+  std::vector<std::size_t> order;
+  if (!db::sql::render_select_sql(select, text, order)) {
+    throw EvalError("compiled SQL has no text form (non-finite literal)");
+  }
+  return text;
+}
+
+/// Renumbers the tree's placeholders in text order (so it is exactly what
+/// parsing its rendered text yields), orders params and values to match,
+/// and renders the text.
+CompiledPlan finalize(Compiled compiled, PlanBuild&& build,
                       std::vector<db::Value>& ordered_values) {
   CompiledPlan plan;
   plan.elem_class = compiled.elem_class;
-  plan.sql.reserve(compiled.sql.size());
   ordered_values.clear();
-  for (std::size_t i = 0; i < compiled.sql.size(); ++i) {
-    if (compiled.sql[i] != kMarker) {
-      plan.sql += compiled.sql[i];
-      continue;
-    }
-    std::size_t id = 0;
-    for (++i; i < compiled.sql.size() && compiled.sql[i] != kMarker; ++i) {
-      id = id * 10 + static_cast<std::size_t>(compiled.sql[i] - '0');
-    }
-    plan.sql += '?';
+  for (const std::size_t id : db::sql::renumber_params(*compiled.select)) {
     plan.params.push_back(build.params.at(id));
     ordered_values.push_back(build.values.at(id));
   }
@@ -212,6 +225,8 @@ CompiledPlan finalize(const Compiled& compiled, PlanBuild&& build,
       plan.params.push_back(param);
     }
   }
+  plan.sql = render(*compiled.select);
+  plan.tree = std::move(compiled.select);
   return plan;
 }
 
@@ -235,42 +250,43 @@ struct EnvFrame {
   const EnvFrame* parent = nullptr;
 };
 
-/// One set query under construction: FROM/JOIN fragments plus WHERE
-/// conjuncts, with the set's members bound to alias `b`.
+/// One set query under construction: the base table, one JOIN per object
+/// hop and the WHERE conjuncts, with the set's members bound to alias `b`.
 struct SetSpec {
   std::string binder;  // empty until a comprehension/aggregate names one
   std::uint32_t elem_class = 0;
-  std::vector<std::string> from_joins;
-  std::vector<std::string> conjuncts;
+  /// Catalog table and alias of the base scan — what the partition-union
+  /// rewrite checks against the layout metadata.
+  db::sql::TableRef from;
+  std::vector<db::sql::Join> joins;
+  std::vector<SqlExpr> conjuncts;
   int alias_counter = 0;
   /// Whole-condition scope the set expression was written in: where its
   /// uncorrelated subexpressions compile. The site-wise translator keeps
   /// its scope in its own environment and leaves this null.
   const EnvFrame* env = nullptr;
-  /// Catalog table and alias of from_joins[0] — what the partition-union
-  /// rewrite checks against the layout metadata.
-  std::string base_table;
-  std::string base_alias;
 
-  [[nodiscard]] std::string from_where() const {
-    std::string out = " FROM ";
-    for (std::size_t i = 0; i < from_joins.size(); ++i) {
-      if (i > 0) out += ' ';
-      out += from_joins[i];
+  /// `SELECT <item> FROM ... WHERE c1 AND c2 ...` over a copy of the set
+  /// (no item when `item` is null).
+  [[nodiscard]] std::unique_ptr<db::sql::SelectStmt> select(
+      SqlExpr item) const {
+    auto s = std::make_unique<db::sql::SelectStmt>();
+    if (item) s->items.push_back({std::move(item), {}, false, {}});
+    s->from = from;
+    for (const db::sql::Join& join : joins) {
+      s->joins.push_back({join.table, join.on->clone()});
     }
-    if (!conjuncts.empty()) {
-      out += " WHERE ";
-      for (std::size_t i = 0; i < conjuncts.size(); ++i) {
-        if (i > 0) out += " AND ";
-        out += conjuncts[i];
-      }
+    for (const SqlExpr& conjunct : conjuncts) {
+      s->where = s->where ? make_binary(SqlBinOp::kAnd, std::move(s->where),
+                                       conjunct->clone())
+                          : conjunct->clone();
     }
-    return out;
+    return s;
   }
 };
 
-/// SQL text of a set-filter operand, with what ASL equality needs to know
-/// about its nulls.
+/// A set-filter operand, with what ASL equality needs to know about its
+/// nulls.
 struct FilterSql {
   enum class Null {
     kNever,  ///< never a legal null at run time
@@ -278,38 +294,45 @@ struct FilterSql {
     kIs,     ///< null in this compilation (the null literal, or a value
              ///< that is null in the compiling context)
   };
-  std::string sql;
+  SqlExpr sql;
   Null null = Null::kNever;
 };
 
 /// ASL equality inside a set filter. A side that is null here turns it into
 /// IS [NOT] NULL of the other side; two sides that may both be legal nulls
-/// compare with the total equality; a legal null differs from any value;
-/// anything else compares plainly.
-std::string filter_equality(asl::ast::BinOp op, const FilterSql& lhs,
-                            const FilterSql& rhs) {
+/// compare with the total equality; a legal null differs from any value.
+/// Where one side may be a legal null, `=` stays three-valued only in a
+/// `positive` position (reached from WHERE through AND/OR alone, where
+/// NULL filters like FALSE); anywhere else — under NOT, say — it is made
+/// two-valued so an unset attribute compares false, as in the interpreter.
+SqlExpr filter_equality(asl::ast::BinOp op, FilterSql lhs, FilterSql rhs,
+                        bool positive) {
   using Null = FilterSql::Null;
   const bool eq = op == asl::ast::BinOp::kEq;
   if (lhs.null == Null::kIs || rhs.null == Null::kIs) {
-    const std::string& tested = rhs.null == Null::kIs ? lhs.sql : rhs.sql;
-    return support::cat("(", tested, eq ? " IS NULL)" : " IS NOT NULL)");
+    SqlExpr tested = rhs.null == Null::kIs ? std::move(lhs.sql)
+                                           : std::move(rhs.sql);
+    return make_is_null(std::move(tested), !eq);
   }
   if (lhs.null == Null::kLegal && rhs.null == Null::kLegal) {
-    const std::string equal = total_equality(lhs.sql, rhs.sql);
-    return eq ? equal : support::cat("(NOT ", equal, ")");
+    SqlExpr equal = total_equality(std::move(lhs.sql), std::move(rhs.sql));
+    return eq ? std::move(equal)
+              : make_unary(db::sql::UnOp::kNot, std::move(equal));
   }
-  if (!eq && (lhs.null == Null::kLegal || rhs.null == Null::kLegal)) {
-    return support::cat("(COALESCE((", lhs.sql, " <> ", rhs.sql, "), TRUE))");
-  }
-  return support::cat("(", lhs.sql, eq ? " = " : " <> ", rhs.sql, ")");
+  const bool legal = lhs.null == Null::kLegal || rhs.null == Null::kLegal;
+  SqlExpr plain = make_binary(eq ? SqlBinOp::kEq : SqlBinOp::kNe,
+                             std::move(lhs.sql), std::move(rhs.sql));
+  if (!legal || (eq && positive)) return plain;
+  return sql_call("COALESCE", std::move(plain),
+                  make_literal(db::Value::boolean(!eq)));
 }
 
 /// The set translation both SQL translators share: a setof attribute chain
-/// (or a comprehension over one) becomes FROM/JOIN/WHERE text, a member
-/// path rooted at the binder becomes one JOIN per object hop, and a set
-/// filter becomes a WHERE conjunct. Each translator supplies its own leaf
-/// rules: the owner of a setof access, and a filter subexpression that does
-/// not mention the binder.
+/// (or a comprehension over one) becomes FROM/JOIN/WHERE, a member path
+/// rooted at the binder becomes one JOIN per object hop, and a set filter
+/// becomes a WHERE conjunct. Each translator supplies its own leaf rules:
+/// the owner of a setof access, and a filter subexpression that does not
+/// mention the binder.
 class SetTranslator {
  public:
   /// A setof attribute chain or a comprehension over one; `env` is the
@@ -321,26 +344,28 @@ class SetTranslator {
     }
     if (e.kind != Expr::Kind::kMember) {
       throw not_compilable(
+          e,
           "set expression must be a setof attribute chain or a "
           "comprehension over one");
     }
     SetSpec sq;
     sq.env = env;
-    const auto [owner, owner_class] = set_owner(*e.base, sq);
+    auto [owner, owner_class] = set_owner(*e.base, sq);
     const asl::ClassInfo& cls = model_->class_info(owner_class);
     const auto attr = cls.find_attr(e.name);
     if (!attr || cls.attrs[*attr].type.kind != TypeKind::kSet) {
-      throw not_compilable(support::cat(
-          "'", e.name, "' is not a setof attribute of ", cls.name));
+      throw not_compilable(e, support::cat("'", e.name,
+                                           "' is not a setof attribute of ",
+                                           cls.name));
     }
     sq.elem_class = cls.attrs[*attr].type.id;
-    sq.base_table = junction_table(cls.name, e.name);
-    sq.base_alias = "j";
-    sq.from_joins.push_back(sq.base_table + " j");
-    sq.from_joins.push_back(
-        support::cat("JOIN ", model_->class_info(sq.elem_class).name,
-                     " b ON b.id = j.member"));
-    sq.conjuncts.push_back(support::cat("j.owner = ", owner));
+    sq.from = sql_table(junction_table(cls.name, e.name), "j");
+    sq.joins.push_back(
+        {sql_table(model_->class_info(sq.elem_class).name, "b"),
+         make_binary(SqlBinOp::kEq, make_column("b", "id"),
+                    make_column("j", "member"))});
+    sq.conjuncts.push_back(make_binary(SqlBinOp::kEq, make_column("j", "owner"),
+                                      std::move(owner)));
     return sq;
   }
 
@@ -352,7 +377,9 @@ class SetTranslator {
                        const EnvFrame* env) {
     SetSpec sq = compile_set(base, env);
     sq.binder = binder;
-    if (filter != nullptr) sq.conjuncts.push_back(over_binder(*filter, sq).sql);
+    if (filter != nullptr) {
+      sq.conjuncts.push_back(over_binder(*filter, sq, /*positive=*/true).sql);
+    }
     return sq;
   }
 
@@ -360,103 +387,112 @@ class SetTranslator {
   /// Subexpressions not touching the binder go to the translator's leaf
   /// rule; subexpressions that do are limited to member chains and scalar
   /// glue — the engine's scalar subqueries cannot be correlated with an
-  /// enclosing row.
+  /// enclosing row. `positive`: `e` is reached from WHERE through AND/OR
+  /// alone (see filter_equality).
   FilterSql over_binder(const Expr& e,  // NOLINT(misc-no-recursion)
-                        SetSpec& sq) {
+                        SetSpec& sq, bool positive) {
     using Kind = Expr::Kind;
-    if (e.kind == Kind::kNullLit) return {"NULL", FilterSql::Null::kIs};
+    if (e.kind == Kind::kNullLit) {
+      return {make_literal(db::Value::null()), FilterSql::Null::kIs};
+    }
     if (!sq.binder.empty() && !mentions_name(e, sq.binder)) {
       return filter_leaf(e, sq);
     }
     switch (e.kind) {
       case Kind::kIdent:
-        if (e.name == sq.binder) return {"b.id"};
+        if (e.name == sq.binder) return {make_column("b", "id")};
         break;  // unreachable: non-binder idents hit the leaf rule
       case Kind::kMember: {
         std::vector<const Expr*> chain;
         const Expr* root = unroll_member_chain(e, chain);
         if (root->kind != Kind::kIdent || root->name != sq.binder) {
           throw not_compilable(
-              "member path in a set filter must be rooted at the binder");
+              e, "member path in a set filter must be rooted at the binder");
         }
         return {join_path(sq, "b", sq.elem_class, chain).first,
                 FilterSql::Null::kLegal};
       }
-      case Kind::kUnary: {
-        const std::string operand = over_binder(*e.lhs, sq).sql;
-        return {support::cat(
-            e.un_op == asl::ast::UnOp::kNot ? "(NOT " : "(-", operand, ")")};
-      }
+      case Kind::kUnary:
+        return {make_unary(sql_operator(e.un_op),
+                           over_binder(*e.lhs, sq, false).sql)};
       case Kind::kBinary: {
         // Sequence the sides explicitly: both may emit parameters, and the
         // recording order must be deterministic.
-        const FilterSql lhs = over_binder(*e.lhs, sq);
-        const FilterSql rhs = over_binder(*e.rhs, sq);
+        const bool logical = e.bin_op == asl::ast::BinOp::kAnd ||
+                             e.bin_op == asl::ast::BinOp::kOr;
+        FilterSql lhs = over_binder(*e.lhs, sq, positive && logical);
+        FilterSql rhs = over_binder(*e.rhs, sq, positive && logical);
         if (e.bin_op == asl::ast::BinOp::kEq ||
             e.bin_op == asl::ast::BinOp::kNe) {
-          return {filter_equality(e.bin_op, lhs, rhs)};
+          return {filter_equality(e.bin_op, std::move(lhs), std::move(rhs),
+                                  positive)};
         }
-        return {support::cat("(", lhs.sql, " ", sql_operator(e.bin_op), " ",
-                             rhs.sql, ")")};
+        return {make_binary(sql_operator(e.bin_op), std::move(lhs.sql),
+                           std::move(rhs.sql))};
       }
       default:
         break;
     }
-    throw not_compilable(support::cat(
-        "expression correlated with binder '", sq.binder,
-        "' is not compilable (aggregates/calls over the binder are not "
-        "supported)"));
+    throw not_compilable(
+        e, support::cat("expression correlated with binder '", sq.binder,
+                        "' is not compilable (aggregates/calls over the "
+                        "binder are not supported)"));
   }
 
   /// Walks `chain` starting from `alias` (an instance of `cls_id`), adding
   /// one JOIN per intermediate object reference; returns the final column
   /// and its attribute type.
-  std::pair<std::string, Type> join_path(SetSpec& sq, std::string alias,
-                                         std::uint32_t cls_id,
-                                         std::span<const Expr* const> chain) {
+  std::pair<SqlExpr, Type> join_path(SetSpec& sq, std::string alias,
+                                     std::uint32_t cls_id,
+                                     std::span<const Expr* const> chain) {
     for (std::size_t i = 0; i < chain.size(); ++i) {
       const asl::ClassInfo& cls = model_->class_info(cls_id);
       const auto attr = cls.find_attr(chain[i]->name);
       if (!attr) {
-        throw not_compilable(support::cat("class ", cls.name,
+        throw not_compilable(*chain[i],
+                             support::cat("class ", cls.name,
                                           " has no attribute '",
                                           chain[i]->name, "'"));
       }
       const Type& attr_type = cls.attrs[*attr].type;
       if (i + 1 == chain.size()) {
         if (attr_type.kind == TypeKind::kSet) {
-          throw not_compilable(support::cat("set-valued attribute '",
+          throw not_compilable(*chain[i],
+                               support::cat("set-valued attribute '",
                                             chain[i]->name,
                                             "' in scalar position"));
         }
-        return {support::cat(alias, ".", chain[i]->name), attr_type};
+        return {make_column(alias, chain[i]->name), attr_type};
       }
       if (attr_type.kind != TypeKind::kClass) {
-        throw not_compilable(support::cat("'.", chain[i]->name,
+        throw not_compilable(*chain[i],
+                             support::cat("'.", chain[i]->name,
                                           "' must be an object reference"));
       }
-      const std::string next = support::cat("t", sq.alias_counter++);
-      sq.from_joins.push_back(
-          support::cat("JOIN ", model_->class_info(attr_type.id).name, " ",
-                       next, " ON ", next, ".id = ", alias, ".",
-                       chain[i]->name));
-      alias = next;
+      std::string next = support::cat("t", sq.alias_counter++);
+      sq.joins.push_back(
+          {sql_table(model_->class_info(attr_type.id).name, next),
+           make_binary(SqlBinOp::kEq, make_column(next, "id"),
+                      make_column(alias, chain[i]->name))});
+      alias = std::move(next);
       cls_id = attr_type.id;
     }
-    throw not_compilable("empty member path");
+    throw EvalError("empty member path");
   }
 
  protected:
   explicit SetTranslator(const asl::Model& model) : model_(&model) {}
   ~SetTranslator() = default;
 
-  /// SQL text and class of the object that owns a setof access.
-  virtual std::pair<std::string, std::uint32_t> set_owner(
-      const Expr& e, const SetSpec& sq) = 0;
+  /// The owner of a setof access, and its class.
+  virtual std::pair<SqlExpr, std::uint32_t> set_owner(const Expr& e,
+                                                      const SetSpec& sq) = 0;
   /// A filter subexpression that does not mention the binder.
   virtual FilterSql filter_leaf(const Expr& e, const SetSpec& sq) = 0;
-  [[nodiscard]] virtual EvalError not_compilable(
-      std::string_view what) const = 0;
+  /// The error for a construct this translator cannot compile, located at
+  /// `at` in the specification.
+  [[nodiscard]] virtual CompileLimit not_compilable(
+      const Expr& at, std::string_view what) const = 0;
 
   const asl::Model* model_;
 };
@@ -474,6 +510,14 @@ PlanCache::Stats PlanCache::stats() const {
 std::size_t PlanCache::size() const {
   std::lock_guard lock(mutex_);
   return plans_.size();
+}
+
+std::vector<std::shared_ptr<const CompiledPlan>> PlanCache::plans() const {
+  std::lock_guard lock(mutex_);
+  std::vector<std::shared_ptr<const CompiledPlan>> out;
+  out.reserve(lru_.size());
+  for (const Key& key : lru_) out.push_back(plans_.at(key).plan);
+  return out;
 }
 
 void PlanCache::touch(Entry& entry) const {
@@ -551,9 +595,10 @@ class SqlExprEval final : public SetTranslator {
     return owner_.mode_ == SqlEvalMode::kClientSide;
   }
 
-  db::QueryResult run(const std::string& sql) {
+  /// The inline path: ships the statement as text with its literals.
+  db::QueryResult run(const db::sql::SelectStmt& select) {
     ++owner_.stats_.sql_queries;
-    return owner_.conn_->execute(sql);
+    return owner_.conn_->execute(render(select));
   }
 
   // --- plan cache machinery --------------------------------------------------
@@ -575,32 +620,33 @@ class SqlExprEval final : public SetTranslator {
 
   /// Emits a context-dependent scalar into the SQL being built: a bound
   /// parameter while a plan is recording, an inline literal otherwise.
-  std::string emit_scalar(const Expr* origin, const TV& tv) {
-    if (build_ == nullptr) return literal_of(tv);
+  SqlExpr emit_scalar(const Expr* origin, const TV& tv) {
+    if (build_ == nullptr) return make_literal(to_db_value(tv.v, tv.t));
     if (tv.v.is_null()) {
-      build_->params.push_back({origin, CompiledPlan::Slot::kAssertNull, 0, {}});
-      build_->values.push_back(db::Value::null());
-      return "NULL";
+      build_->add({origin, CompiledPlan::Slot::kAssertNull, 0, {}},
+                  db::Value::null());
+      return make_literal(db::Value::null());
     }
-    return build_->marker({origin, CompiledPlan::Slot::kValue, 0, {}},
-                          to_db_value(tv.v, tv.t));
+    return make_param(build_->add({origin, CompiledPlan::Slot::kValue, 0, {}},
+                                  to_db_value(tv.v, tv.t)));
   }
 
   /// Emits an object id whose expression is re-evaluated at bind time.
-  std::string emit_object(const Expr* origin, ObjectId id,
-                          std::string null_error) {
-    if (build_ == nullptr) return std::to_string(id);
-    return build_->marker({origin, CompiledPlan::Slot::kObjectId, 0,
-                           std::move(null_error)},
-                          db::Value::integer(static_cast<std::int64_t>(id)));
+  SqlExpr emit_object(const Expr* origin, ObjectId id,
+                      std::string null_error) {
+    db::Value value = db::Value::integer(static_cast<std::int64_t>(id));
+    if (build_ == nullptr) return make_literal(std::move(value));
+    return make_param(build_->add(
+        {origin, CompiledPlan::Slot::kObjectId, 0, std::move(null_error)},
+        std::move(value)));
   }
 
   /// Emits a value the caller computed before entering the site (and will
   /// pass again, at the same index, on every later bind).
-  std::string emit_provided(std::size_t index, const db::Value& value) {
-    if (build_ == nullptr) return value.to_sql_literal();
-    return build_->marker({nullptr, CompiledPlan::Slot::kProvided, index, {}},
-                          value);
+  SqlExpr emit_provided(std::size_t index, const db::Value& value) {
+    if (build_ == nullptr) return make_literal(value);
+    return make_param(build_->add(
+        {nullptr, CompiledPlan::Slot::kProvided, index, {}}, value));
   }
 
   /// Evaluates a cached plan's parameters for the current context. Returns
@@ -638,7 +684,7 @@ class SqlExprEval final : public SetTranslator {
 
   db::QueryResult run_prepared(const std::shared_ptr<const CompiledPlan>& plan,
                                std::span<const db::Value> values) {
-    db::PreparedStatement& stmt = owner_.statement_for(plan);
+    db::PreparedStatement& stmt = owner_.entry_for(plan).stmt;
     ++owner_.stats_.sql_queries;
     return owner_.conn_->execute(stmt, values);
   }
@@ -662,7 +708,7 @@ class SqlExprEval final : public SetTranslator {
     PlanCache* cache = owner_.cache_;
     if (cache == nullptr || prop_ == nullptr) {
       const Compiled compiled = compile();
-      return {run(compiled.sql), compiled.elem_class};
+      return {run(*compiled.select), compiled.elem_class};
     }
     const int k = static_cast<int>(kind) * 2 +
                   (client_side() ? 1 : 0);  // mode disambiguates shared nodes
@@ -678,19 +724,19 @@ class SqlExprEval final : public SetTranslator {
       ++owner_.stats_.plan_cache_misses;
       cache->record(false);
       const Compiled compiled = compile();
-      return {run(compiled.sql), compiled.elem_class};
+      return {run(*compiled.select), compiled.elem_class};
     }
     PlanBuild build;
     build_ = &build;
-    const Compiled compiled = compile();
+    Compiled compiled = compile();
     build_ = nullptr;
     std::vector<db::Value> values;
     // A racing worker may have compiled the same site meanwhile; converge
     // on the canonical plan (the values bind either — same template).
     const std::shared_ptr<const CompiledPlan> plan =
         cache->insert(prop_->name, &site, k, owner_.layout_,
-                      std::make_shared<CompiledPlan>(
-                          finalize(compiled, std::move(build), values)));
+                      std::make_shared<CompiledPlan>(finalize(
+                          std::move(compiled), std::move(build), values)));
     ++owner_.stats_.plan_cache_misses;
     cache->record(false);
     return {run_prepared(plan, values), plan->elem_class};
@@ -720,9 +766,11 @@ class SqlExprEval final : public SetTranslator {
       const SiteResult site = run_site(
           e, SiteKind::kJunctionIds, std::span<const db::Value>(&owner, 1),
           [&]() -> Compiled {
-            return {support::cat("SELECT member FROM ",
-                                 junction_table(cls.name, e.name),
-                                 " WHERE owner = ", emit_provided(0, owner)),
+            return {sql_select(make_column({}, "member"),
+                               junction_table(cls.name, e.name),
+                               make_binary(SqlBinOp::kEq,
+                                          make_column({}, "owner"),
+                                          emit_provided(0, owner))),
                     elem_class};
           });
       std::vector<ObjectId> ids;
@@ -812,11 +860,11 @@ class SqlExprEval final : public SetTranslator {
 
   // --- set compilation: the site-wise leaf rules --------------------------
 
-  std::pair<std::string, std::uint32_t> set_owner(const Expr& e,
-                                                  const SetSpec&) override {
+  std::pair<SqlExpr, std::uint32_t> set_owner(const Expr& e,
+                                              const SetSpec&) override {
     const TV base = eval(e);
     if (base.t.kind != TypeKind::kClass) {
-      throw not_compilable("set base must be an object");
+      throw not_compilable(e, "set base must be an object");
     }
     if (base.v.is_null()) {
       throw EvalError("SQL strategy: set access on null object");
@@ -836,31 +884,12 @@ class SqlExprEval final : public SetTranslator {
             tv.v.is_null() ? FilterSql::Null::kIs : FilterSql::Null::kNever};
   }
 
-  [[nodiscard]] EvalError not_compilable(std::string_view what) const override {
-    return EvalError(support::cat("SQL strategy: ", what));
-  }
-
-  [[nodiscard]] std::string literal_of(const TV& tv) const {
-    if (tv.v.is_null()) return "NULL";
-    switch (tv.t.kind) {
-      case TypeKind::kInt:
-        return std::to_string(tv.v.as_int());
-      case TypeKind::kFloat:
-        return db::Value::real(tv.v.as_float()).to_sql_literal();
-      case TypeKind::kBool:
-        return tv.v.as_bool() ? "TRUE" : "FALSE";
-      case TypeKind::kString:
-        return support::sql_quote(tv.v.as_string());
-      case TypeKind::kDateTime:
-        return support::cat("DATETIME ",
-                            support::sql_quote(db::format_datetime(tv.v.as_int())));
-      case TypeKind::kClass:
-        return std::to_string(tv.v.as_object());
-      case TypeKind::kEnum:
-        return std::to_string(tv.v.as_enum().ordinal);
-      default:
-        throw EvalError("value has no SQL literal form");
-    }
+  [[nodiscard]] CompileLimit not_compilable(
+      const Expr& at, std::string_view what) const override {
+    return CompileLimit(support::cat(
+        "SQL strategy: ", what, " (",
+        prop_ != nullptr ? support::cat("property ", prop_->name, ", ") : "",
+        "at ", at.loc.to_string(), ")"));
   }
 
   // --- typed evaluation ------------------------------------------------------
@@ -917,8 +946,10 @@ class SqlExprEval final : public SetTranslator {
         const SiteResult site = run_site(
             e, SiteKind::kAttrFetch, std::span<const db::Value>(&id, 1),
             [&]() -> Compiled {
-              return {support::cat("SELECT ", e.name, " FROM ", cls.name,
-                                   " WHERE id = ", emit_provided(0, id)),
+              return {sql_select(make_column({}, e.name), cls.name,
+                                 make_binary(SqlBinOp::kEq,
+                                             make_column({}, "id"),
+                                             emit_provided(0, id))),
                       0};
             });
         if (site.result.row_count() != 1) {
@@ -972,8 +1003,7 @@ class SqlExprEval final : public SetTranslator {
         const SiteResult site =
             run_site(e, SiteKind::kSetIds, {}, [&]() -> Compiled {
               const SetSpec sq = compile_set(e, nullptr);
-              return {support::cat("SELECT b.id", sq.from_where()),
-                      sq.elem_class};
+              return {sq.select(make_column("b", "id")), sq.elem_class};
             });
         auto ids = std::make_shared<std::vector<ObjectId>>();
         ids->reserve(site.result.row_count());
@@ -990,13 +1020,12 @@ class SqlExprEval final : public SetTranslator {
             run_site(e, SiteKind::kSetAgg, {}, [&]() -> Compiled {
               SetSpec sq =
                   filtered_set(*e.base, e.name, e.filter.get(), nullptr);
-              const std::string select =
+              SqlExpr select =
                   e.agg_kind == AggKind::kCount
-                      ? "COUNT(*)"
-                      : support::cat(asl::ast::to_string(e.agg_kind), "(",
-                                     over_binder(*e.agg_value, sq).sql, ")");
-              return {support::cat("SELECT ", select, sq.from_where()),
-                      sq.elem_class};
+                      ? sql_count_star()
+                      : sql_call(std::string(asl::ast::to_string(e.agg_kind)),
+                                 over_binder(*e.agg_value, sq, false).sql);
+              return {sq.select(std::move(select)), sq.elem_class};
             });
         const db::Value scalar = site.result.scalar();
         if (e.agg_kind == asl::ast::AggKind::kCount) {
@@ -1028,8 +1057,7 @@ class SqlExprEval final : public SetTranslator {
         const SiteResult site =
             run_site(e, SiteKind::kSetIds, {}, [&]() -> Compiled {
               const SetSpec sq = compile_set(*e.base, nullptr);
-              return {support::cat("SELECT b.id", sq.from_where()),
-                      sq.elem_class};
+              return {sq.select(make_column("b", "id")), sq.elem_class};
             });
         if (site.result.row_count() != 1) {
           throw EvalError(support::cat("UNIQUE over a set of size ",
@@ -1049,8 +1077,7 @@ class SqlExprEval final : public SetTranslator {
           const SiteResult site =
               run_site(e, SiteKind::kSetCount, {}, [&]() -> Compiled {
                 const SetSpec sq = compile_set(*e.base, nullptr);
-                return {support::cat("SELECT COUNT(*)", sq.from_where()),
-                        sq.elem_class};
+                return {sq.select(sql_count_star()), sq.elem_class};
               });
           n = site.result.scalar().as_int();
         }
@@ -1145,7 +1172,7 @@ namespace {
 ///   [one probe per LET | one per condition | confidence arms | severity arms]
 ///
 /// Every set site becomes an uncorrelated scalar subquery; LET bindings and
-/// specification functions are inlined symbolically (the statement text is
+/// specification functions are inlined symbolically (the statement is
 /// context-free); the only context dependence is the property-argument
 /// tuple, emitted as kProvided `?` parameters indexed by argument position.
 /// The LET probes reproduce the interpreter's *eager* LET semantics: a LET
@@ -1158,10 +1185,10 @@ namespace {
 class WholeConditionCompiler final : public SetTranslator {
  public:
   /// With `cse` on, the compiler additionally
-  ///   * reuses one `?` marker per property argument, so structurally
-  ///     identical subexpressions compile to byte-identical SQL, and
-  ///   * hoists scalar subqueries whose text occurs more than once into
-  ///     named CTEs (`WITH cse0 AS (SELECT ... AS v FROM ...) ...`), each
+  ///   * reuses one parameter per property argument, so structurally
+  ///     identical subexpressions compile to identical subtrees, and
+  ///   * hoists scalar subqueries that occur more than once into named
+  ///     CTEs (`WITH cse0 AS (SELECT ... AS v FROM ...) ...`), each
   ///     occurrence becoming a cheap `(SELECT v FROM cse0)` reference.
   /// The engine materializes each CTE exactly once per statement execution,
   /// so every shared subexpression runs once per (property, context).
@@ -1182,14 +1209,13 @@ class WholeConditionCompiler final : public SetTranslator {
   /// Database::exec_stats().partition_union_rewrites must track plans
   /// compiled for execution, not every time someone looks at the SQL.
   WholeConditionCompiler(const asl::Model& model, const asl::PropertyInfo& prop,
-                         std::span<const RtValue> args, bool cse = true,
-                         db::Database* catalog = nullptr,
+                         bool cse = true, db::Database* catalog = nullptr,
                          bool count_rewrites = true)
-      : SetTranslator(model), prop_(&prop), args_(args), cse_(cse),
-        catalog_(catalog), count_rewrites_(count_rewrites) {}
+      : SetTranslator(model), prop_(&prop), cse_(cse), catalog_(catalog),
+        count_rewrites_(count_rewrites) {}
 
-  /// Produces the plan plus the bind values of the compiling context.
-  CompiledPlan compile(std::vector<db::Value>& first_values) {
+  /// The context-free plan; evaluate_whole binds the arguments per context.
+  CompiledPlan compile() {
     const EnvFrame* env = nullptr;
     for (std::size_t i = 0; i < prop_->params.size(); ++i) {
       env = push(env, Binding{prop_->params[i].first, Binding::Kind::kArg, i,
@@ -1202,9 +1228,9 @@ class WholeConditionCompiler final : public SetTranslator {
                               let.init, env});
     }
 
-    std::vector<std::string> columns;
-    const auto add = [&](std::string column) {
-      columns.push_back(std::move(column));
+    auto select = std::make_unique<db::sql::SelectStmt>();
+    const auto add = [&](TSql column) {
+      select->items.push_back({std::move(column.sql), {}, false, {}});
     };
     // Probe the LETs whose evaluation can only yield NULL through a data
     // gap the interpreter would have thrown on (UNIQUE over a non-singleton
@@ -1216,44 +1242,40 @@ class WholeConditionCompiler final : public SetTranslator {
     std::size_t probes = 0;
     for (std::size_t i = 0; i < prop_->lets.size(); ++i) {
       if (may_be_null(*prop_->lets[i].init, let_envs[i], 0)) continue;
-      add(scalar(*prop_->lets[i].init, let_envs[i]).sql);
+      add(scalar(*prop_->lets[i].init, let_envs[i]));
       ++probes;
     }
     for (const asl::ConditionInfo& cond : prop_->conditions) {
-      add(scalar(*cond.pred, env).sql);
+      add(scalar(*cond.pred, env));
     }
     for (const asl::GuardedInfo& arm : prop_->confidence) {
-      add(scalar(*arm.expr, env).sql);
+      add(scalar(*arm.expr, env));
     }
     for (const asl::GuardedInfo& arm : prop_->severity) {
-      add(scalar(*arm.expr, env).sql);
+      add(scalar(*arm.expr, env));
     }
-    std::string sql = "SELECT ";
-    for (std::size_t i = 0; i < columns.size(); ++i) {
-      if (i > 0) sql += ", ";
-      sql += columns[i];
-    }
-    if (cse_) sql = eliminate_common_subexpressions(std::move(sql));
+    if (cse_) eliminate_common_subexpressions(*select);
 
     // elem_class is unused by whole plans; it carries the probe-column
     // count so the glue can locate the condition columns.
-    return finalize(
-        Compiled{std::move(sql), static_cast<std::uint32_t>(probes)},
-        std::move(build_), first_values);
+    std::vector<db::Value> unbound;
+    return finalize(Compiled{std::move(select),
+                             static_cast<std::uint32_t>(probes)},
+                    std::move(build_), unbound);
   }
 
  private:
-  /// SQL text with its static ASL type (needed to resolve member chains and
+  /// SQL tree with its static ASL type (needed to resolve member chains and
   /// junction tables without a runtime context).
   struct TSql {
-    std::string sql;
+    SqlExpr sql;
     Type type;
   };
 
   struct DepthGuard {
-    explicit DepthGuard(WholeConditionCompiler& self) : self_(self) {
+    DepthGuard(WholeConditionCompiler& self, const Expr& at) : self_(self) {
       if (++self_.depth_ > kMaxInlineDepth) {
-        throw self_.not_compilable("aliases or functions inline too deep");
+        throw self_.not_compilable(at, "aliases or functions inline too deep");
       }
     }
     ~DepthGuard() { --self_.depth_; }
@@ -1274,16 +1296,18 @@ class WholeConditionCompiler final : public SetTranslator {
     return nullptr;
   }
 
-  [[nodiscard]] EvalError not_compilable(std::string_view what) const override {
-    return EvalError(support::cat("whole-condition: ", what, " (property ",
-                                  prop_->name, ")"));
+  [[nodiscard]] CompileLimit not_compilable(
+      const Expr& at, std::string_view what) const override {
+    return CompileLimit(support::cat("whole-condition: ", what, " (property ",
+                                     prop_->name, ", at ", at.loc.to_string(),
+                                     ")"));
   }
 
-  std::pair<std::string, std::uint32_t> set_owner(
-      const Expr& e, const SetSpec& sq) override {
+  std::pair<SqlExpr, std::uint32_t> set_owner(const Expr& e,
+                                              const SetSpec& sq) override {
     TSql owner = scalar(e, sq.env);
     if (owner.type.kind != TypeKind::kClass) {
-      throw not_compilable("set base is not an object");
+      throw not_compilable(e, "set base is not an object");
     }
     return {std::move(owner.sql), owner.type.id};
   }
@@ -1343,36 +1367,40 @@ class WholeConditionCompiler final : public SetTranslator {
       case Expr::Kind::kCall: {
         const asl::FunctionInfo* fn = model_->find_function(e.name);
         if (fn == nullptr || e.args.size() != fn->params.size()) return false;
-        const EnvFrame* fn_env = nullptr;
-        for (std::size_t i = 0; i < e.args.size(); ++i) {
-          fn_env = push(fn_env,
-                        Binding{fn->params[i].first, Binding::Kind::kExpr, 0,
-                                fn->params[i].second, e.args[i].get(), env});
-        }
-        return may_be_null(*fn->body, fn_env, depth + 1);
+        return may_be_null(*fn->body, call_env(*fn, e, env), depth + 1);
       }
       default:
         return false;
     }
   }
 
-  std::string param_marker(std::size_t arg_index, const Type& type) {
-    if (cse_) {
-      // One marker per argument: every reference to the same property
-      // argument emits identical text, which is what lets structurally
-      // identical subexpressions match byte-for-byte (and what collapses
-      // the duplicated occurrences into one bound `?` each after CSE).
-      const auto it = arg_markers_.find(arg_index);
-      if (it != arg_markers_.end()) return it->second;
-      std::string marker = build_.marker(
-          {nullptr, CompiledPlan::Slot::kProvided, arg_index, {}},
-          to_db_value(args_[arg_index], type));
-      arg_markers_.emplace(arg_index, marker);
-      return marker;
+  /// The scope a call's body compiles in: the function's parameters, each
+  /// bound to its argument expression in the caller's scope `env`.
+  const EnvFrame* call_env(const asl::FunctionInfo& fn, const Expr& call,
+                           const EnvFrame* env) {
+    const EnvFrame* fn_env = nullptr;
+    for (std::size_t i = 0; i < call.args.size(); ++i) {
+      fn_env = push(fn_env, Binding{fn.params[i].first, Binding::Kind::kExpr, 0,
+                                    fn.params[i].second, call.args[i].get(),
+                                    env});
     }
-    return build_.marker(
-        {nullptr, CompiledPlan::Slot::kProvided, arg_index, {}},
-        to_db_value(args_[arg_index], type));
+    return fn_env;
+  }
+
+  /// A `?` bound to property argument `arg_index`. With CSE on, every
+  /// reference to one argument shares one recorded parameter, so equal
+  /// subexpressions are equal subtrees; finalize() still gives each
+  /// placeholder left in the statement its own `?`.
+  SqlExpr arg_param(std::size_t arg_index) {
+    if (cse_) {
+      const auto it = arg_params_.find(arg_index);
+      if (it != arg_params_.end()) return make_param(it->second);
+    }
+    const std::size_t id =
+        build_.add({nullptr, CompiledPlan::Slot::kProvided, arg_index, {}},
+                   db::Value::null());
+    if (cse_) arg_params_.emplace(arg_index, id);
+    return make_param(id);
   }
 
   /// Name of a generated CTE (`cse<i>` for hoisted shared subqueries,
@@ -1400,24 +1428,23 @@ class WholeConditionCompiler final : public SetTranslator {
     return base;
   }
 
-  [[nodiscard]] static std::string flat_aggregate_select(
-      AggKind op, const std::string& arg) {
-    if (op == AggKind::kCount) return "COUNT(*)";
+  [[nodiscard]] static SqlExpr flat_aggregate(AggKind op, SqlExpr arg) {
+    if (op == AggKind::kCount) return sql_count_star();
     // ASL's SUM of an empty set is 0 (no barrier records means zero barrier
     // time, not a data gap), so the NULL of SQL's empty SUM must not
     // propagate.
     if (op == AggKind::kSum) {
-      return support::cat("COALESCE(SUM(", arg, "), 0.0)");
+      return sql_call("COALESCE", sql_call("SUM", std::move(arg)),
+                      make_literal(db::Value::real(0.0)));
     }
-    return support::cat(asl::ast::to_string(op), "(", arg, ")");
+    return sql_call(std::string(asl::ast::to_string(op)), std::move(arg));
   }
 
   /// Complete aggregate subquery over `sq`: the partition-union rewrite
   /// when the layout rewards it, the flat single-scan subquery otherwise.
-  std::string aggregate_scalar(AggKind op, const std::string& arg,
-                               const SetSpec& sq) {
-    if (auto rewritten = partition_union(op, arg, sq)) return *rewritten;
-    return hoistable(flat_aggregate_select(op, arg), sq.from_where());
+  SqlExpr aggregate_scalar(AggKind op, SqlExpr arg, const SetSpec& sq) {
+    if (SqlExpr rewritten = partition_union(op, arg, sq)) return rewritten;
+    return make_subquery(sq.select(flat_aggregate(op, std::move(arg))));
   }
 
   /// The partition-union rewrite: a full-table aggregate over a partitioned
@@ -1426,19 +1453,16 @@ class WholeConditionCompiler final : public SetTranslator {
   /// expression (SUM-of-SUMs / COUNT-of-COUNTs, AVG re-derived from
   /// per-partition SUM and COUNT, LEAST/GREATEST over per-partition
   /// MIN/MAX, each of which skips the NULL an empty shard yields). Returns
-  /// nullopt when the rewrite does not apply: no catalog attached, CSE off
+  /// null when the rewrite does not apply: no catalog attached, CSE off
   /// (the layout-blind ablation baseline), the base table unpartitioned, or
   /// the scan already pinned to one partition by an equality conjunct on
   /// the partition column — per-owner probes stay ONE flat subquery the
   /// executor prunes at bind time, because a union of one live shard plus
   /// N-1 provably empty ones would only add wire and parse cost.
-  std::optional<std::string> partition_union(AggKind op, const std::string& arg,
-                                             const SetSpec& sq) {
-    if (!cse_ || catalog_ == nullptr || sq.base_table.empty()) {
-      return std::nullopt;
-    }
-    const auto layout = catalog_->table_layout(sq.base_table);
-    if (!layout || layout->partitions <= 1) return std::nullopt;
+  SqlExpr partition_union(AggKind op, const SqlExpr& arg, const SetSpec& sq) {
+    if (!cse_ || catalog_ == nullptr) return nullptr;
+    const auto layout = catalog_->table_layout(sq.from.table);
+    if (!layout || layout->partitions <= 1) return nullptr;
     if ((op == AggKind::kMin || op == AggKind::kMax) &&
         layout->partitions > kMaxFoldArgs) {
       // LEAST/GREATEST accept at most 64 arguments (the scalar-function
@@ -1446,15 +1470,16 @@ class WholeConditionCompiler final : public SetTranslator {
       // and silently demote every context to the sitewise path — strictly
       // worse than staying flat. (The +-chain coordinators have no arity
       // cap, so SUM/COUNT/AVG still rewrite at any partition count.)
-      return std::nullopt;
+      return nullptr;
     }
-    const std::string pin =
-        support::cat(sq.base_alias, ".", layout->partition_column, " = ");
-    for (const std::string& conjunct : sq.conjuncts) {
-      if (conjunct.size() >= pin.size() &&
-          support::iequals(std::string_view(conjunct).substr(0, pin.size()),
-                           pin)) {
-        return std::nullopt;  // pruned probe: one partition at bind time
+    for (const SqlExpr& conjunct : sq.conjuncts) {
+      const db::sql::Expr* column = conjunct->lhs.get();
+      if (conjunct->kind == db::sql::Expr::Kind::kBinary &&
+          conjunct->bin_op == SqlBinOp::kEq &&
+          column->kind == db::sql::Expr::Kind::kColumnRef &&
+          column->table == sq.from.alias &&
+          support::iequals(column->column, layout->partition_column)) {
+        return nullptr;  // pruned probe: one partition at bind time
       }
     }
 
@@ -1463,159 +1488,190 @@ class WholeConditionCompiler final : public SetTranslator {
     // per distinct fold fragment (SUM and AVG share the COALESCE(SUM)
     // column, for instance), so each partition is scanned ONCE per
     // statement no matter how many operators fold the same set.
-    const std::string flat_from_where = sq.from_where();
-    auto [it, inserted] = partition_groups_.try_emplace(flat_from_where);
+    std::unique_ptr<db::sql::SelectStmt> shape = sq.select(nullptr);
+    auto [it, inserted] =
+        partition_groups_.try_emplace(db::sql::structural_key(*shape));
     PartitionGroup& group = it->second;
     if (inserted) {
-      SetSpec shard = sq;
+      group.shape = std::move(shape);
       for (std::size_t k = 0; k < layout->partitions; ++k) {
-        shard.from_joins[0] = support::cat(sq.base_table, " PARTITION (", k,
-                                           ") ", sq.base_alias);
         group.names.push_back(cte_name(support::cat("part", part_counter_++)));
-        group.from_wheres.push_back(shard.from_where());
+        part_names_.insert(group.names.back());
       }
       group_order_.push_back(&group);
     }
-    const auto column_for = [&group](std::string fragment) -> std::string {
-      for (const auto& [alias, existing] : group.columns) {
-        if (existing == fragment) return alias;
+    // Every shard's read of the output column computing `fragment`.
+    const auto shard_reads = [&group](SqlExpr fragment) {
+      std::string key;
+      db::sql::structural_key(*fragment, key);
+      auto column = std::find_if(
+          group.columns.begin(), group.columns.end(),
+          [&](const PartitionGroup::Column& c) { return c.key == key; });
+      if (column == group.columns.end()) {
+        group.columns.push_back({support::cat("v", group.columns.size()),
+                                 std::move(key), std::move(fragment)});
+        column = std::prev(group.columns.end());
       }
-      group.columns.emplace_back(support::cat("v", group.columns.size()),
-                                 std::move(fragment));
-      return group.columns.back().first;
+      std::vector<SqlExpr> reads;
+      for (const std::string& name : group.names) {
+        reads.push_back(sql_cte_read(column->alias, name));
+      }
+      return reads;
     };
-
-    const auto folded = [&](const std::string& column, std::string_view sep,
-                            std::string_view open, std::string_view close) {
-      std::string out(open);
-      for (std::size_t k = 0; k < group.names.size(); ++k) {
-        if (k > 0) out += sep;
-        out += support::cat("(SELECT ", column, " FROM ", group.names[k], ")");
+    const auto sum = [](std::vector<SqlExpr> reads) {  // left-deep `+` chain
+      SqlExpr out = std::move(reads.front());
+      for (std::size_t k = 1; k < reads.size(); ++k) {
+        out = make_binary(SqlBinOp::kAdd, std::move(out), std::move(reads[k]));
       }
-      out += close;
       return out;
     };
-    std::string coordinator;
+    const auto arg_copy = [&arg] { return arg ? arg->clone() : nullptr; };
+    SqlExpr coordinator;
     switch (op) {
       case AggKind::kCount:
       case AggKind::kSum:
-        coordinator =
-            folded(column_for(flat_aggregate_select(op, arg)), " + ", "(", ")");
+        coordinator = sum(shard_reads(flat_aggregate(op, arg_copy())));
         break;
       case AggKind::kAvg: {
         // AVG re-derives from per-partition SUM and COUNT. Empty-set AVG
         // must stay NULL (a data gap upstream); the engine's IIF evaluates
         // only the taken branch, so the division is guarded.
-        const std::string s =
-            column_for(support::cat("COALESCE(SUM(", arg, "), 0.0)"));
-        const std::string c = column_for(support::cat("COUNT(", arg, ")"));
-        coordinator = support::cat("IIF(", folded(c, " + ", "(", ")"),
-                                   " = 0, NULL, ", folded(s, " + ", "(", ")"),
-                                   " / ", folded(c, " + ", "(", ")"), ")");
+        SqlExpr total =
+            sum(shard_reads(flat_aggregate(AggKind::kSum, arg_copy())));
+        SqlExpr count = sum(shard_reads(sql_call("COUNT", arg_copy())));
+        SqlExpr empty = make_binary(SqlBinOp::kEq, count->clone(),
+                                   make_literal(db::Value::integer(0)));
+        coordinator = sql_call(
+            "IIF", std::move(empty), make_literal(db::Value::null()),
+            make_binary(SqlBinOp::kDiv, std::move(total), std::move(count)));
         break;
       }
       case AggKind::kMin:
       case AggKind::kMax:
-        coordinator = folded(column_for(flat_aggregate_select(op, arg)), ", ",
-                             op == AggKind::kMin ? "LEAST(" : "GREATEST(", ")");
+        coordinator = sql_call(op == AggKind::kMin ? "LEAST" : "GREATEST");
+        coordinator->args = shard_reads(flat_aggregate(op, arg_copy()));
         break;
     }
     // Telemetry: one count per distinct rewritten aggregate (repeated
     // occurrences through LET inlining produce the same coordinator and
     // count once); diagnostic-only compilations never count.
-    if (count_rewrites_ && counted_rewrites_.insert(coordinator).second) {
+    std::string key;
+    db::sql::structural_key(*coordinator, key);
+    if (count_rewrites_ && counted_rewrites_.insert(std::move(key)).second) {
       catalog_->count_partition_union_rewrites();
     }
-    // Funnel the coordinator through the CSE machinery like any other
-    // scalar subquery: a shared rewritten aggregate dedupes into a cse CTE
-    // whose body references the part<K> shards defined before it.
-    return hoistable(coordinator, "");
+    // The coordinator is a FROM-less scalar subquery like any other, so the
+    // CSE pass dedupes a shared rewritten aggregate into a cse CTE whose
+    // body references the part<K> shards defined before it.
+    return make_subquery(sql_select(std::move(coordinator), {}, nullptr));
   }
 
-  /// Every complete scalar subquery funnels through here: the text is
-  /// registered as a CSE candidate and returned parenthesized. The
-  /// `select_list` length is kept so the CTE body can alias the one output
-  /// column (`SELECT <list> AS v <from_where>`).
-  std::string hoistable(const std::string& select_list,
-                        const std::string& from_where) {
-    std::string text = support::cat("SELECT ", select_list, from_where);
-    if (cse_) {
-      subqueries_.try_emplace(text, select_list.size());
-    }
-    return support::cat("(", text, ")");
+  /// Calls `fn(slot)` on every subquery slot of `s`'s clauses, outermost
+  /// first (a compiled SELECT has items, joins and WHERE only); `fn` may
+  /// replace the slot and returns whether to descend into the subquery.
+  template <typename F>
+  static void visit_subqueries(db::sql::SelectStmt& s, F& fn) {
+    const auto walk = [&fn](const auto& self, SqlExpr& e) -> void {
+      if (e->kind == db::sql::Expr::Kind::kSubquery) {
+        if (fn(e)) visit_subqueries(*e->subquery, fn);
+        return;
+      }
+      if (e->lhs) self(self, e->lhs);
+      if (e->rhs) self(self, e->rhs);
+      for (SqlExpr& arg : e->args) self(self, arg);
+    };
+    for (db::sql::SelectItem& item : s.items) walk(walk, item.expr);
+    for (db::sql::Join& join : s.joins) walk(walk, join.on);
+    if (s.where) walk(walk, s.where);
   }
 
-  /// The CSE pass: any registered subquery whose text occurs more than once
-  /// in the composed statement (compile-time sharing via LET inlining, or
-  /// textual duplication from the IIF/COALESCE null glue) is hoisted into a
-  /// named CTE. CTEs are defined shortest-first so a hoisted subquery that
-  /// contains another hoisted subquery references the earlier definition —
-  /// the parser's no-forward-reference rule holds by construction.
+  /// Replaces every subquery of `s` whose structural key is `key` with a
+  /// read of CTE `name`.
+  static void replace_subqueries(db::sql::SelectStmt& s,
+                                 const std::string& key,
+                                 const std::string& name) {
+    const auto replace = [&](SqlExpr& e) {
+      if (db::sql::structural_key(*e->subquery) != key) return true;
+      e = sql_cte_read("v", name);
+      return false;
+    };
+    visit_subqueries(s, replace);
+  }
+
+  /// The CSE pass: any subquery that occurs more than once in the statement
+  /// (compile-time sharing via LET inlining, or duplication from the
+  /// IIF/COALESCE null glue) is hoisted into a named CTE; reads of
+  /// `part<K>` shards are not candidates. CTEs are defined
+  /// shortest-rendered-first so a hoisted subquery that contains another
+  /// references the earlier definition — the parser's no-forward-reference
+  /// rule holds by construction.
   ///
   /// Partition-union shards come first in the WITH clause: coordinator
   /// expressions (inline or hoisted into a cse CTE) reference the `part<K>`
-  /// names, and the parser rejects forward references. Shard bodies
-  /// themselves are excluded from CSE replacement — they are already
-  /// deduplicated by shape, and each must keep its own `PARTITION (K)` scan.
-  std::string eliminate_common_subexpressions(std::string sql) {
-    struct SharedSub {
-      const std::string* text;
-      std::size_t select_list_size;
+  /// names. Shard bodies are already deduplicated by shape, and each keeps
+  /// its own `PARTITION (K)` scan.
+  void eliminate_common_subexpressions(db::sql::SelectStmt& stmt) {
+    struct Shared {
+      std::size_t count = 0;
+      const db::sql::SelectStmt* first = nullptr;  // into `stmt`
+      std::unique_ptr<db::sql::SelectStmt> body;
+      std::string key;
+      std::string text;
       std::string name;
     };
-    std::vector<SharedSub> shared;
-    for (const auto& [text, select_list_size] : subqueries_) {
-      if (count_occurrences(sql, support::cat("(", text, ")")) >= 2) {
-        shared.push_back({&text, select_list_size, {}});
+    std::map<std::string, Shared> seen;
+    const auto count = [&](SqlExpr& e) {
+      const auto& from = e->subquery->from;
+      if (!from || part_names_.count(from->table) == 0) {
+        Shared& entry = seen[db::sql::structural_key(*e->subquery)];
+        if (entry.count++ == 0) entry.first = e->subquery.get();
       }
+      return true;
+    };
+    visit_subqueries(stmt, count);
+    std::vector<Shared> shared;
+    for (auto& [key, entry] : seen) {
+      if (entry.count < 2) continue;
+      entry.key = key;
+      entry.body = entry.first->clone();  // before `stmt` changes below
+      entry.text = render(*entry.body);
+      shared.push_back(std::move(entry));
     }
-    if (shared.empty() && group_order_.empty()) return sql;
+    if (shared.empty() && group_order_.empty()) return;
     std::sort(shared.begin(), shared.end(),
-              [](const SharedSub& a, const SharedSub& b) {
-                if (a.text->size() != b.text->size()) {
-                  return a.text->size() < b.text->size();
+              [](const Shared& a, const Shared& b) {
+                if (a.text.size() != b.text.size()) {
+                  return a.text.size() < b.text.size();
                 }
-                return *a.text < *b.text;
+                return a.text < b.text;
               });
 
-    std::string with_clause = "WITH ";
-    bool first_entry = true;
-    const auto add_entry = [&](std::string_view name, std::string_view body) {
-      if (!first_entry) with_clause += ", ";
-      first_entry = false;
-      with_clause += support::cat(name, " AS (", body, ")");
-    };
     for (const PartitionGroup* group : group_order_) {
-      std::string select;
-      for (std::size_t c = 0; c < group->columns.size(); ++c) {
-        if (c > 0) select += ", ";
-        select += support::cat(group->columns[c].second, " AS ",
-                               group->columns[c].first);
-      }
       for (std::size_t k = 0; k < group->names.size(); ++k) {
-        add_entry(group->names[k],
-                  support::cat("SELECT ", select, group->from_wheres[k]));
+        std::unique_ptr<db::sql::SelectStmt> body = group->shape->clone();
+        body->from->partition = k;
+        for (const PartitionGroup::Column& column : group->columns) {
+          body->items.push_back({column.fragment->clone(), column.alias,
+                                 false, {}});
+        }
+        stmt.ctes.push_back({group->names[k], std::move(body), {}});
       }
     }
     for (std::size_t i = 0; i < shared.size(); ++i) {
       shared[i].name = cte_name(support::cat("cse", i));
-      // Body: the subquery with its single output column aliased, and any
+      // Body: the subquery with its single output column aliased, and each
       // earlier (strictly shorter) shared subquery replaced by a reference.
-      std::string body = *shared[i].text;
-      body.insert(7 + shared[i].select_list_size, " AS v");
+      shared[i].body->items.front().alias = "v";
       for (std::size_t j = 0; j < i; ++j) {
-        replace_all(body, support::cat("(", *shared[j].text, ")"),
-                    support::cat("(SELECT v FROM ", shared[j].name, ")"));
+        replace_subqueries(*shared[i].body, shared[j].key, shared[j].name);
       }
-      add_entry(shared[i].name, body);
+      stmt.ctes.push_back({shared[i].name, std::move(shared[i].body), {}});
     }
-    // Main text: longest-first, so occurrences nested inside a bigger
+    // Main statement: longest first, so occurrences nested inside a bigger
     // shared subquery disappear with the bigger one.
     for (std::size_t i = shared.size(); i-- > 0;) {
-      replace_all(sql, support::cat("(", *shared[i].text, ")"),
-                  support::cat("(SELECT v FROM ", shared[i].name, ")"));
+      replace_subqueries(stmt, shared[i].key, shared[i].name);
     }
-    return support::cat(with_clause, " ", sql);
   }
 
   // --- scalar position (no set binder in scope) ----------------------------
@@ -1624,24 +1680,26 @@ class WholeConditionCompiler final : public SetTranslator {
     using Kind = Expr::Kind;
     switch (e.kind) {
       case Kind::kIntLit:
-        return {std::to_string(e.int_value), Type::of(TypeKind::kInt)};
+        return {make_literal(db::Value::integer(e.int_value)),
+                Type::of(TypeKind::kInt)};
       case Kind::kFloatLit:
-        return {db::Value::real(e.float_value).to_sql_literal(),
+        return {make_literal(db::Value::real(e.float_value)),
                 Type::of(TypeKind::kFloat)};
       case Kind::kBoolLit:
-        return {e.bool_value ? "TRUE" : "FALSE", Type::of(TypeKind::kBool)};
+        return {make_literal(db::Value::boolean(e.bool_value)),
+                Type::of(TypeKind::kBool)};
       case Kind::kStringLit:
-        return {support::sql_quote(e.string_value),
+        return {make_literal(db::Value::text(e.string_value)),
                 Type::of(TypeKind::kString)};
       case Kind::kNullLit:
-        return {"NULL", Type::of(TypeKind::kNullRef)};
+        return {make_literal(db::Value::null()), Type::of(TypeKind::kNullRef)};
 
       case Kind::kIdent: {
         if (const Binding* bound = lookup(e.name, env)) {
           if (bound->kind == Binding::Kind::kArg) {
-            return {param_marker(bound->arg_index, bound->type), bound->type};
+            return {arg_param(bound->arg_index), bound->type};
           }
-          const DepthGuard guard(*this);
+          const DepthGuard guard(*this, e);
           TSql inner = scalar(*bound->expr, bound->def_env);
           inner.type = bound->type;  // the declared alias type wins
           return inner;
@@ -1652,10 +1710,10 @@ class WholeConditionCompiler final : public SetTranslator {
           return value;
         }
         if (const auto member = model_->find_enum_member(e.name)) {
-          return {std::to_string(member->second),
+          return {make_literal(db::Value::integer(member->second)),
                   Type::enum_of(member->first)};
         }
-        throw not_compilable(support::cat("unknown name '", e.name, "'"));
+        throw not_compilable(e, support::cat("unknown name '", e.name, "'"));
       }
 
       case Kind::kMember:
@@ -1665,12 +1723,10 @@ class WholeConditionCompiler final : public SetTranslator {
         return inline_call(e, env);
 
       case Kind::kUnary: {
-        const TSql operand = scalar(*e.lhs, env);
-        if (e.un_op == asl::ast::UnOp::kNot) {
-          return {support::cat("(NOT ", operand.sql, ")"),
-                  Type::of(TypeKind::kBool)};
-        }
-        return {support::cat("(-", operand.sql, ")"), operand.type};
+        TSql operand = scalar(*e.lhs, env);
+        return {make_unary(sql_operator(e.un_op), std::move(operand.sql)),
+                e.un_op == asl::ast::UnOp::kNot ? Type::of(TypeKind::kBool)
+                                                : operand.type};
       }
 
       case Kind::kBinary:
@@ -1681,10 +1737,10 @@ class WholeConditionCompiler final : public SetTranslator {
         SetSpec sq = filtered_set(*e.base, e.name, e.filter.get(), env);
         const bool count = e.agg_kind == AggKind::kCount;
         // The value expression may add JOINs to sq; compile it before the
-        // FROM/WHERE text is rendered.
-        const std::string arg =
-            count ? std::string() : over_binder(*e.agg_value, sq).sql;
-        return {aggregate_scalar(e.agg_kind, arg, sq),
+        // subquery is assembled.
+        SqlExpr arg =
+            count ? nullptr : over_binder(*e.agg_value, sq, false).sql;
+        return {aggregate_scalar(e.agg_kind, std::move(arg), sq),
                 Type::of(count ? TypeKind::kInt : TypeKind::kFloat)};
       }
 
@@ -1694,29 +1750,31 @@ class WholeConditionCompiler final : public SetTranslator {
         // (several members abort the statement, zero yields NULL — both
         // surface as not-applicable, as the interpreter's throw would).
         const SetSpec sq = compile_set(*e.base, env);
-        return {hoistable("b.id", sq.from_where()),
+        return {make_subquery(sq.select(make_column("b", "id"))),
                 Type::class_of(sq.elem_class)};
       }
       case Kind::kExists: {
         const SetSpec sq = compile_set(*e.base, env);
-        return {support::cat("(", aggregate_scalar(AggKind::kCount, {}, sq),
-                             " > 0)"),
+        return {make_binary(SqlBinOp::kGt,
+                           aggregate_scalar(AggKind::kCount, nullptr, sq),
+                           make_literal(db::Value::integer(0))),
                 Type::of(TypeKind::kBool)};
       }
       case Kind::kSize: {
         const SetSpec sq = compile_set(*e.base, env);
-        return {aggregate_scalar(AggKind::kCount, {}, sq),
+        return {aggregate_scalar(AggKind::kCount, nullptr, sq),
                 Type::of(TypeKind::kInt)};
       }
 
       case Kind::kComprehension:
-        throw not_compilable("set comprehension in scalar position");
+        throw not_compilable(e, "set comprehension in scalar position");
     }
-    throw not_compilable("unhandled expression kind");
+    throw not_compilable(e, "unhandled expression kind");
   }
 
   TSql binary(const Expr& e, const EnvFrame* env) {  // NOLINT(misc-no-recursion)
     using asl::ast::BinOp;
+    const Type boolean = Type::of(TypeKind::kBool);
     if (e.bin_op == BinOp::kEq || e.bin_op == BinOp::kNe) {
       // ASL equality is total over *legal* nulls (RtValue::equals: an unset
       // attribute equals only null, never an error), but a NULL produced by
@@ -1726,59 +1784,67 @@ class WholeConditionCompiler final : public SetTranslator {
       // total-equality treatment, gap-only operands poison the result when
       // NULL. (Member chains conflate a mid-chain gap with a legally-unset
       // final attribute; they are treated as legal, the same residual
-      // corner the LET probes document.) Repeated marker text binds the
-      // same parameter at every position.
+      // corner the LET probes document.) A repeated operand subtree binds
+      // the same parameter at every position.
       const bool lhs_nulllit = e.lhs->kind == Expr::Kind::kNullLit;
       const bool rhs_nulllit = e.rhs->kind == Expr::Kind::kNullLit;
-      std::string equal;
+      SqlExpr equal;
       if (lhs_nulllit && rhs_nulllit) {
-        equal = "TRUE";
+        equal = make_literal(db::Value::boolean(true));
       } else if (lhs_nulllit || rhs_nulllit) {
         const Expr& tested = lhs_nulllit ? *e.rhs : *e.lhs;
-        const std::string tested_sql = scalar(tested, env).sql;
+        SqlExpr tested_sql = scalar(tested, env).sql;
         if (may_be_null(tested, env, 0)) {
-          equal = support::cat("(", tested_sql, " IS NULL)");
+          equal = make_is_null(std::move(tested_sql));
         } else {
           // NULL here is a gap, not a match for the null literal.
-          equal = support::cat("(IIF(", tested_sql, " IS NULL, NULL, FALSE))");
+          equal = sql_call("IIF", make_is_null(std::move(tested_sql)),
+                           make_literal(db::Value::null()),
+                           make_literal(db::Value::boolean(false)));
         }
       } else {
         const bool lhs_legal = may_be_null(*e.lhs, env, 0);
         const bool rhs_legal = may_be_null(*e.rhs, env, 0);
-        const TSql lhs = scalar(*e.lhs, env);
-        const TSql rhs = scalar(*e.rhs, env);
-        const std::string plain =
-            support::cat("(", lhs.sql, " = ", rhs.sql, ")");
+        TSql lhs = scalar(*e.lhs, env);
+        TSql rhs = scalar(*e.rhs, env);
         if (lhs_legal && rhs_legal) {
-          equal = total_equality(lhs.sql, rhs.sql);
+          equal = total_equality(std::move(lhs.sql), std::move(rhs.sql));
         } else if (!lhs_legal && !rhs_legal) {
-          equal = plain;  // NULL only arises from gaps: propagate it
+          // NULL only arises from gaps: propagate it.
+          equal = make_binary(SqlBinOp::kEq, std::move(lhs.sql),
+                             std::move(rhs.sql));
         } else {
-          const std::string& gap = lhs_legal ? rhs.sql : lhs.sql;
-          equal = support::cat("(IIF(", gap, " IS NULL, NULL, COALESCE(",
-                               plain, ", FALSE)))");
+          SqlExpr gap = (lhs_legal ? rhs.sql : lhs.sql)->clone();
+          equal = sql_call(
+              "IIF", make_is_null(std::move(gap)),
+              make_literal(db::Value::null()),
+              sql_call("COALESCE",
+                       make_binary(SqlBinOp::kEq, std::move(lhs.sql),
+                                  std::move(rhs.sql)),
+                       make_literal(db::Value::boolean(false))));
         }
       }
-      return {e.bin_op == BinOp::kEq ? equal
-                                     : support::cat("(NOT ", equal, ")"),
-              Type::of(TypeKind::kBool)};
+      if (e.bin_op == BinOp::kNe) {
+        equal = make_unary(db::sql::UnOp::kNot, std::move(equal));
+      }
+      return {std::move(equal), boolean};
     }
+    TSql lhs = scalar(*e.lhs, env);
+    TSql rhs = scalar(*e.rhs, env);
     if (e.bin_op == BinOp::kAnd || e.bin_op == BinOp::kOr) {
       // ASL short-circuits left to right: a null (data-gap) LEFT operand is
       // an evaluation error, while the right operand is only consulted when
       // the left doesn't decide. SQL's three-valued logic would instead let
       // a dominating right operand absorb the gap (NULL OR TRUE = TRUE), so
       // a NULL left operand must poison the result explicitly.
-      const TSql lhs = scalar(*e.lhs, env);
-      const TSql rhs = scalar(*e.rhs, env);
-      return {support::cat("(IIF(", lhs.sql, " IS NULL, NULL, ", lhs.sql,
-                           e.bin_op == BinOp::kAnd ? " AND " : " OR ",
-                           rhs.sql, "))"),
-              Type::of(TypeKind::kBool)};
+      SqlExpr tested = make_is_null(lhs.sql->clone());
+      return {sql_call("IIF", std::move(tested),
+                       make_literal(db::Value::null()),
+                       make_binary(sql_operator(e.bin_op), std::move(lhs.sql),
+                                  std::move(rhs.sql))),
+              boolean};
     }
-    const TSql lhs = scalar(*e.lhs, env);
-    const TSql rhs = scalar(*e.rhs, env);
-    Type type = Type::of(TypeKind::kBool);
+    Type type = boolean;
     switch (e.bin_op) {
       case BinOp::kAdd:
       case BinOp::kSub:
@@ -1794,30 +1860,24 @@ class WholeConditionCompiler final : public SetTranslator {
       default:
         break;
     }
-    return {support::cat("(", lhs.sql, " ", sql_operator(e.bin_op), " ",
-                         rhs.sql, ")"),
+    return {make_binary(sql_operator(e.bin_op), std::move(lhs.sql),
+                       std::move(rhs.sql)),
             type};
   }
 
   TSql inline_call(const Expr& e, const EnvFrame* env) {  // NOLINT(misc-no-recursion)
     const asl::FunctionInfo* fn = model_->find_function(e.name);
     if (fn == nullptr) {
-      throw not_compilable(support::cat("unknown function '", e.name, "'"));
+      throw not_compilable(e, support::cat("unknown function '", e.name, "'"));
     }
     if (e.args.size() != fn->params.size()) {
-      throw not_compilable(support::cat("function ", fn->name, " expects ",
-                                        fn->params.size(), " arguments"));
+      throw not_compilable(e, support::cat("function ", fn->name, " expects ",
+                                           fn->params.size(), " arguments"));
     }
-    const DepthGuard guard(*this);
+    const DepthGuard guard(*this, e);
     // The body sees only the parameters; each argument expression compiles
     // (where referenced) in the caller's scope.
-    const EnvFrame* fn_env = nullptr;
-    for (std::size_t i = 0; i < e.args.size(); ++i) {
-      fn_env = push(fn_env,
-                    Binding{fn->params[i].first, Binding::Kind::kExpr, 0,
-                            fn->params[i].second, e.args[i].get(), env});
-    }
-    TSql body = scalar(*fn->body, fn_env);
+    TSql body = scalar(*fn->body, call_env(*fn, e, env));
     body.type = fn->return_type;
     return body;
   }
@@ -1826,7 +1886,9 @@ class WholeConditionCompiler final : public SetTranslator {
   /// until `e` is neither; updates `e` and its scope `env` in place.
   void resolve(const Expr*& e, const EnvFrame*& env) {
     for (int hops = 1;; ++hops) {
-      if (hops > kMaxInlineDepth) throw not_compilable("alias chain too deep");
+      if (hops > kMaxInlineDepth) {
+        throw not_compilable(*e, "alias chain too deep");
+      }
       if (e->kind == Expr::Kind::kIdent) {
         const Binding* bound = lookup(e->name, env);
         if (bound == nullptr || bound->kind != Binding::Kind::kExpr) return;
@@ -1837,16 +1899,11 @@ class WholeConditionCompiler final : public SetTranslator {
       if (e->kind != Expr::Kind::kCall) return;
       const asl::FunctionInfo* fn = model_->find_function(e->name);
       if (fn == nullptr || e->args.size() != fn->params.size()) {
-        throw not_compilable(support::cat("unresolvable call '", e->name, "'"));
+        throw not_compilable(*e,
+                             support::cat("unresolvable call '", e->name, "'"));
       }
-      const EnvFrame* fn_env = nullptr;
-      for (std::size_t i = 0; i < e->args.size(); ++i) {
-        fn_env = push(fn_env,
-                      Binding{fn->params[i].first, Binding::Kind::kExpr, 0,
-                              fn->params[i].second, e->args[i].get(), env});
-      }
+      env = call_env(*fn, *e, env);
       e = fn->body;
-      env = fn_env;
     }
   }
 
@@ -1864,23 +1921,22 @@ class WholeConditionCompiler final : public SetTranslator {
     if (root->kind == Expr::Kind::kUnique) {
       SetSpec sq = compile_set(*root->base, root_env);
       auto [column, type] = join_path(sq, "b", sq.elem_class, chain);
-      return {hoistable(column, sq.from_where()), type};
+      return {make_subquery(sq.select(std::move(column))), type};
     }
 
-    const TSql base = scalar(*root, root_env);
+    TSql base = scalar(*root, root_env);
     if (base.type.kind != TypeKind::kClass) {
-      throw not_compilable(support::cat("attribute access '.",
-                                        chain.front()->name,
-                                        "' on a non-object expression"));
+      throw not_compilable(e, support::cat("attribute access '.",
+                                           chain.front()->name,
+                                           "' on a non-object expression"));
     }
     SetSpec sq;
     sq.env = root_env;
-    sq.base_table = model_->class_info(base.type.id).name;
-    sq.base_alias = "a0";
-    sq.from_joins.push_back(support::cat(sq.base_table, " a0"));
-    sq.conjuncts.push_back(support::cat("a0.id = ", base.sql));
+    sq.from = sql_table(model_->class_info(base.type.id).name, "a0");
+    sq.conjuncts.push_back(make_binary(SqlBinOp::kEq, make_column("a0", "id"),
+                                      std::move(base.sql)));
     auto [column, type] = join_path(sq, "a0", base.type.id, chain);
-    return {hoistable(column, sq.from_where()), type};
+    return {make_subquery(sq.select(std::move(column))), type};
   }
 
   static constexpr int kMaxInlineDepth = 16;
@@ -1889,7 +1945,6 @@ class WholeConditionCompiler final : public SetTranslator {
   static constexpr std::size_t kMaxFoldArgs = db::sql::kMaxScalarFnArgs;
 
   const asl::PropertyInfo* prop_;
-  std::span<const RtValue> args_;
   bool cse_;
   /// Layout metadata source (and rewrite telemetry sink) of the partition-
   /// union rewrite; null compiles layout-blind.
@@ -1898,24 +1953,99 @@ class WholeConditionCompiler final : public SetTranslator {
   PlanBuild build_;
   std::deque<EnvFrame> frames_;
   int depth_ = 0;
-  /// CSE bookkeeping: one marker per argument index, and every compiled
-  /// scalar subquery text with its select-list length (map iteration keeps
-  /// CTE naming deterministic).
-  std::map<std::size_t, std::string> arg_markers_;
-  std::map<std::string, std::size_t> subqueries_;
-  /// One shard group per distinct FROM/WHERE shape: the `part<K>` CTE names
-  /// and per-shard scan text, plus the (alias, fold fragment) output
-  /// columns every aggregate operator over the shape registered.
+  /// CSE bookkeeping: one recorded parameter per argument index.
+  std::map<std::size_t, std::size_t> arg_params_;
+  /// One shard group per distinct FROM/WHERE shape (keyed structurally):
+  /// the shape, its `part<K>` CTE names, and the output columns every
+  /// aggregate operator over the shape registered.
   struct PartitionGroup {
+    struct Column {
+      std::string alias;
+      std::string key;  ///< structural key of `fragment`
+      SqlExpr fragment;
+    };
+    std::unique_ptr<db::sql::SelectStmt> shape;  ///< FROM/WHERE, no items
     std::vector<std::string> names;
-    std::vector<std::string> from_wheres;
-    std::vector<std::pair<std::string, std::string>> columns;
+    std::vector<Column> columns;
   };
   std::map<std::string, PartitionGroup> partition_groups_;
   std::vector<const PartitionGroup*> group_order_;  // WITH-clause order
+  std::set<std::string> part_names_;
   std::size_t part_counter_ = 0;
   std::set<std::string> counted_rewrites_;  // telemetry dedup by coordinator
 };
+
+}  // namespace
+
+namespace {
+
+PropertyResult not_applicable(std::string note) {
+  PropertyResult out;
+  out.status = PropertyResult::Status::kNotApplicable;
+  out.note = std::move(note);
+  return out;
+}
+
+/// The property contract over condition truths and arm values: the first
+/// holding condition is the match, and confidence and severity are each the
+/// max over the arms whose guard held (0 without one). `condition(i)` and
+/// `arm(severity, i)` return nullopt for a data gap — a NULL column of the
+/// whole-condition row (the site-wise evaluator throws instead) — which
+/// makes the context not applicable.
+PropertyResult property_result(
+    const asl::PropertyInfo& prop,
+    const std::function<std::optional<bool>(std::size_t)>& condition,
+    const std::function<std::optional<double>(bool, std::size_t)>& arm) {
+  PropertyResult out;
+  std::vector<bool> truth;
+  for (std::size_t i = 0; i < prop.conditions.size(); ++i) {
+    const std::string label = prop.conditions[i].id.empty()
+                                  ? support::cat("#", i + 1)
+                                  : prop.conditions[i].id;
+    const std::optional<bool> held = condition(i);
+    if (!held) {
+      return not_applicable(support::cat("whole-condition: condition ", label,
+                                         " hit a data gap"));
+    }
+    truth.push_back(*held);
+    if (*held && out.matched_condition.empty()) out.matched_condition = label;
+  }
+  if (out.matched_condition.empty()) {
+    out.status = PropertyResult::Status::kDoesNotHold;
+    return out;
+  }
+  out.status = PropertyResult::Status::kHolds;
+  const auto guard_held = [&](const std::string& guard) {
+    for (std::size_t i = 0; i < truth.size(); ++i) {
+      if (prop.conditions[i].id == guard) return static_cast<bool>(truth[i]);
+    }
+    return false;
+  };
+  const auto max_arm = [&](bool severity) -> std::optional<double> {
+    const auto& arms = severity ? prop.severity : prop.confidence;
+    double best = -std::numeric_limits<double>::infinity();
+    bool any = false;
+    for (std::size_t i = 0; i < arms.size(); ++i) {
+      if (!arms[i].guard.empty() && !guard_held(arms[i].guard)) continue;
+      const std::optional<double> value = arm(severity, i);
+      if (!value) return std::nullopt;
+      best = std::max(best, *value);
+      any = true;
+    }
+    return any ? best : 0.0;
+  };
+  const std::optional<double> confidence = max_arm(false);
+  if (!confidence) {
+    return not_applicable("whole-condition: a confidence arm hit a data gap");
+  }
+  const std::optional<double> severity = max_arm(true);
+  if (!severity) {
+    return not_applicable("whole-condition: a severity arm hit a data gap");
+  }
+  out.confidence = std::clamp(*confidence, 0.0, 1.0);
+  out.severity = *severity;
+  return out;
+}
 
 }  // namespace
 
@@ -1940,10 +2070,16 @@ SqlEvaluator::SqlEvaluator(const asl::Model& model, db::Connection& conn,
   }
 }
 
-db::PreparedStatement& SqlEvaluator::statement_for(
-    const std::shared_ptr<const CompiledPlan>& plan) {
-  return entry_for(plan).stmt;
+namespace {
+
+/// A plan's own executable copy of its tree (execution annotates the tree,
+/// so evaluators sharing a plan never share a statement).
+db::PreparedStatement prepared(const CompiledPlan& plan) {
+  return db::PreparedStatement(
+      db::sql::Statement(std::move(*plan.tree->clone())));
 }
+
+}  // namespace
 
 SqlEvaluator::StatementEntry& SqlEvaluator::entry_for(
     const std::shared_ptr<const CompiledPlan>& plan) {
@@ -1964,9 +2100,9 @@ SqlEvaluator::StatementEntry& SqlEvaluator::entry_for(
         }
       }
     }
-    db::PreparedStatement stmt = conn_->database().prepare(plan->sql);
     it = statements_
-             .emplace(plan.get(), StatementEntry{plan, std::move(stmt), {}})
+             .emplace(plan.get(),
+                      StatementEntry{plan, prepared(*plan), {}})
              .first;
   }
   return it->second;
@@ -2190,35 +2326,28 @@ PropertyResult SqlEvaluator::evaluate_property(const asl::PropertyInfo& prop,
   return evaluate_sitewise(prop, std::move(args));
 }
 
-std::shared_ptr<const CompiledPlan> SqlEvaluator::whole_plan_for(
-    const asl::PropertyInfo& prop) {
-  const int kind =
-      cse_ ? kWholeConditionCsePlanKind : kWholeConditionPlainPlanKind;
-  return cache_ == nullptr ? nullptr
-                           : cache_->find(prop.name, &prop, kind, layout_);
-}
-
 PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
                                             const std::vector<RtValue>& args) {
   // Plan lookup: shared through the cache when present, else compiled fresh
   // for this evaluation (still one statement — only the translation work
   // repeats, as the 1999 toolchain's would have).
-  std::shared_ptr<const CompiledPlan> plan = whole_plan_for(prop);
-  std::vector<db::Value> values;
+  const int kind =
+      cse_ ? kWholeConditionCsePlanKind : kWholeConditionPlainPlanKind;
+  std::shared_ptr<const CompiledPlan> plan =
+      cache_ == nullptr ? nullptr
+                        : cache_->find(prop.name, &prop, kind, layout_);
   if (plan != nullptr) {
     ++stats_.plan_cache_hits;
     cache_->record(true);
   } else {
     // The catalog makes the compiler layout-aware (partition-union
     // rewrite); the plain ablation compiles layout-blind on purpose.
-    WholeConditionCompiler compiler(*model_, prop, args, cse_,
+    WholeConditionCompiler compiler(*model_, prop, cse_,
                                     cse_ ? &conn_->database() : nullptr);
-    auto compiled = std::make_shared<CompiledPlan>(compiler.compile(values));
+    auto compiled = std::make_shared<CompiledPlan>(compiler.compile());
     if (cache_ != nullptr) {
-      plan = cache_->insert(prop.name, &prop,
-                            cse_ ? kWholeConditionCsePlanKind
-                                 : kWholeConditionPlainPlanKind,
-                            layout_, std::move(compiled));
+      plan = cache_->insert(prop.name, &prop, kind, layout_,
+                            std::move(compiled));
       ++stats_.plan_cache_misses;
       cache_->record(false);
     } else {
@@ -2230,7 +2359,7 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
   // arguments, so binding is a straight table lookup per context. The
   // compiled text assumes no argument is null (a set filter compares an
   // argument with a plain `=`), so a null argument goes site-wise.
-  values.clear();
+  std::vector<db::Value> values;
   values.reserve(plan->params.size());
   for (const CompiledPlan::Param& param : plan->params) {
     if (param.slot != CompiledPlan::Slot::kProvided) {
@@ -2245,6 +2374,10 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
 
   ++stats_.sql_queries;
   const db::QueryResult result = [&] {
+    std::optional<db::PreparedStatement> local;
+    StatementEntry* entry = cache_ != nullptr ? &entry_for(plan) : nullptr;
+    db::PreparedStatement& stmt =
+        entry != nullptr ? entry->stmt : local.emplace(prepared(*plan));
     // Incremental path: with a shard cache attached, the statement-level
     // memo is consulted first — when every table the statement reads is at
     // the version it last ran against, the stored result is returned and
@@ -2253,13 +2386,7 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
     // result refreshes the memo. Falls through to the plain path when the
     // statement has nothing cacheable.
     if (shard_cache_ != nullptr) {
-      std::optional<db::PreparedStatement> local;
       ShardCteAnalysis local_analysis;
-      StatementEntry* entry = cache_ != nullptr ? &entry_for(plan) : nullptr;
-      db::PreparedStatement& stmt =
-          entry != nullptr
-              ? entry->stmt
-              : local.emplace(conn_->database().prepare(plan->sql));
       ShardCteAnalysis& analysis =
           entry != nullptr ? entry->shard : local_analysis;
       std::string memo_fp;
@@ -2283,8 +2410,7 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
       }
       return merged;
     }
-    return cache_ != nullptr ? conn_->execute(statement_for(plan), values)
-                             : conn_->execute(plan->sql, values);
+    return conn_->execute(stmt, values);
   }();
 
   // Glue: map the one result row back onto the property contract. Column
@@ -2302,127 +2428,39 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
     throw EvalError("whole-condition column layout mismatch");
   }
 
-  const auto not_applicable = [](std::string note) {
-    PropertyResult na;
-    na.status = PropertyResult::Status::kNotApplicable;
-    na.note = std::move(note);
-    return na;
-  };
-
   // A NULL LET probe is a data gap: the interpreter's eager LET evaluation
   // would have thrown before looking at any condition.
   for (std::size_t i = 0; i < lets; ++i) {
     if (row[i].is_null()) {
-      return not_applicable(
-          "whole-condition: a LET binding hit a data gap");
+      return not_applicable("whole-condition: a LET binding hit a data gap");
     }
   }
-
-  PropertyResult out;
-  std::vector<std::pair<const std::string*, bool>> truth;
-  truth.reserve(conds);
-  bool holds = false;
-  for (std::size_t i = 0; i < conds; ++i) {
-    const db::Value& value = row[lets + i];
-    if (value.is_null()) {
-      return not_applicable(support::cat(
-          "whole-condition: condition ",
-          prop.conditions[i].id.empty() ? support::cat("#", i + 1)
-                                        : prop.conditions[i].id,
-          " hit a data gap"));
-    }
-    const bool held_now = value.as_bool();
-    truth.emplace_back(&prop.conditions[i].id, held_now);
-    if (held_now && !holds) {
-      holds = true;
-      out.matched_condition = prop.conditions[i].id.empty()
-                                  ? support::cat("#", i + 1)
-                                  : prop.conditions[i].id;
-    }
-  }
-  if (!holds) {
-    out.status = PropertyResult::Status::kDoesNotHold;
-    return out;
-  }
-  out.status = PropertyResult::Status::kHolds;
-
-  const auto held = [&](const std::string& guard) {
-    for (const auto& [id, value] : truth) {
-      if (*id == guard) return value;
-    }
-    return false;
-  };
-  // Max over the arms whose guard held (or that are unguarded); a NULL in a
-  // *considered* arm is a data gap, NULLs in skipped arms never matter —
-  // exactly the arms the interpreter would (not) have evaluated.
-  const auto eval_arms =
-      [&](const std::vector<asl::GuardedInfo>& arms,
-          std::size_t offset) -> std::optional<double> {
-    double best = -std::numeric_limits<double>::infinity();
-    bool any = false;
-    for (std::size_t i = 0; i < arms.size(); ++i) {
-      if (!arms[i].guard.empty() && !held(arms[i].guard)) continue;
-      const db::Value& value = row[offset + i];
-      if (value.is_null()) return std::nullopt;
-      best = std::max(best, value.as_double());
-      any = true;
-    }
-    return any ? best : 0.0;
-  };
-  const auto confidence = eval_arms(prop.confidence, lets + conds);
-  if (!confidence) {
-    return not_applicable(
-        "whole-condition: a confidence arm hit a data gap");
-  }
-  const auto severity = eval_arms(prop.severity, lets + conds + confs);
-  if (!severity) {
-    return not_applicable("whole-condition: a severity arm hit a data gap");
-  }
-  out.confidence = std::clamp(*confidence, 0.0, 1.0);
-  out.severity = *severity;
-  return out;
+  // A NULL in a considered arm is a data gap; NULLs in skipped arms never
+  // matter — exactly the arms the interpreter would (not) have evaluated.
+  return property_result(
+      prop,
+      [&](std::size_t i) -> std::optional<bool> {
+        const db::Value& v = row[lets + i];
+        return v.is_null() ? std::nullopt : std::optional(v.as_bool());
+      },
+      [&](bool severity, std::size_t i) -> std::optional<double> {
+        const db::Value& v = row[lets + conds + (severity ? confs : 0) + i];
+        return v.is_null() ? std::nullopt : std::optional(v.as_double());
+      });
 }
 
 std::string SqlEvaluator::explain_whole_condition(
     const asl::PropertyInfo& prop) {
-  // The statement text is context-free; compile against placeholder
-  // argument values of the declared parameter types.
-  std::vector<RtValue> args;
-  args.reserve(prop.params.size());
-  for (const auto& [name, type] : prop.params) {
-    switch (type.kind) {
-      case TypeKind::kInt:
-      case TypeKind::kDateTime:
-        args.push_back(RtValue::of_int(0));
-        break;
-      case TypeKind::kFloat:
-        args.push_back(RtValue::of_float(0.0));
-        break;
-      case TypeKind::kBool:
-        args.push_back(RtValue::of_bool(false));
-        break;
-      case TypeKind::kString:
-        args.push_back(RtValue::of_string(""));
-        break;
-      case TypeKind::kEnum:
-        args.push_back(RtValue::of_enum(type.id, 0));
-        break;
-      default:
-        args.push_back(RtValue::of_object(asl::kNullObject));
-        break;
-    }
-  }
   // Diagnostic-only compilation: layout-aware (the shown SQL must match
   // what evaluation would run) but without rewrite telemetry.
-  WholeConditionCompiler compiler(*model_, prop, args, cse_,
+  WholeConditionCompiler compiler(*model_, prop, cse_,
                                   cse_ ? &conn_->database() : nullptr,
                                   /*count_rewrites=*/false);
-  std::vector<db::Value> values;
-  std::string sql = compiler.compile(values).sql;
+  std::string sql = compiler.compile().sql;
   // Fused-eligibility notes per statement (and per WITH entry): which parts
   // of the compiled SQL the columnar fused evaluator — including the
   // expression VM's compiled WHERE/aggregate programs — would take, and why
-  // the rest stays on the row path. Analysis only; parameter markers are
+  // the rest stays on the row path. Analysis only; placeholders are
   // assumed NULL.
   for (const auto& note : conn_->database().explain_fused(sql)) {
     sql += support::cat("\n-- fused: ", note.statement, ": ", note.verdict);
@@ -2432,7 +2470,6 @@ std::string SqlEvaluator::explain_whole_condition(
 
 PropertyResult SqlEvaluator::evaluate_sitewise(const asl::PropertyInfo& prop,
                                                std::vector<RtValue> args) {
-  PropertyResult result;
   SqlExprEval eval(*this, &prop);
   for (std::size_t i = 0; i < args.size(); ++i) {
     eval.push(prop.params[i].first, {std::move(args[i]), prop.params[i].second});
@@ -2445,49 +2482,20 @@ PropertyResult SqlEvaluator::evaluate_sitewise(const asl::PropertyInfo& prop,
       eval.push(let.name, std::move(value));
     }
 
-    std::vector<std::pair<std::string, bool>> truth;
-    bool holds = false;
-    for (std::size_t i = 0; i < prop.conditions.size(); ++i) {
-      const asl::ConditionInfo& cond = prop.conditions[i];
-      const bool value = eval.eval(*cond.pred).v.as_bool();
-      truth.emplace_back(cond.id, value);
-      if (value && !holds) {
-        holds = true;
-        result.matched_condition =
-            cond.id.empty() ? support::cat("#", i + 1) : cond.id;
-      }
-    }
-    if (!holds) {
-      result.status = PropertyResult::Status::kDoesNotHold;
-      return result;
-    }
-    result.status = PropertyResult::Status::kHolds;
-
-    const auto held = [&](const std::string& guard) {
-      for (const auto& [id, value] : truth) {
-        if (id == guard) return value;
-      }
-      return false;
-    };
-    const auto eval_arms = [&](const std::vector<asl::GuardedInfo>& arms) {
-      double best = -std::numeric_limits<double>::infinity();
-      bool any = false;
-      for (const asl::GuardedInfo& arm : arms) {
-        if (!arm.guard.empty() && !held(arm.guard)) continue;
-        best = std::max(best, eval.eval(*arm.expr).v.as_float());
-        any = true;
-      }
-      return any ? best : 0.0;
-    };
-
-    result.confidence = std::clamp(eval_arms(prop.confidence), 0.0, 1.0);
-    result.severity = eval_arms(prop.severity);
+    return property_result(
+        prop,
+        [&](std::size_t i) -> std::optional<bool> {
+          return eval.eval(*prop.conditions[i].pred).v.as_bool();
+        },
+        [&](bool severity, std::size_t i) -> std::optional<double> {
+          const auto& arms = severity ? prop.severity : prop.confidence;
+          return eval.eval(*arms[i].expr).v.as_float();
+        });
+  } catch (const CompileLimit&) {
+    throw;  // a compile limitation is not a data gap
   } catch (const EvalError& error) {
-    result = PropertyResult{};
-    result.status = PropertyResult::Status::kNotApplicable;
-    result.note = error.what();
+    return not_applicable(error.what());
   }
-  return result;
 }
 
 std::string SqlEvaluator::explain_set(const Expr& set_expr,
@@ -2498,7 +2506,7 @@ std::string SqlEvaluator::explain_set(const Expr& set_expr,
     eval.push(prop.params[i].first, {args[i], prop.params[i].second});
   }
   const SetSpec sq = eval.compile_set(set_expr, nullptr);
-  return support::cat("SELECT b.id", sq.from_where());
+  return render(*sq.select(make_column("b", "id")));
 }
 
 }  // namespace kojak::cosy

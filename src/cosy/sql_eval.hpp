@@ -35,12 +35,12 @@ class ShardResultCache;
 /// (eval_backend.hpp); this enum is the evaluator-internal selector.
 enum class SqlEvalMode { kPushdown, kClientSide, kWholeCondition };
 
-/// One ASL set-expression site translated to a reusable SELECT: the SQL
-/// text with `?` placeholders in statement-text order, plus the binding
-/// recipe for each placeholder. Context-dependent scalars (property
-/// arguments, LET values, uncorrelated nested aggregates) become bound
-/// parameters instead of inline literals, so the translation — and the SQL
-/// parse — happen once per property instead of once per (run, context).
+/// One ASL set-expression site translated to a reusable SELECT: the engine's
+/// SQL tree with `?` placeholders numbered in text order, its rendered text,
+/// plus the binding recipe for each placeholder. Context-dependent scalars
+/// (property arguments, LET values, uncorrelated nested aggregates) become
+/// bound parameters instead of inline literals, so the translation happens
+/// once per property instead of once per (run, context).
 struct CompiledPlan {
   enum class Slot : std::uint8_t {
     kValue,     ///< re-evaluate `expr`, bind its value to a `?`
@@ -55,7 +55,9 @@ struct CompiledPlan {
     std::size_t provided_index = 0;  ///< kProvided: index into caller values
     std::string null_error;          ///< kObjectId: message when null
   };
-  std::string sql;
+  /// The statement, exactly the parse of `sql`; evaluators execute clones.
+  std::unique_ptr<const db::sql::SelectStmt> tree;
+  std::string sql;  ///< render_select_sql of `tree` (explain, memo key)
   std::vector<Param> params;  ///< placeholder params first, in text order
   /// Element class of set-returning plans (drives result typing on hits).
   std::uint32_t elem_class = 0;
@@ -99,6 +101,8 @@ class PlanCache {
   [[nodiscard]] Stats stats() const;
   /// Number of distinct compiled plans currently resident.
   [[nodiscard]] std::size_t size() const;
+  /// The resident plans, hottest first (tests and explain flows).
+  [[nodiscard]] std::vector<std::shared_ptr<const CompiledPlan>> plans() const;
 
   // Internal API used by SqlEvaluator. `layout` is the
   // db::Database::layout_fingerprint() of the database the plan was (or
@@ -268,11 +272,9 @@ class SqlEvaluator {
     ShardCteAnalysis shard;
   };
 
-  /// Prepared statement for a cached plan, parsed once per evaluator (the
-  /// engine allows concurrent execution of *distinct* prepared statements,
-  /// so statements are per-evaluator while plans are shared).
-  db::PreparedStatement& statement_for(
-      const std::shared_ptr<const CompiledPlan>& plan);
+  /// Prepared statement for a cached plan, cloned from its tree once per
+  /// evaluator (the engine allows concurrent execution of *distinct*
+  /// prepared statements, so statements are per-evaluator, plans shared).
   StatementEntry& entry_for(const std::shared_ptr<const CompiledPlan>& plan);
 
   /// Site-by-site evaluation (pushdown / client-side), also the fallback of
@@ -283,8 +285,6 @@ class SqlEvaluator {
   /// property does not compile or the statement fails structurally.
   [[nodiscard]] asl::PropertyResult evaluate_whole(
       const asl::PropertyInfo& prop, const std::vector<asl::RtValue>& args);
-  [[nodiscard]] std::shared_ptr<const CompiledPlan> whole_plan_for(
-      const asl::PropertyInfo& prop);
   /// Incremental execution of a whole-condition statement through the
   /// attached ShardResultCache: partition-pinned `part<K>` CTEs are served
   /// from cache when their version token is unchanged, recomputed (and

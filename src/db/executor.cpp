@@ -17,6 +17,7 @@
 #include "db/database.hpp"
 #include "db/sql/parser.hpp"
 #include "db/sql/plan.hpp"
+#include "db/sql/render.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
 #include "support/str.hpp"
@@ -2938,29 +2939,6 @@ QueryResult Database::execute_select_with(sql::SelectStmt& stmt,
 
 namespace {
 
-/// Highest `?` marker index in the statement (recursively), so explain can
-/// size an all-NULL parameter vector that satisfies the binder.
-void max_param_count(const sql::SelectStmt& stmt, std::size_t& n);
-
-void max_param_count(const sql::Expr* e, std::size_t& n) {
-  if (e == nullptr) return;
-  if (e->kind == sql::Expr::Kind::kParam) n = std::max(n, e->param_index + 1);
-  max_param_count(e->lhs.get(), n);
-  max_param_count(e->rhs.get(), n);
-  for (const auto& arg : e->args) max_param_count(arg.get(), n);
-  if (e->subquery) max_param_count(*e->subquery, n);
-}
-
-void max_param_count(const sql::SelectStmt& stmt, std::size_t& n) {
-  for (const auto& cte : stmt.ctes) max_param_count(*cte.select, n);
-  for (const auto& item : stmt.items) max_param_count(item.expr.get(), n);
-  max_param_count(stmt.where.get(), n);
-  for (const auto& join : stmt.joins) max_param_count(join.on.get(), n);
-  for (const auto& g : stmt.group_by) max_param_count(g.get(), n);
-  max_param_count(stmt.having.get(), n);
-  for (const auto& key : stmt.order_by) max_param_count(key.expr.get(), n);
-}
-
 /// One SELECT's analysis-only verdict. Binds a throwaway clone (binding
 /// mutates the tree: star expansion, alias rewrites) with all-NULL
 /// parameters; bind failures — including FROM naming a CTE, which explain
@@ -2984,14 +2962,14 @@ std::vector<Database::FusedExplain> Database::explain_fused(
   for (std::size_t s = 0; s < stmts.size(); ++s) {
     const std::string prefix =
         stmts.size() > 1 ? support::cat("stmt", s + 1, " ") : std::string();
-    const auto* select = std::get_if<sql::SelectStmt>(&stmts[s]);
+    auto* select = std::get_if<sql::SelectStmt>(&stmts[s]);
     if (select == nullptr) {
       out.push_back({support::cat(prefix, "main"), "not a SELECT"});
       continue;
     }
-    std::size_t nparams = 0;
-    max_param_count(*select, nparams);
-    const std::vector<Value> params(nparams);  // default Value is NULL
+    // One NULL per `?` (the parse already numbered them in text order, so
+    // renumbering only counts them).
+    const std::vector<Value> params(sql::renumber_params(*select).size());
     for (const auto& cte : select->ctes) {
       out.push_back({support::cat(prefix, cte.name),
                      fused_verdict(*this, *cte.select, params)});

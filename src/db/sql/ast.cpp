@@ -26,6 +26,72 @@ std::string_view to_string(BinOp op) {
 
 namespace {
 
+ExprPtr make_node(Expr::Kind kind, support::SourceLoc loc = {}) {
+  auto e = std::make_unique<Expr>();
+  e->kind = kind;
+  e->loc = loc;
+  return e;
+}
+
+}  // namespace
+
+ExprPtr make_literal(Value value, support::SourceLoc loc) {
+  ExprPtr e = make_node(Expr::Kind::kLiteral, loc);
+  e->literal = std::move(value);
+  return e;
+}
+
+ExprPtr make_column(std::string table, std::string column) {
+  ExprPtr e = make_node(Expr::Kind::kColumnRef);
+  e->table = std::move(table);
+  e->column = std::move(column);
+  return e;
+}
+
+ExprPtr make_param(std::size_t index) {
+  ExprPtr e = make_node(Expr::Kind::kParam);
+  e->param_index = index;
+  return e;
+}
+
+ExprPtr make_unary(UnOp op, ExprPtr operand, support::SourceLoc loc) {
+  ExprPtr e = make_node(Expr::Kind::kUnary, loc);
+  e->un_op = op;
+  e->lhs = std::move(operand);
+  return e;
+}
+
+ExprPtr make_binary(BinOp op, ExprPtr lhs, ExprPtr rhs,
+                    support::SourceLoc loc) {
+  ExprPtr e = make_node(Expr::Kind::kBinary, loc);
+  e->bin_op = op;
+  e->lhs = std::move(lhs);
+  e->rhs = std::move(rhs);
+  return e;
+}
+
+ExprPtr make_is_null(ExprPtr operand, bool negated, support::SourceLoc loc) {
+  ExprPtr e = make_node(Expr::Kind::kIsNull, loc);
+  e->lhs = std::move(operand);
+  e->negated = negated;
+  return e;
+}
+
+ExprPtr make_call(std::string func, std::vector<ExprPtr> args) {
+  ExprPtr e = make_node(Expr::Kind::kFuncCall);
+  e->func = std::move(func);
+  e->args = std::move(args);
+  return e;
+}
+
+ExprPtr make_subquery(std::unique_ptr<SelectStmt> select) {
+  ExprPtr e = make_node(Expr::Kind::kSubquery);
+  e->subquery = std::move(select);
+  return e;
+}
+
+namespace {
+
 // The clone walk records every (source node → copy) pair in `remap` so plan
 // annotations — which hold `const Expr*` into the source tree — can be
 // carried onto the copy (or back-propagated through the inverted map).
@@ -138,116 +204,6 @@ void walk_refs(const SelectStmt& s,
 void for_each_table_ref(const SelectStmt& stmt,
                         const std::function<void(const TableRef&)>& fn) {
   walk_refs(stmt, fn);
-}
-
-void structural_key(const Expr& e, std::string& out) {
-  out += static_cast<char>('A' + static_cast<int>(e.kind));
-  switch (e.kind) {
-    case Expr::Kind::kLiteral:
-      out += static_cast<char>('0' + static_cast<int>(e.literal.type()));
-      out += e.literal.to_display();
-      break;
-    case Expr::Kind::kColumnRef:
-      out += e.table;
-      out += '.';
-      out += e.column;
-      break;
-    case Expr::Kind::kParam:
-      out += std::to_string(e.param_index);
-      break;
-    case Expr::Kind::kUnary:
-      out += static_cast<char>('0' + static_cast<int>(e.un_op));
-      break;
-    case Expr::Kind::kBinary:
-      out += static_cast<char>('0' + static_cast<int>(e.bin_op));
-      break;
-    case Expr::Kind::kFuncCall:
-      out += e.func;
-      if (e.star_arg) out += '*';
-      if (e.distinct_arg) out += '!';
-      break;
-    case Expr::Kind::kIsNull:
-    case Expr::Kind::kInList:
-    case Expr::Kind::kLike:
-      if (e.negated) out += '!';
-      break;
-    case Expr::Kind::kSubquery:
-      structural_key(*e.subquery, out);
-      break;
-    case Expr::Kind::kAliasRef:
-      out += std::to_string(e.alias_index);
-      break;
-  }
-  out += '(';
-  if (e.lhs) structural_key(*e.lhs, out);
-  out += ',';
-  if (e.rhs) structural_key(*e.rhs, out);
-  for (const auto& arg : e.args) {
-    out += ',';
-    structural_key(*arg, out);
-  }
-  out += ')';
-}
-
-void structural_key(const SelectStmt& s, std::string& out) {
-  for (const CommonTableExpr& cte : s.ctes) {
-    out += support::cat("C", cte.name, "{");
-    structural_key(*cte.select, out);
-    out += '}';
-  }
-  out += s.distinct ? "S!" : "S";
-  for (const auto& item : s.items) {
-    if (item.star) {
-      out += '*';
-      out += item.star_table;
-    } else {
-      structural_key(*item.expr, out);
-    }
-    if (!item.alias.empty()) out += support::cat("=", item.alias);
-    out += ',';
-  }
-  const auto table_ref_key = [&out](const TableRef& ref) {
-    out += ref.table;
-    // `t PARTITION (0)` and `t PARTITION (1)` scan different rows; the
-    // selector must split the key or the executor's subquery memo would
-    // serve the second one the first one's result.
-    if (ref.partition) out += support::cat("#p", *ref.partition);
-    out += ' ';
-    out += ref.alias;
-  };
-  if (s.from) {
-    out += "F";
-    table_ref_key(*s.from);
-  }
-  for (const auto& join : s.joins) {
-    out += "J";
-    table_ref_key(join.table);
-    if (join.on) structural_key(*join.on, out);
-  }
-  if (s.where) {
-    out += "W";
-    structural_key(*s.where, out);
-  }
-  for (const auto& g : s.group_by) {
-    out += "G";
-    structural_key(*g, out);
-  }
-  if (s.having) {
-    out += "H";
-    structural_key(*s.having, out);
-  }
-  for (const auto& key : s.order_by) {
-    out += key.descending ? "Od" : "Oa";
-    structural_key(*key.expr, out);
-  }
-  if (s.limit) out += support::cat("L", *s.limit);
-  if (s.offset) out += support::cat("K", *s.offset);
-}
-
-std::string structural_key(const SelectStmt& s) {
-  std::string out;
-  structural_key(s, out);
-  return out;
 }
 
 std::unique_ptr<SelectStmt> SelectStmt::clone() const {

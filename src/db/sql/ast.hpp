@@ -86,6 +86,20 @@ struct Expr {
   [[nodiscard]] std::string to_string() const;
 };
 
+/// Node builders shared by the parser and the query compilers, which build
+/// trees directly and render their text from them.
+[[nodiscard]] ExprPtr make_literal(Value value, support::SourceLoc loc = {});
+[[nodiscard]] ExprPtr make_column(std::string table, std::string column);
+[[nodiscard]] ExprPtr make_param(std::size_t index);
+[[nodiscard]] ExprPtr make_unary(UnOp op, ExprPtr operand,
+                                 support::SourceLoc loc = {});
+[[nodiscard]] ExprPtr make_binary(BinOp op, ExprPtr lhs, ExprPtr rhs,
+                                  support::SourceLoc loc = {});
+[[nodiscard]] ExprPtr make_is_null(ExprPtr operand, bool negated = false,
+                                   support::SourceLoc loc = {});
+[[nodiscard]] ExprPtr make_call(std::string func, std::vector<ExprPtr> args);
+[[nodiscard]] ExprPtr make_subquery(std::unique_ptr<SelectStmt> select);
+
 struct SelectItem {
   ExprPtr expr;          // null when star
   std::string alias;     // empty when none
@@ -186,18 +200,6 @@ struct SelectStmt {
 /// hand-rolled copies.
 void for_each_table_ref(const SelectStmt& stmt,
                         const std::function<void(const TableRef&)>& fn);
-
-/// Appends an unambiguous structural key of the node to `out`: parameters
-/// carry their index, literals their type tag, select items their alias,
-/// table references their partition selector, and nested subqueries and
-/// statement-level WITH entries render in full. Two trees with equal keys
-/// are the same statement; within one execution, two uncorrelated scalar
-/// subqueries with equal keys have equal results (the executor's subquery
-/// memo), and a text that parses to the key of a compiled tree is that
-/// tree's spelling.
-void structural_key(const Expr& e, std::string& out);
-void structural_key(const SelectStmt& s, std::string& out);
-[[nodiscard]] std::string structural_key(const SelectStmt& s);
 
 struct CreateTableStmt {
   TableSchema schema;

@@ -560,17 +560,6 @@ class Parser {
   // --- expressions (precedence climbing) -------------------------------
   ExprPtr parse_expr() { return parse_or(); }
 
-  ExprPtr make_binary(BinOp op, ExprPtr lhs, ExprPtr rhs,
-                      support::SourceLoc loc) {
-    auto e = std::make_unique<Expr>();
-    e->kind = Expr::Kind::kBinary;
-    e->bin_op = op;
-    e->lhs = std::move(lhs);
-    e->rhs = std::move(rhs);
-    e->loc = loc;
-    return e;
-  }
-
   ExprPtr parse_or() {
     ExprPtr lhs = parse_and();
     while (peek().is_keyword("OR")) {
@@ -592,12 +581,7 @@ class Parser {
   ExprPtr parse_not() {
     if (peek().is_keyword("NOT")) {
       const auto loc = advance().loc;
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::Kind::kUnary;
-      e->un_op = UnOp::kNot;
-      e->lhs = parse_not();
-      e->loc = loc;
-      return e;
+      return make_unary(UnOp::kNot, parse_not(), loc);
     }
     return parse_comparison();
   }
@@ -607,13 +591,9 @@ class Parser {
     // IS [NOT] NULL / [NOT] IN / [NOT] LIKE postfix forms.
     if (peek().is_keyword("IS")) {
       const auto loc = advance().loc;
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::Kind::kIsNull;
-      e->negated = accept_keyword("NOT");
+      const bool is_not = accept_keyword("NOT");
       expect_keyword("NULL");
-      e->lhs = std::move(lhs);
-      e->loc = loc;
-      return e;
+      return make_is_null(std::move(lhs), is_not, loc);
     }
     bool negated = false;
     if (peek().is_keyword("NOT") &&
@@ -692,12 +672,7 @@ class Parser {
   ExprPtr parse_unary() {
     if (peek().is_symbol("-")) {
       const auto loc = advance().loc;
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::Kind::kUnary;
-      e->un_op = UnOp::kNeg;
-      e->lhs = parse_unary();
-      e->loc = loc;
-      return e;
+      return make_unary(UnOp::kNeg, parse_unary(), loc);
     }
     if (peek().is_symbol("+")) {
       advance();
@@ -713,17 +688,11 @@ class Parser {
 
     switch (tok.kind) {
       case TokenKind::kIntLit:
-        e->kind = Expr::Kind::kLiteral;
-        e->literal = Value::integer(advance().int_value);
-        return e;
+        return make_literal(Value::integer(advance().int_value), e->loc);
       case TokenKind::kFloatLit:
-        e->kind = Expr::Kind::kLiteral;
-        e->literal = Value::real(advance().float_value);
-        return e;
+        return make_literal(Value::real(advance().float_value), e->loc);
       case TokenKind::kStringLit:
-        e->kind = Expr::Kind::kLiteral;
-        e->literal = Value::text(advance().text);
-        return e;
+        return make_literal(Value::text(advance().text), e->loc);
       case TokenKind::kSymbol:
         if (tok.is_symbol("?")) {
           advance();
@@ -747,14 +716,11 @@ class Parser {
       case TokenKind::kIdent: {
         if (tok.is_keyword("NULL")) {
           advance();
-          e->kind = Expr::Kind::kLiteral;
-          e->literal = Value::null();
-          return e;
+          return make_literal(Value::null(), e->loc);
         }
         if (tok.is_keyword("TRUE") || tok.is_keyword("FALSE")) {
-          e->kind = Expr::Kind::kLiteral;
-          e->literal = Value::boolean(advance().is_keyword("TRUE"));
-          return e;
+          return make_literal(Value::boolean(advance().is_keyword("TRUE")),
+                              e->loc);
         }
         if (tok.is_keyword("DATETIME") && peek(1).kind == TokenKind::kStringLit) {
           advance();
@@ -765,9 +731,7 @@ class Parser {
                                           lit.text, "'"),
                              lit.loc);
           }
-          e->kind = Expr::Kind::kLiteral;
-          e->literal = Value::datetime(*parsed);
-          return e;
+          return make_literal(Value::datetime(*parsed), e->loc);
         }
         // Reserved words cannot start a primary expression; catching them
         // here turns "SELECT a, FROM t" into a syntax error instead of a

@@ -1,208 +1,269 @@
 #include "db/sql/render.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <string_view>
 
 #include "support/str.hpp"
 
 namespace kojak::db::sql {
 
-// Placeholders are emitted as `?` and the original (absolute) param_index
-// of each is recorded in emission order — a re-parse numbers placeholders
-// sequentially in exactly that order.
-
 namespace {
 
-bool render_select(const sql::SelectStmt& s, std::string& out,
-                   std::vector<std::size_t>& params);
+// Parentheses are emitted only where the parser's precedence climbing
+// (OR < AND < NOT < comparison/IS/IN/LIKE < + - < * / % < unary minus <
+// primary) would otherwise group the text differently, so the text reads
+// like hand-written SQL and parses back to the same tree.
+enum Precedence : int {
+  kTop,
+  kOr,
+  kAnd,
+  kNot,
+  kComparison,
+  kAdditive,
+  kMultiplicative,
+  kNegation,
+  kPrimary,
+};
 
-bool render_literal(const Value& v, std::string& out) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      out += "NULL";
-      return true;
-    case ValueType::kBool:
-      out += v.as_bool() ? "TRUE" : "FALSE";
-      return true;
-    case ValueType::kInt:
-      out += std::to_string(v.as_int());
-      return true;
-    case ValueType::kDouble: {
-      const double d = v.as_double();
-      if (!std::isfinite(d)) return false;
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "%.17g", d);
-      out += buf;
-      // Force a float re-parse: "0" alone would come back as an integer
-      // literal and change arithmetic typing downstream.
-      if (std::string_view(buf).find_first_of(".eE") ==
-          std::string_view::npos) {
-        out += ".0";
-      }
-      return true;
-    }
-    case ValueType::kString:
-      out += '\'';
-      for (const char c : v.as_string()) {
-        out += c;
-        if (c == '\'') out += '\'';
-      }
-      out += '\'';
-      return true;
-    case ValueType::kDateTime:
-      out += support::cat("DATETIME '", format_datetime(v.as_datetime()), "'");
-      return true;
-  }
-  return false;
+bool negative_number(const Value& v) {
+  return (v.type() == ValueType::kInt && v.as_int() < 0) ||
+         (v.type() == ValueType::kDouble && std::signbit(v.as_double()));
 }
 
-bool render_expr(const sql::Expr& e, std::string& out,
-                 std::vector<std::size_t>& params) {
-  using Kind = sql::Expr::Kind;
+int precedence(const Expr& e) {
   switch (e.kind) {
-    case Kind::kLiteral:
-      return render_literal(e.literal, out);
-    case Kind::kColumnRef:
-      if (!e.table.empty()) out += support::cat(e.table, ".");
-      out += e.column;
-      return true;
-    case Kind::kParam:
-      out += '?';
-      params.push_back(e.param_index);
-      return true;
-    case Kind::kUnary:
-      out += '(';
-      out += e.un_op == sql::UnOp::kNeg ? "-" : "NOT ";
-      if (e.lhs == nullptr || !render_expr(*e.lhs, out, params)) return false;
-      out += ')';
-      return true;
-    case Kind::kBinary:
-      out += '(';
-      if (e.lhs == nullptr || !render_expr(*e.lhs, out, params)) return false;
-      out += support::cat(" ", sql::to_string(e.bin_op), " ");
-      if (e.rhs == nullptr || !render_expr(*e.rhs, out, params)) return false;
-      out += ')';
-      return true;
-    case Kind::kFuncCall:
-      out += e.func;
-      out += '(';
-      if (e.star_arg) {
-        out += "*)";
-        return true;
+    case Expr::Kind::kLiteral:
+      // A negative number spells with a leading minus, like a negation.
+      return negative_number(e.literal) ? kNegation : kPrimary;
+    case Expr::Kind::kUnary:
+      return e.un_op == UnOp::kNot ? kNot : kNegation;
+    case Expr::Kind::kBinary:
+      switch (e.bin_op) {
+        case BinOp::kOr: return kOr;
+        case BinOp::kAnd: return kAnd;
+        case BinOp::kAdd:
+        case BinOp::kSub: return kAdditive;
+        case BinOp::kMul:
+        case BinOp::kDiv:
+        case BinOp::kMod: return kMultiplicative;
+        default: return kComparison;
       }
-      if (e.distinct_arg) out += "DISTINCT ";
-      for (std::size_t i = 0; i < e.args.size(); ++i) {
-        if (i > 0) out += ", ";
-        if (!render_expr(*e.args[i], out, params)) return false;
-      }
-      out += ')';
-      return true;
-    case Kind::kIsNull:
-      out += '(';
-      if (e.lhs == nullptr || !render_expr(*e.lhs, out, params)) return false;
-      out += e.negated ? " IS NOT NULL)" : " IS NULL)";
-      return true;
-    case Kind::kInList:
-      out += '(';
-      if (e.lhs == nullptr || !render_expr(*e.lhs, out, params)) return false;
-      out += e.negated ? " NOT IN (" : " IN (";
-      for (std::size_t i = 0; i < e.args.size(); ++i) {
-        if (i > 0) out += ", ";
-        if (!render_expr(*e.args[i], out, params)) return false;
-      }
-      out += "))";
-      return true;
-    case Kind::kLike:
-      out += '(';
-      if (e.lhs == nullptr || !render_expr(*e.lhs, out, params)) return false;
-      out += e.negated ? " NOT LIKE " : " LIKE ";
-      if (e.rhs == nullptr || !render_expr(*e.rhs, out, params)) return false;
-      out += ')';
-      return true;
-    case Kind::kSubquery:
-      if (e.subquery == nullptr) return false;
-      out += '(';
-      if (!render_select(*e.subquery, out, params)) return false;
-      out += ')';
-      return true;
-    case Kind::kAliasRef:
-      return false;  // no textual spelling survives parsing
+    case Expr::Kind::kIsNull:
+    case Expr::Kind::kInList:
+    case Expr::Kind::kLike:
+      return kComparison;
+    default:
+      return kPrimary;
   }
-  return false;
 }
 
-void render_table_ref(const sql::TableRef& ref, std::string& out) {
-  out += ref.table;
-  if (ref.partition) out += support::cat(" PARTITION (", *ref.partition, ")");
-  if (!ref.alias.empty()) out += support::cat(" ", ref.alias);
-}
+/// One rendering pass over a tree, recording each `?` node in text order
+/// (a parse numbers placeholders sequentially in exactly that order). In
+/// key mode every node has a spelling, none of which the SQL text has: a
+/// placeholder shows its index (`?3`), an alias reference its item (`@1`),
+/// a non-finite double its display form, and a negative literal is
+/// parenthesized so it cannot read as a negation.
+class Renderer {
+ public:
+  Renderer(std::string& out, bool key) : out_(out), key_(key) {}
 
-bool render_select(const sql::SelectStmt& s, std::string& out,
-                   std::vector<std::size_t>& params) {
-  if (!s.ctes.empty()) return false;  // shard bodies are CTE-free
-  out += "SELECT ";
-  if (s.distinct) out += "DISTINCT ";
-  for (std::size_t i = 0; i < s.items.size(); ++i) {
-    if (i > 0) out += ", ";
-    const sql::SelectItem& item = s.items[i];
-    if (item.star) {
-      if (!item.star_table.empty()) out += support::cat(item.star_table, ".");
-      out += '*';
-      continue;
+  std::vector<const Expr*> params;
+
+  bool select(const SelectStmt& s) {
+    for (std::size_t i = 0; i < s.ctes.size(); ++i) {
+      out_ += support::cat(i == 0 ? "WITH " : ", ", s.ctes[i].name, " AS (");
+      if (s.ctes[i].select == nullptr || !select(*s.ctes[i].select)) {
+        return false;
+      }
+      out_ += ')';
     }
-    if (item.expr == nullptr || !render_expr(*item.expr, out, params)) {
+    if (!s.ctes.empty()) out_ += ' ';
+    out_ += s.distinct ? "SELECT DISTINCT " : "SELECT ";
+    for (std::size_t i = 0; i < s.items.size(); ++i) {
+      if (i > 0) out_ += ", ";
+      const SelectItem& item = s.items[i];
+      if (item.star) {
+        if (!item.star_table.empty()) out_ += item.star_table + ".";
+        out_ += '*';
+        continue;
+      }
+      if (!operand(item.expr, kTop)) return false;
+      if (!item.alias.empty()) out_ += support::cat(" AS ", item.alias);
+    }
+    if (s.from) {
+      out_ += " FROM ";
+      table_ref(*s.from);
+    }
+    for (const Join& join : s.joins) {
+      out_ += join.on == nullptr ? " CROSS JOIN " : " JOIN ";
+      table_ref(join.table);
+      if (join.on == nullptr) continue;
+      out_ += " ON ";
+      if (!expr(*join.on, kTop)) return false;
+    }
+    if (s.where) {
+      out_ += " WHERE ";
+      if (!expr(*s.where, kTop)) return false;
+    }
+    if (!s.group_by.empty() && !list(" GROUP BY ", s.group_by, "")) {
       return false;
     }
-    if (!item.alias.empty()) out += support::cat(" AS ", item.alias);
-  }
-  if (s.from) {
-    out += " FROM ";
-    render_table_ref(*s.from, out);
-  }
-  for (const sql::Join& join : s.joins) {
-    if (join.on == nullptr) {
-      out += " CROSS JOIN ";
-      render_table_ref(join.table, out);
-      continue;
+    if (s.having) {
+      out_ += " HAVING ";
+      if (!expr(*s.having, kTop)) return false;
     }
-    out += " JOIN ";
-    render_table_ref(join.table, out);
-    out += " ON ";
-    if (!render_expr(*join.on, out, params)) return false;
+    for (std::size_t i = 0; i < s.order_by.size(); ++i) {
+      out_ += i == 0 ? " ORDER BY " : ", ";
+      if (!operand(s.order_by[i].expr, kTop)) return false;
+      if (s.order_by[i].descending) out_ += " DESC";
+    }
+    if (s.limit) out_ += support::cat(" LIMIT ", *s.limit);
+    if (s.offset) out_ += support::cat(" OFFSET ", *s.offset);
+    return true;
   }
-  if (s.where) {
-    out += " WHERE ";
-    if (!render_expr(*s.where, out, params)) return false;
+
+  bool expr(const Expr& e, int min_precedence) {
+    const int own = precedence(e);
+    if (own < min_precedence) {
+      out_ += '(';
+      if (!expr(e, kTop)) return false;
+      out_ += ')';
+      return true;
+    }
+    switch (e.kind) {
+      case Expr::Kind::kLiteral:
+        return literal(e.literal);
+      case Expr::Kind::kColumnRef:
+        if (!e.table.empty()) out_ += support::cat(e.table, ".");
+        out_ += e.column;
+        return true;
+      case Expr::Kind::kParam:
+        out_ += '?';
+        if (key_) out_ += std::to_string(e.param_index);
+        params.push_back(&e);
+        return true;
+      case Expr::Kind::kUnary:
+        // A negated operand is parenthesized whole: "--" opens a comment.
+        out_ += e.un_op == UnOp::kNeg ? "-" : "NOT ";
+        return operand(e.lhs, e.un_op == UnOp::kNeg ? kPrimary : kNot);
+      case Expr::Kind::kBinary:
+        // Left-associative, except that comparisons do not chain at all.
+        if (!operand(e.lhs, own == kComparison ? own + 1 : own)) return false;
+        out_ += support::cat(" ", to_string(e.bin_op), " ");
+        return operand(e.rhs, own + 1);
+      case Expr::Kind::kFuncCall:
+        out_ += e.func;
+        if (e.star_arg) {
+          out_ += "(*)";
+          return true;
+        }
+        return list(e.distinct_arg ? "(DISTINCT " : "(", e.args, ")");
+      case Expr::Kind::kIsNull:
+        if (!operand(e.lhs, kAdditive)) return false;
+        out_ += e.negated ? " IS NOT NULL" : " IS NULL";
+        return true;
+      case Expr::Kind::kInList:
+        if (!operand(e.lhs, kAdditive)) return false;
+        return list(e.negated ? " NOT IN (" : " IN (", e.args, ")");
+      case Expr::Kind::kLike:
+        if (!operand(e.lhs, kAdditive)) return false;
+        out_ += e.negated ? " NOT LIKE " : " LIKE ";
+        return operand(e.rhs, kAdditive);
+      case Expr::Kind::kSubquery:
+        if (e.subquery == nullptr) return false;
+        out_ += '(';
+        if (!select(*e.subquery)) return false;
+        out_ += ')';
+        return true;
+      case Expr::Kind::kAliasRef:
+        // The binder's reference to a select item has no text spelling.
+        if (key_) out_ += support::cat("@", e.alias_index);
+        return key_;
+    }
+    return false;
   }
-  for (std::size_t i = 0; i < s.group_by.size(); ++i) {
-    out += i == 0 ? " GROUP BY " : ", ";
-    if (!render_expr(*s.group_by[i], out, params)) return false;
+
+ private:
+  /// An operand that must bind at least as tightly as `min_precedence`.
+  bool operand(const ExprPtr& e, int min_precedence) {
+    return e != nullptr && expr(*e, min_precedence);
   }
-  if (s.having) {
-    out += " HAVING ";
-    if (!render_expr(*s.having, out, params)) return false;
+
+  /// `open`, the comma-separated expressions, `close`.
+  bool list(std::string_view open, const std::vector<ExprPtr>& exprs,
+            std::string_view close) {
+    out_ += open;
+    for (std::size_t i = 0; i < exprs.size(); ++i) {
+      if (i > 0) out_ += ", ";
+      if (!operand(exprs[i], kTop)) return false;
+    }
+    out_ += close;
+    return true;
   }
-  for (std::size_t i = 0; i < s.order_by.size(); ++i) {
-    out += i == 0 ? " ORDER BY " : ", ";
-    if (!render_expr(*s.order_by[i].expr, out, params)) return false;
-    if (s.order_by[i].descending) out += " DESC";
+
+  bool literal(const Value& v) {
+    if (v.type() == ValueType::kDouble && !std::isfinite(v.as_double())) {
+      // NaN and infinities have no literal the lexer reads back.
+      if (key_) out_ += v.to_display();
+      return key_;
+    }
+    const bool wrap = key_ && negative_number(v);
+    out_ += wrap ? support::cat("(", v.to_sql_literal(), ")")
+                 : v.to_sql_literal();
+    return true;
   }
-  if (s.limit) out += support::cat(" LIMIT ", *s.limit);
-  if (s.offset) out += support::cat(" OFFSET ", *s.offset);
-  return true;
-}
+
+  void table_ref(const TableRef& ref) {
+    out_ += ref.table;
+    if (ref.partition) {
+      out_ += support::cat(" PARTITION (", *ref.partition, ")");
+    }
+    if (!ref.alias.empty()) out_ += support::cat(" ", ref.alias);
+  }
+
+  std::string& out_;
+  bool key_;
+};
 
 }  // namespace
 
-bool render_select_sql(const sql::SelectStmt& stmt, std::string& out,
+bool render_select_sql(const SelectStmt& stmt, std::string& out,
                        std::vector<std::size_t>& param_order) {
   std::string text;
-  std::vector<std::size_t> order;
-  if (!render_select(stmt, text, order)) return false;
+  Renderer renderer(text, /*key=*/false);
+  if (!renderer.select(stmt)) return false;
   out = std::move(text);
-  param_order = std::move(order);
+  param_order.clear();
+  for (const Expr* node : renderer.params) {
+    param_order.push_back(node->param_index);
+  }
   return true;
+}
+
+std::vector<std::size_t> renumber_params(SelectStmt& stmt) {
+  std::string text;
+  Renderer renderer(text, /*key=*/true);  // visits every node
+  (void)renderer.select(stmt);
+  std::vector<std::size_t> previous;
+  for (const Expr* node : renderer.params) {
+    previous.push_back(node->param_index);
+    // The nodes belong to `stmt`, which the caller handed over mutable.
+    const_cast<Expr*>(node)->param_index = previous.size() - 1;
+  }
+  return previous;
+}
+
+void structural_key(const Expr& e, std::string& out) {
+  (void)Renderer(out, /*key=*/true).expr(e, kTop);
+}
+
+void structural_key(const SelectStmt& s, std::string& out) {
+  (void)Renderer(out, /*key=*/true).select(s);
+}
+
+std::string structural_key(const SelectStmt& s) {
+  std::string out;
+  structural_key(s, out);
+  return out;
 }
 
 }  // namespace kojak::db::sql

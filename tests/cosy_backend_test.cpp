@@ -722,8 +722,10 @@ TEST(WholeCondition, GapNullsInEqualityStayNotApplicable) {
 TEST(WholeCondition, NonCompilablePropertyFallsBackToSitewise) {
   // An aggregate whose value expression applies SIZE to the binder is
   // correlated — outside the compilable subset. The compiler must name
-  // that blocker, and the whole-condition evaluator must agree
-  // byte-for-byte with the site-wise evaluator it falls back to.
+  // that blocker; the whole-condition evaluator falls back to site-wise,
+  // which cannot compile the site either and reports the same located
+  // error. A compile limitation is never a not-applicable verdict (that
+  // comes only from NULL data).
   const asl::Model model = asl::load_model({R"(
     class Holder { String Name; setof Item Items; }
     class Item { float V; setof Sub Subs; }
@@ -766,8 +768,22 @@ TEST(WholeCondition, NonCompilablePropertyFallsBackToSitewise) {
 
   cosy::SqlEvaluator sitewise(model, conn, cosy::SqlEvalMode::kPushdown);
   const std::vector<RtValue> args = {RtValue::of_object(holder)};
-  expect_same(sitewise.evaluate_property(*prop, args),
-              whole.evaluate_property(*prop, args), "DeepFanout");
+  const auto error_of = [&](cosy::SqlEvaluator& eval) {
+    try {
+      (void)eval.evaluate_property(*prop, args);
+    } catch (const EvalError& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  const std::string sitewise_error = error_of(sitewise);
+  EXPECT_NE(sitewise_error.find("correlated with binder 'i'"),
+            std::string::npos)
+      << sitewise_error;
+  EXPECT_NE(sitewise_error.find("property DeepFanout, at 6:22"),
+            std::string::npos)
+      << sitewise_error;
+  EXPECT_EQ(error_of(whole), sitewise_error);
   EXPECT_EQ(whole.stats().whole_fallbacks, 1u);
 }
 
@@ -805,6 +821,18 @@ TEST(WholeCondition, NullAttributeSemanticsMatchTheInterpreter) {
     };
     Property RefIsArg(Holder h, Item x) {
       CONDITION: SIZE({i IN h.Items WITH i.Ref == x}) > 0;
+      CONFIDENCE: 1;
+      SEVERITY: 1;
+    };
+    Property RefIsNotPickNegated(Holder h) {
+      LET Item p = h.Pick;
+      IN
+      CONDITION: SIZE({i IN h.Items WITH NOT (i.Ref == p)}) > 0;
+      CONFIDENCE: 1;
+      SEVERITY: 1;
+    };
+    Property RefIsNotArgNegated(Holder h, Item x) {
+      CONDITION: SIZE({i IN h.Items WITH NOT (i.Ref == x)}) > 0;
       CONFIDENCE: 1;
       SEVERITY: 1;
     };
@@ -918,6 +946,21 @@ TEST(WholeCondition, NullAttributeSemanticsMatchTheInterpreter) {
                                       RtValue::of_object(a)};
   expect_same(interp.evaluate_property(*ref_is_arg, set_a),
               whole.evaluate_property(*ref_is_arg, set_a), "RefIsArg a");
+  // `==` under NOT: the lone item's unset Ref differs from the pick (a LET)
+  // and from the argument, so NOT keeps it — in every evaluator.
+  const std::vector<RtValue> lone_a = {RtValue::of_object(lone),
+                                       RtValue::of_object(a)};
+  for (const auto& [prop_name, args] :
+       {std::pair{"RefIsNotPickNegated", lone_args},
+        std::pair{"RefIsNotArgNegated", lone_a}}) {
+    const asl::PropertyInfo* prop = model.find_property(prop_name);
+    ASSERT_NE(prop, nullptr) << prop_name;
+    const PropertyResult expected = interp.evaluate_property(*prop, args);
+    EXPECT_EQ(expected.status, PropertyResult::Status::kHolds) << prop_name;
+    expect_same(expected, whole.evaluate_property(*prop, args), prop_name);
+    expect_same(expected, sitewise.evaluate_property(*prop, args),
+                std::string(prop_name) + " (site-wise)");
+  }
   // Spot-check the interesting verdicts so the comparison can't pass
   // vacuously: a legal null holds `== null`, the unset Flag in an OR is a
   // data gap (interpreter would throw on as_bool), the set Flag decides

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "asl/interp.hpp"
 #include "asl/sema.hpp"
 #include "cosy/db_import.hpp"
@@ -84,6 +88,59 @@ TEST(SqlEval, ExplainComprehension) {
       << text;
   EXPECT_NE(text.find("j.owner = "), std::string::npos) << text;
   EXPECT_NE(text.find("b.Run = "), std::string::npos) << text;
+}
+
+TEST(SqlEval, CompileLimitIsALocatedErrorNotADataGap) {
+  // SUM(InclOf(x) WHERE x IN r.TotTimes): a function call over the binder,
+  // which neither SQL translator compiles. The interpreter evaluates every
+  // context; the SQL evaluators must name the property, the ASL location
+  // and the blocker instead of reporting a not-applicable data gap.
+  std::ifstream file(std::filesystem::path(__FILE__).parent_path() / "specs" /
+                     "function_over_binder.asl");
+  std::stringstream spec;
+  spec << file.rdbuf();
+  const asl::Model model =
+      asl::load_model({cosy::cosy_model_source(), spec.str()});
+  const asl::PropertyInfo* prop = model.find_property("InclOfSum");
+  ASSERT_NE(prop, nullptr);
+
+  asl::ObjectStore store(model);
+  const perf::ExperimentData data = perf::simulate_experiment(
+      perf::workloads::imbalanced_ocean(), {1, 4}, perf::SimulationOptions{});
+  const cosy::StoreHandles handles = cosy::build_store(store, data);
+  db::Database database;
+  cosy::create_schema(database, model);
+  db::Connection conn(database, db::ConnectionProfile::in_memory());
+  cosy::import_store(conn, store);
+
+  const std::vector<RtValue> args = {
+      RtValue::of_object(handles.regions.at("main.time_loop.step")),
+      RtValue::of_object(handles.runs[1]),
+      RtValue::of_object(handles.regions.at("main"))};
+  const asl::Interpreter interp(model, store);
+  EXPECT_EQ(interp.evaluate_property(*prop, args).status,
+            PropertyResult::Status::kHolds);
+
+  for (const cosy::SqlEvalMode mode :
+       {cosy::SqlEvalMode::kPushdown, cosy::SqlEvalMode::kWholeCondition}) {
+    cosy::SqlEvaluator sql(model, conn, mode);
+    std::string error;
+    try {
+      const PropertyResult result = sql.evaluate_property(*prop, args);
+      error = "no error, status " +
+              std::to_string(static_cast<int>(result.status));
+    } catch (const kojak::support::EvalError& e) {
+      error = e.what();
+    }
+    EXPECT_NE(error.find("SQL strategy: expression correlated with binder 'x'"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("(property InclOfSum, at 9:18)"), std::string::npos)
+        << error;
+    // Whole-condition tries its own compiler first, then site-wise.
+    EXPECT_EQ(sql.stats().whole_fallbacks,
+              mode == cosy::SqlEvalMode::kWholeCondition ? 1u : 0u);
+  }
 }
 
 TEST(SqlEval, QueriesAreIssued) {

@@ -8,7 +8,9 @@
 //     functions, over an imported workload.
 // A statement matches its golden text when both parse to the same
 // db::sql::structural_key (spelling may differ, the statement may not); the
-// `-- fused:` explain notes must match exactly.
+// `-- fused:` explain notes must match exactly. A second test runs the suite
+// and checks that every cached plan's tree — what each evaluator executes —
+// is exactly the parse of the plan's rendered text.
 //
 // Regenerate (only when a compiler change is meant to change statements):
 //   KOJAK_UPDATE_GOLDEN=1 ./cosy_sql_golden_test
@@ -22,12 +24,14 @@
 #include <map>
 #include <sstream>
 
+#include "cosy/analyzer.hpp"
 #include "cosy/db_import.hpp"
 #include "cosy/schema_gen.hpp"
 #include "cosy/specs.hpp"
 #include "cosy/sql_eval.hpp"
 #include "cosy/store_builder.hpp"
 #include "db/sql/parser.hpp"
+#include "db/sql/render.hpp"
 #include "perf/simulator.hpp"
 #include "perf/workloads.hpp"
 #include "support/error.hpp"
@@ -122,7 +126,9 @@ void add_sets(const asl::Model& model, Records& out) {
   cosy::SqlEvaluator eval(model, conn);
 
   const auto arg_of = [&](const asl::Type& type) {
-    if (type.kind == asl::TypeKind::kEnum) return asl::RtValue::of_enum(type.id, 1);
+    if (type.kind == asl::TypeKind::kEnum) {
+      return asl::RtValue::of_enum(type.id, 1);
+    }
     const std::string& cls = model.class_info(type.id).name;
     if (cls == "Region") {
       return asl::RtValue::of_object(handles.regions.at("main.time_loop.step"));
@@ -161,8 +167,9 @@ void add_sets(const asl::Model& model, Records& out) {
     for (const asl::ConditionInfo& cond : prop.conditions) {
       roots.push_back(cond.pred);
     }
-    for (const asl::GuardedInfo& arm : prop.confidence) roots.push_back(arm.expr);
-    for (const asl::GuardedInfo& arm : prop.severity) roots.push_back(arm.expr);
+    for (const auto* arms : {&prop.confidence, &prop.severity}) {
+      for (const asl::GuardedInfo& arm : *arms) roots.push_back(arm.expr);
+    }
     record(prop.name, prop.params, roots);
   }
 }
@@ -244,4 +251,47 @@ TEST(CompiledSqlGolden, EveryStatementParsesToItsGoldenTree) {
   // 13 properties x 3 layouts x {cse, plain}, and the suite's 9 set sites.
   EXPECT_EQ(whole, 13u * 3u * 2u);
   EXPECT_EQ(sets, 9u);
+}
+
+TEST(CompiledSqlGolden, EveryExecutedTreeIsTheParseOfItsText) {
+  const asl::Model model = cosy::load_cosy_model();
+  asl::ObjectStore store{model};
+  const perf::ExperimentData data = perf::simulate_experiment(
+      perf::workloads::imbalanced_ocean(), {1, 4}, perf::SimulationOptions{});
+  const cosy::StoreHandles handles = cosy::build_store(store, data);
+  const asl::ObjectId run = handles.runs.back();
+  const asl::ObjectId basis = handles.regions.at(handles.main_region);
+
+  std::size_t checked = 0;
+  for (const Layout& layout : layouts()) {
+    db::Database database;
+    cosy::create_schema(database, model, layout.options);
+    db::Connection conn(database, db::ConnectionProfile::in_memory());
+    cosy::import_store(conn, store);
+    for (const auto& [mode, cse] :
+         {std::pair{cosy::SqlEvalMode::kPushdown, true},
+          std::pair{cosy::SqlEvalMode::kWholeCondition, true},
+          std::pair{cosy::SqlEvalMode::kWholeCondition, false}}) {
+      cosy::PlanCache cache(model);
+      cosy::SqlEvaluator eval(model, conn, mode, &cache, cse);
+      for (const asl::PropertyInfo& prop : model.properties()) {
+        for (cosy::PropertyContext& ctx : cosy::enumerate_property_contexts(
+                 model, handles, prop, run, basis)) {
+          (void)eval.evaluate_property(prop, std::move(ctx.args));
+        }
+      }
+      EXPECT_EQ(eval.stats().whole_fallbacks, 0u) << layout.name;
+      for (const auto& plan : cache.plans()) {
+        SCOPED_TRACE(plan->sql);
+        ASSERT_NE(plan->tree, nullptr);
+        EXPECT_EQ(sql::structural_key(*plan->tree), key_of(plan->sql));
+        std::string text;
+        std::vector<std::size_t> order;
+        ASSERT_TRUE(sql::render_select_sql(*plan->tree, text, order));
+        EXPECT_EQ(text, plan->sql);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }

@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "asl/parser.hpp"
 #include "asl/sema.hpp"
 #include "cosy/specs.hpp"
 #include "db/sql/parser.hpp"
+#include "db/sql/render.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/str.hpp"
@@ -42,6 +45,40 @@ std::string mutate(std::string text, Rng& rng, int count,
     }
   }
   return text;
+}
+
+/// The nodes render_select_sql documents as having no text form: alias
+/// references and non-finite literals.
+bool has_unrenderable_node(const sql::Expr& e);
+
+bool has_unrenderable_node(const sql::SelectStmt& s) {
+  bool found = false;
+  const auto visit = [&](const sql::ExprPtr& e) {
+    if (e && has_unrenderable_node(*e)) found = true;
+  };
+  for (const auto& cte : s.ctes) found |= has_unrenderable_node(*cte.select);
+  for (const auto& item : s.items) visit(item.expr);
+  for (const auto& join : s.joins) visit(join.on);
+  visit(s.where);
+  for (const auto& g : s.group_by) visit(g);
+  visit(s.having);
+  for (const auto& key : s.order_by) visit(key.expr);
+  return found;
+}
+
+bool has_unrenderable_node(const sql::Expr& e) {
+  if (e.kind == sql::Expr::Kind::kAliasRef) return true;
+  if (e.kind == sql::Expr::Kind::kLiteral &&
+      e.literal.type() == kojak::db::ValueType::kDouble &&
+      !std::isfinite(e.literal.as_double())) {
+    return true;
+  }
+  if (e.lhs && has_unrenderable_node(*e.lhs)) return true;
+  if (e.rhs && has_unrenderable_node(*e.rhs)) return true;
+  for (const auto& arg : e.args) {
+    if (has_unrenderable_node(*arg)) return true;
+  }
+  return e.subquery && has_unrenderable_node(*e.subquery);
 }
 
 constexpr std::string_view kAslAlphabet =
@@ -103,15 +140,38 @@ TEST_P(SqlMutation, NeverCrashesOnMutatedStatements) {
       "WHERE t.Run = 3 AND r.Kind LIKE 'L%' "
       "GROUP BY r.Name HAVING COUNT(*) > 1 ORDER BY s DESC LIMIT 10";
   int rejected = 0;
+  int round_tripped = 0;
   for (int round = 0; round < 120; ++round) {
     const std::string source = mutate(base, rng, 1 + round % 6, kSqlAlphabet);
+    std::vector<sql::Statement> statements;
     try {
-      (void)sql::parse_sql(source);
+      statements = sql::parse_sql(source);
     } catch (const Error&) {
       ++rejected;
+      continue;
+    }
+    // Every SELECT that parses renders to text that parses back to the
+    // same tree, unless it holds a node with no text form.
+    for (const sql::Statement& statement : statements) {
+      const auto* select = std::get_if<sql::SelectStmt>(&statement);
+      if (select == nullptr) continue;
+      SCOPED_TRACE(source);
+      std::string text;
+      std::vector<std::size_t> order;
+      if (!sql::render_select_sql(*select, text, order)) {
+        EXPECT_TRUE(has_unrenderable_node(*select));
+        continue;
+      }
+      const sql::Statement reparsed = sql::parse_single(text);
+      ASSERT_TRUE(std::holds_alternative<sql::SelectStmt>(reparsed)) << text;
+      EXPECT_EQ(sql::structural_key(std::get<sql::SelectStmt>(reparsed)),
+                sql::structural_key(*select))
+          << text;
+      ++round_tripped;
     }
   }
   EXPECT_GT(rejected, 0);
+  EXPECT_GT(round_tripped, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SqlMutation, ::testing::Range(1, 7));
