@@ -7,6 +7,7 @@
 #include <optional>
 #include <set>
 #include <span>
+#include <unordered_map>
 
 #include "cosy/db_import.hpp"
 #include "cosy/shard_cache.hpp"
@@ -197,13 +198,16 @@ struct Compiled {
   std::uint32_t elem_class = 0;
 };
 
+constexpr const char* kNoTextForm =
+    "compiled SQL has no text form (non-finite literal)";
+
 /// Statement text of a compiled tree; the text is what ships on the inline
 /// path and what explain shows.
 std::string render(const db::sql::SelectStmt& select) {
   std::string text;
   std::vector<std::size_t> order;
   if (!db::sql::render_select_sql(select, text, order)) {
-    throw EvalError("compiled SQL has no text form (non-finite literal)");
+    throw EvalError(kNoTextForm);
   }
   return text;
 }
@@ -216,16 +220,17 @@ CompiledPlan finalize(Compiled compiled, PlanBuild&& build,
   CompiledPlan plan;
   plan.elem_class = compiled.elem_class;
   ordered_values.clear();
-  for (const std::size_t id : db::sql::renumber_params(*compiled.select)) {
+  for (const std::size_t id :
+       db::sql::renumber_params(*compiled.select, &plan.sql)) {
     plan.params.push_back(build.params.at(id));
     ordered_values.push_back(build.values.at(id));
   }
+  if (plan.sql.empty()) throw EvalError(kNoTextForm);
   for (const CompiledPlan::Param& param : build.params) {
     if (param.slot == CompiledPlan::Slot::kAssertNull) {
       plan.params.push_back(param);
     }
   }
-  plan.sql = render(*compiled.select);
   plan.tree = std::move(compiled.select);
   return plan;
 }
@@ -266,20 +271,17 @@ struct SetSpec {
   /// its scope in its own environment and leaves this null.
   const EnvFrame* env = nullptr;
 
-  /// `SELECT <item> FROM ... WHERE c1 AND c2 ...` over a copy of the set
-  /// (no item when `item` is null).
-  [[nodiscard]] std::unique_ptr<db::sql::SelectStmt> select(
-      SqlExpr item) const {
+  /// `SELECT <item> FROM ... WHERE c1 AND c2 ...` made of the set (no
+  /// item when `item` is null); consumes the spec.
+  [[nodiscard]] std::unique_ptr<db::sql::SelectStmt> select(SqlExpr item) && {
     auto s = std::make_unique<db::sql::SelectStmt>();
     if (item) s->items.push_back({std::move(item), {}, false, {}});
-    s->from = from;
-    for (const db::sql::Join& join : joins) {
-      s->joins.push_back({join.table, join.on->clone()});
-    }
-    for (const SqlExpr& conjunct : conjuncts) {
+    s->from = std::move(from);
+    s->joins = std::move(joins);
+    for (SqlExpr& conjunct : conjuncts) {
       s->where = s->where ? make_binary(SqlBinOp::kAnd, std::move(s->where),
-                                       conjunct->clone())
-                          : conjunct->clone();
+                                        std::move(conjunct))
+                          : std::move(conjunct);
     }
     return s;
   }
@@ -1002,8 +1004,9 @@ class SqlExprEval final : public SetTranslator {
         }
         const SiteResult site =
             run_site(e, SiteKind::kSetIds, {}, [&]() -> Compiled {
-              const SetSpec sq = compile_set(e, nullptr);
-              return {sq.select(make_column("b", "id")), sq.elem_class};
+              SetSpec sq = compile_set(e, nullptr);
+              return {std::move(sq).select(make_column("b", "id")),
+                      sq.elem_class};
             });
         auto ids = std::make_shared<std::vector<ObjectId>>();
         ids->reserve(site.result.row_count());
@@ -1025,7 +1028,7 @@ class SqlExprEval final : public SetTranslator {
                       ? sql_count_star()
                       : sql_call(std::string(asl::ast::to_string(e.agg_kind)),
                                  over_binder(*e.agg_value, sq, false).sql);
-              return {sq.select(std::move(select)), sq.elem_class};
+              return {std::move(sq).select(std::move(select)), sq.elem_class};
             });
         const db::Value scalar = site.result.scalar();
         if (e.agg_kind == asl::ast::AggKind::kCount) {
@@ -1056,8 +1059,9 @@ class SqlExprEval final : public SetTranslator {
         }
         const SiteResult site =
             run_site(e, SiteKind::kSetIds, {}, [&]() -> Compiled {
-              const SetSpec sq = compile_set(*e.base, nullptr);
-              return {sq.select(make_column("b", "id")), sq.elem_class};
+              SetSpec sq = compile_set(*e.base, nullptr);
+              return {std::move(sq).select(make_column("b", "id")),
+                      sq.elem_class};
             });
         if (site.result.row_count() != 1) {
           throw EvalError(support::cat("UNIQUE over a set of size ",
@@ -1076,8 +1080,8 @@ class SqlExprEval final : public SetTranslator {
         } else {
           const SiteResult site =
               run_site(e, SiteKind::kSetCount, {}, [&]() -> Compiled {
-                const SetSpec sq = compile_set(*e.base, nullptr);
-                return {sq.select(sql_count_star()), sq.elem_class};
+                SetSpec sq = compile_set(*e.base, nullptr);
+                return {std::move(sq).select(sql_count_star()), sq.elem_class};
               });
           n = site.result.scalar().as_int();
         }
@@ -1442,9 +1446,10 @@ class WholeConditionCompiler final : public SetTranslator {
 
   /// Complete aggregate subquery over `sq`: the partition-union rewrite
   /// when the layout rewards it, the flat single-scan subquery otherwise.
-  SqlExpr aggregate_scalar(AggKind op, SqlExpr arg, const SetSpec& sq) {
+  SqlExpr aggregate_scalar(AggKind op, SqlExpr arg, SetSpec& sq) {
     if (SqlExpr rewritten = partition_union(op, arg, sq)) return rewritten;
-    return make_subquery(sq.select(flat_aggregate(op, std::move(arg))));
+    return make_subquery(
+        std::move(sq).select(flat_aggregate(op, std::move(arg))));
   }
 
   /// The partition-union rewrite: a full-table aggregate over a partitioned
@@ -1459,7 +1464,7 @@ class WholeConditionCompiler final : public SetTranslator {
   /// the partition column — per-owner probes stay ONE flat subquery the
   /// executor prunes at bind time, because a union of one live shard plus
   /// N-1 provably empty ones would only add wire and parse cost.
-  SqlExpr partition_union(AggKind op, const SqlExpr& arg, const SetSpec& sq) {
+  SqlExpr partition_union(AggKind op, const SqlExpr& arg, SetSpec& sq) {
     if (!cse_ || catalog_ == nullptr) return nullptr;
     const auto layout = catalog_->table_layout(sq.from.table);
     if (!layout || layout->partitions <= 1) return nullptr;
@@ -1488,7 +1493,7 @@ class WholeConditionCompiler final : public SetTranslator {
     // per distinct fold fragment (SUM and AVG share the COALESCE(SUM)
     // column, for instance), so each partition is scanned ONCE per
     // statement no matter how many operators fold the same set.
-    std::unique_ptr<db::sql::SelectStmt> shape = sq.select(nullptr);
+    std::unique_ptr<db::sql::SelectStmt> shape = std::move(sq).select(nullptr);
     auto [it, inserted] =
         partition_groups_.try_emplace(db::sql::structural_key(*shape));
     PartitionGroup& group = it->second;
@@ -1585,25 +1590,65 @@ class WholeConditionCompiler final : public SetTranslator {
     if (s.where) walk(walk, s.where);
   }
 
-  /// Replaces every subquery of `s` whose structural key is `key` with a
-  /// read of CTE `name`.
-  static void replace_subqueries(db::sql::SelectStmt& s,
-                                 const std::string& key,
-                                 const std::string& name) {
-    const auto replace = [&](SqlExpr& e) {
-      if (db::sql::structural_key(*e->subquery) != key) return true;
-      e = sql_cte_read("v", name);
-      return false;
-    };
-    visit_subqueries(s, replace);
+  using SubqueryKeys = std::unordered_map<const db::sql::Expr*, std::string>;
+  using CteNames = std::map<std::string, std::string>;  // key -> CTE name
+
+  /// Turns subquery node `e` into a read of CTE `name`.
+  static void read_cte(db::sql::Expr& e, const std::string& name) {
+    e.subquery = sql_select(make_column({}, "v"), name, nullptr);
+  }
+
+  /// In `copy`, a clone of `orig`, reads the hoisted CTE instead of each
+  /// innermost hoisted subquery (one holding no other); returns whether
+  /// anything under `orig` was replaced. `keys` are the original's.
+  static bool replace_innermost(  // NOLINT(misc-no-recursion)
+      const db::sql::Expr& orig, db::sql::Expr& copy, const CteNames& ctes,
+      const SubqueryKeys& keys) {
+    bool replaced = false;
+    if (orig.lhs) {
+      replaced |= replace_innermost(*orig.lhs, *copy.lhs, ctes, keys);
+    }
+    if (orig.rhs) {
+      replaced |= replace_innermost(*orig.rhs, *copy.rhs, ctes, keys);
+    }
+    for (std::size_t i = 0; i < orig.args.size(); ++i) {
+      replaced |= replace_innermost(*orig.args[i], *copy.args[i], ctes, keys);
+    }
+    if (orig.kind != db::sql::Expr::Kind::kSubquery) return replaced;
+    if (replace_innermost(*orig.subquery, *copy.subquery, ctes, keys)) {
+      return true;
+    }
+    const auto key = keys.find(&orig);
+    const auto cte = key == keys.end() ? ctes.end() : ctes.find(key->second);
+    if (cte == ctes.end()) return false;
+    read_cte(copy, cte->second);
+    return true;
+  }
+
+  static bool replace_innermost(  // NOLINT(misc-no-recursion)
+      const db::sql::SelectStmt& orig, db::sql::SelectStmt& copy,
+      const CteNames& ctes, const SubqueryKeys& keys) {
+    bool replaced = false;
+    for (std::size_t i = 0; i < orig.items.size(); ++i) {
+      replaced |= replace_innermost(*orig.items[i].expr, *copy.items[i].expr,
+                                    ctes, keys);
+    }
+    for (std::size_t i = 0; i < orig.joins.size(); ++i) {
+      replaced |= replace_innermost(*orig.joins[i].on, *copy.joins[i].on, ctes,
+                                    keys);
+    }
+    if (orig.where) {
+      replaced |= replace_innermost(*orig.where, *copy.where, ctes, keys);
+    }
+    return replaced;
   }
 
   /// The CSE pass: any subquery that occurs more than once in the statement
   /// (compile-time sharing via LET inlining, or duplication from the
   /// IIF/COALESCE null glue) is hoisted into a named CTE; reads of
   /// `part<K>` shards are not candidates. CTEs are defined
-  /// shortest-rendered-first so a hoisted subquery that contains another
-  /// references the earlier definition — the parser's no-forward-reference
+  /// shortest-rendered-first, and each body reads the earlier (shorter)
+  /// hoisted subqueries it contains, so the parser's no-forward-reference
   /// rule holds by construction.
   ///
   /// Partition-union shards come first in the WITH clause: coordinator
@@ -1614,37 +1659,37 @@ class WholeConditionCompiler final : public SetTranslator {
     struct Shared {
       std::size_t count = 0;
       const db::sql::SelectStmt* first = nullptr;  // into `stmt`
-      std::unique_ptr<db::sql::SelectStmt> body;
-      std::string key;
       std::string text;
-      std::string name;
     };
+    SubqueryKeys keys;
     std::map<std::string, Shared> seen;
     const auto count = [&](SqlExpr& e) {
       const auto& from = e->subquery->from;
       if (!from || part_names_.count(from->table) == 0) {
-        Shared& entry = seen[db::sql::structural_key(*e->subquery)];
+        std::string& key = keys[e.get()];
+        db::sql::structural_key(*e->subquery, key);
+        Shared& entry = seen[key];
         if (entry.count++ == 0) entry.first = e->subquery.get();
       }
       return true;
     };
     visit_subqueries(stmt, count);
-    std::vector<Shared> shared;
+    std::vector<std::pair<const std::string*, Shared*>> shared;
     for (auto& [key, entry] : seen) {
       if (entry.count < 2) continue;
-      entry.key = key;
-      entry.body = entry.first->clone();  // before `stmt` changes below
-      entry.text = render(*entry.body);
-      shared.push_back(std::move(entry));
+      entry.text = render(*entry.first);
+      shared.emplace_back(&key, &entry);
     }
     if (shared.empty() && group_order_.empty()) return;
-    std::sort(shared.begin(), shared.end(),
-              [](const Shared& a, const Shared& b) {
-                if (a.text.size() != b.text.size()) {
-                  return a.text.size() < b.text.size();
-                }
-                return a.text < b.text;
-              });
+    std::sort(shared.begin(), shared.end(), [](const auto& a, const auto& b) {
+      const std::string& x = a.second->text;
+      const std::string& y = b.second->text;
+      return x.size() != y.size() ? x.size() < y.size() : x < y;
+    });
+    CteNames names;
+    for (std::size_t i = 0; i < shared.size(); ++i) {
+      names.emplace(*shared[i].first, cte_name(support::cat("cse", i)));
+    }
 
     for (const PartitionGroup* group : group_order_) {
       for (std::size_t k = 0; k < group->names.size(); ++k) {
@@ -1657,21 +1702,27 @@ class WholeConditionCompiler final : public SetTranslator {
         stmt.ctes.push_back({group->names[k], std::move(body), {}});
       }
     }
-    for (std::size_t i = 0; i < shared.size(); ++i) {
-      shared[i].name = cte_name(support::cat("cse", i));
-      // Body: the subquery with its single output column aliased, and each
-      // earlier (strictly shorter) shared subquery replaced by a reference.
-      shared[i].body->items.front().alias = "v";
-      for (std::size_t j = 0; j < i; ++j) {
-        replace_subqueries(*shared[i].body, shared[j].key, shared[j].name);
-      }
-      stmt.ctes.push_back({shared[i].name, std::move(shared[i].body), {}});
+    // Bodies first, while every `first` still points into the unchanged
+    // statement: the subquery with its single output column aliased, and
+    // the (strictly shorter, so earlier) hoisted subqueries it holds read
+    // innermost-first.
+    for (const auto& [key, entry] : shared) {
+      std::unique_ptr<db::sql::SelectStmt> body = entry->first->clone();
+      body->items.front().alias = "v";
+      (void)replace_innermost(*entry->first, *body, names, keys);
+      stmt.ctes.push_back({names.at(*key), std::move(body), {}});
     }
-    // Main statement: longest first, so occurrences nested inside a bigger
-    // shared subquery disappear with the bigger one.
-    for (std::size_t i = shared.size(); i-- > 0;) {
-      replace_subqueries(stmt, shared[i].key, shared[i].name);
-    }
+    // The statement reads each outermost hoisted subquery: one nested in a
+    // bigger hoisted subquery disappears with the bigger one.
+    const auto replace = [&](SqlExpr& e) {
+      const auto key = keys.find(e.get());
+      const auto cte =
+          key == keys.end() ? names.end() : names.find(key->second);
+      if (cte == names.end()) return true;
+      read_cte(*e, cte->second);
+      return false;
+    };
+    visit_subqueries(stmt, replace);
   }
 
   // --- scalar position (no set binder in scope) ----------------------------
@@ -1749,19 +1800,19 @@ class WholeConditionCompiler final : public SetTranslator {
         // engine's scalar-subquery cardinality rule enforces "exactly one"
         // (several members abort the statement, zero yields NULL — both
         // surface as not-applicable, as the interpreter's throw would).
-        const SetSpec sq = compile_set(*e.base, env);
-        return {make_subquery(sq.select(make_column("b", "id"))),
+        SetSpec sq = compile_set(*e.base, env);
+        return {make_subquery(std::move(sq).select(make_column("b", "id"))),
                 Type::class_of(sq.elem_class)};
       }
       case Kind::kExists: {
-        const SetSpec sq = compile_set(*e.base, env);
+        SetSpec sq = compile_set(*e.base, env);
         return {make_binary(SqlBinOp::kGt,
                            aggregate_scalar(AggKind::kCount, nullptr, sq),
                            make_literal(db::Value::integer(0))),
                 Type::of(TypeKind::kBool)};
       }
       case Kind::kSize: {
-        const SetSpec sq = compile_set(*e.base, env);
+        SetSpec sq = compile_set(*e.base, env);
         return {aggregate_scalar(AggKind::kCount, nullptr, sq),
                 Type::of(TypeKind::kInt)};
       }
@@ -1921,7 +1972,7 @@ class WholeConditionCompiler final : public SetTranslator {
     if (root->kind == Expr::Kind::kUnique) {
       SetSpec sq = compile_set(*root->base, root_env);
       auto [column, type] = join_path(sq, "b", sq.elem_class, chain);
-      return {make_subquery(sq.select(std::move(column))), type};
+      return {make_subquery(std::move(sq).select(std::move(column))), type};
     }
 
     TSql base = scalar(*root, root_env);
@@ -1936,7 +1987,7 @@ class WholeConditionCompiler final : public SetTranslator {
     sq.conjuncts.push_back(make_binary(SqlBinOp::kEq, make_column("a0", "id"),
                                       std::move(base.sql)));
     auto [column, type] = join_path(sq, "a0", base.type.id, chain);
-    return {make_subquery(sq.select(std::move(column))), type};
+    return {make_subquery(std::move(sq).select(std::move(column))), type};
   }
 
   static constexpr int kMaxInlineDepth = 16;
@@ -2505,8 +2556,8 @@ std::string SqlEvaluator::explain_set(const Expr& set_expr,
   for (std::size_t i = 0; i < args.size() && i < prop.params.size(); ++i) {
     eval.push(prop.params[i].first, {args[i], prop.params[i].second});
   }
-  const SetSpec sq = eval.compile_set(set_expr, nullptr);
-  return render(*sq.select(make_column("b", "id")));
+  SetSpec sq = eval.compile_set(set_expr, nullptr);
+  return render(*std::move(sq).select(make_column("b", "id")));
 }
 
 }  // namespace kojak::cosy

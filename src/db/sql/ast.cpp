@@ -92,13 +92,14 @@ ExprPtr make_subquery(std::unique_ptr<SelectStmt> select) {
 
 namespace {
 
-// The clone walk records every (source node → copy) pair in `remap` so plan
-// annotations — which hold `const Expr*` into the source tree — can be
-// carried onto the copy (or back-propagated through the inverted map).
+// The clone walk records every (source node → copy) pair in `remap` (when
+// given) so plan annotations — which hold `const Expr*` into the source
+// tree — can be carried onto the copy (or back-propagated through the
+// inverted map).
 
-std::unique_ptr<SelectStmt> clone_select(const SelectStmt& s, ExprRemap& remap);
+std::unique_ptr<SelectStmt> clone_select(const SelectStmt& s, ExprRemap* remap);
 
-ExprPtr clone_expr(const Expr& e, ExprRemap& remap) {
+ExprPtr clone_expr(const Expr& e, ExprRemap* remap) {
   auto out = std::make_unique<Expr>();
   out->kind = e.kind;
   out->loc = e.loc;
@@ -118,12 +119,15 @@ ExprPtr clone_expr(const Expr& e, ExprRemap& remap) {
   out->negated = e.negated;
   if (e.subquery) out->subquery = clone_select(*e.subquery, remap);
   out->alias_index = e.alias_index;
-  remap[&e] = out.get();
+  if (remap != nullptr) (*remap)[&e] = out.get();
   return out;
 }
 
 std::unique_ptr<SelectStmt> clone_select(const SelectStmt& s,
-                                         ExprRemap& remap) {
+                                         ExprRemap* remap) {
+  // A hot-plan annotation is carried through the node map of its subtree.
+  ExprRemap local;
+  if (remap == nullptr && s.fused_group_plan) remap = &local;
   auto out = std::make_unique<SelectStmt>();
   for (const auto& cte : s.ctes) {
     out->ctes.push_back({cte.name, clone_select(*cte.select, remap), cte.loc});
@@ -158,7 +162,7 @@ std::unique_ptr<SelectStmt> clone_select(const SelectStmt& s,
   // a pointer is not covered; a negative verdict is pointer-free and always
   // carries.
   if (s.fused_group_plan) {
-    out->fused_group_plan = remap_onto(*s.fused_group_plan, remap);
+    out->fused_group_plan = remap_onto(*s.fused_group_plan, *remap);
   }
   out->fused_rejected = s.fused_rejected;
   return out;
@@ -166,10 +170,7 @@ std::unique_ptr<SelectStmt> clone_select(const SelectStmt& s,
 
 }  // namespace
 
-ExprPtr Expr::clone() const {
-  ExprRemap remap;
-  return clone_expr(*this, remap);
-}
+ExprPtr Expr::clone() const { return clone_expr(*this, nullptr); }
 
 namespace {
 
@@ -207,15 +208,12 @@ void for_each_table_ref(const SelectStmt& stmt,
 }
 
 std::unique_ptr<SelectStmt> SelectStmt::clone() const {
-  ExprRemap remap;
-  return clone_select(*this, remap);
+  return clone_select(*this, nullptr);
 }
 
 std::unique_ptr<SelectStmt> SelectStmt::clone(
     std::unordered_map<const Expr*, const Expr*>* remap) const {
-  ExprRemap local;
-  auto out = clone_select(*this, remap == nullptr ? local : *remap);
-  return out;
+  return clone_select(*this, remap);
 }
 
 std::string Expr::to_string() const {

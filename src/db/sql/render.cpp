@@ -239,10 +239,11 @@ bool render_select_sql(const SelectStmt& stmt, std::string& out,
   return true;
 }
 
-std::vector<std::size_t> renumber_params(SelectStmt& stmt) {
-  std::string text;
-  Renderer renderer(text, /*key=*/true);  // visits every node
-  (void)renderer.select(stmt);
+std::vector<std::size_t> renumber_params(SelectStmt& stmt, std::string* text) {
+  std::string key;
+  // Key mode visits every node; text mode stops where the text would fail.
+  Renderer renderer(text != nullptr ? *text : key, /*key=*/text == nullptr);
+  if (!renderer.select(stmt) && text != nullptr) text->clear();
   std::vector<std::size_t> previous;
   for (const Expr* node : renderer.params) {
     previous.push_back(node->param_index);

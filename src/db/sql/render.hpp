@@ -22,8 +22,11 @@ namespace kojak::db::sql {
 
 /// Renumbers the `?` placeholders of `stmt` 0, 1, ... in text order — the
 /// numbering a parse of its text assigns — and returns each placeholder's
-/// previous param_index in that order.
-std::vector<std::size_t> renumber_params(SelectStmt& stmt);
+/// previous param_index in that order. With `text`, the same walk renders
+/// it (left empty, and the numbering partial, when render_select_sql would
+/// fail).
+std::vector<std::size_t> renumber_params(SelectStmt& stmt,
+                                         std::string* text = nullptr);
 
 /// Appends an unambiguous key of the tree to `out`: its rendering with
 /// every node spelled (placeholders with their index, alias references,
