@@ -87,7 +87,10 @@ class Renderer {
         continue;
       }
       if (!operand(item.expr, kTop)) return false;
-      if (!item.alias.empty()) out_ += support::cat(" AS ", item.alias);
+      if (!item.alias.empty()) {
+        out_ += " AS ";
+        out_ += item.alias;
+      }
     }
     if (s.from) {
       out_ += " FROM ";
@@ -133,7 +136,10 @@ class Renderer {
       case Expr::Kind::kLiteral:
         return literal(e.literal);
       case Expr::Kind::kColumnRef:
-        if (!e.table.empty()) out_ += support::cat(e.table, ".");
+        if (!e.table.empty()) {
+          out_ += e.table;
+          out_ += '.';
+        }
         out_ += e.column;
         return true;
       case Expr::Kind::kParam:
@@ -148,7 +154,9 @@ class Renderer {
       case Expr::Kind::kBinary:
         // Left-associative, except that comparisons do not chain at all.
         if (!operand(e.lhs, own == kComparison ? own + 1 : own)) return false;
-        out_ += support::cat(" ", to_string(e.bin_op), " ");
+        out_ += ' ';
+        out_ += to_string(e.bin_op);
+        out_ += ' ';
         return operand(e.rhs, own + 1);
       case Expr::Kind::kFuncCall:
         out_ += e.func;
@@ -217,7 +225,10 @@ class Renderer {
     if (ref.partition) {
       out_ += support::cat(" PARTITION (", *ref.partition, ")");
     }
-    if (!ref.alias.empty()) out_ += support::cat(" ", ref.alias);
+    if (!ref.alias.empty()) {
+      out_ += ' ';
+      out_ += ref.alias;
+    }
   }
 
   std::string& out_;
