@@ -2049,17 +2049,20 @@ PropertyResult property_result(
     const std::function<std::optional<double>(bool, std::size_t)>& arm) {
   PropertyResult out;
   std::vector<bool> truth;
+  const auto label = [&prop](std::size_t i) {
+    return prop.conditions[i].id.empty() ? support::cat("#", i + 1)
+                                         : prop.conditions[i].id;
+  };
   for (std::size_t i = 0; i < prop.conditions.size(); ++i) {
-    const std::string label = prop.conditions[i].id.empty()
-                                  ? support::cat("#", i + 1)
-                                  : prop.conditions[i].id;
     const std::optional<bool> held = condition(i);
     if (!held) {
-      return not_applicable(support::cat("whole-condition: condition ", label,
-                                         " hit a data gap"));
+      return not_applicable(support::cat("whole-condition: condition ",
+                                         label(i), " hit a data gap"));
     }
     truth.push_back(*held);
-    if (*held && out.matched_condition.empty()) out.matched_condition = label;
+    if (*held && out.matched_condition.empty()) {
+      out.matched_condition = label(i);
+    }
   }
   if (out.matched_condition.empty()) {
     out.status = PropertyResult::Status::kDoesNotHold;

@@ -176,7 +176,7 @@ class SqlEvaluator {
   /// pass over the compiled statement — structurally identical scalar
   /// subqueries are hoisted into named CTEs (`WITH cse0 AS (...) SELECT
   /// ...`) referenced once each, and repeated argument parameters collapse
-  /// into one `?` per occurrence in the deduplicated text. Off reproduces
+  /// into one `?` per occurrence in the deduplicated statement. Off reproduces
   /// the plain one-statement compilation (the bench ablation baseline).
   SqlEvaluator(const asl::Model& model, db::Connection& conn,
                SqlEvalMode mode = SqlEvalMode::kPushdown,

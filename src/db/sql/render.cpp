@@ -56,17 +56,18 @@ int precedence(const Expr& e) {
   }
 }
 
-/// One rendering pass over a tree, recording each `?` node in text order
-/// (a parse numbers placeholders sequentially in exactly that order). In
+/// One rendering pass over a tree, recording each `?` node in text order in
+/// `params` when given (a parse numbers placeholders sequentially in exactly
+/// that order). In
 /// key mode every node has a spelling, none of which the SQL text has: a
 /// placeholder shows its index (`?3`), an alias reference its item (`@1`),
 /// a non-finite double its display form, and a negative literal is
 /// parenthesized so it cannot read as a negation.
 class Renderer {
  public:
-  Renderer(std::string& out, bool key) : out_(out), key_(key) {}
-
-  std::vector<const Expr*> params;
+  Renderer(std::string& out, bool key,
+           std::vector<const Expr*>* params = nullptr)
+      : out_(out), key_(key), params_(params) {}
 
   bool select(const SelectStmt& s) {
     for (std::size_t i = 0; i < s.ctes.size(); ++i) {
@@ -145,7 +146,7 @@ class Renderer {
       case Expr::Kind::kParam:
         out_ += '?';
         if (key_) out_ += std::to_string(e.param_index);
-        params.push_back(&e);
+        if (params_ != nullptr) params_->push_back(&e);
         return true;
       case Expr::Kind::kUnary:
         // A negated operand is parenthesized whole: "--" opens a comment.
@@ -233,6 +234,7 @@ class Renderer {
 
   std::string& out_;
   bool key_;
+  std::vector<const Expr*>* params_;
 };
 
 }  // namespace
@@ -240,11 +242,11 @@ class Renderer {
 bool render_select_sql(const SelectStmt& stmt, std::string& out,
                        std::vector<std::size_t>& param_order) {
   std::string text;
-  Renderer renderer(text, /*key=*/false);
-  if (!renderer.select(stmt)) return false;
+  std::vector<const Expr*> params;
+  if (!Renderer(text, /*key=*/false, &params).select(stmt)) return false;
   out = std::move(text);
   param_order.clear();
-  for (const Expr* node : renderer.params) {
+  for (const Expr* node : params) {
     param_order.push_back(node->param_index);
   }
   return true;
@@ -252,11 +254,13 @@ bool render_select_sql(const SelectStmt& stmt, std::string& out,
 
 std::vector<std::size_t> renumber_params(SelectStmt& stmt, std::string* text) {
   std::string key;
+  std::vector<const Expr*> params;
   // Key mode visits every node; text mode stops where the text would fail.
-  Renderer renderer(text != nullptr ? *text : key, /*key=*/text == nullptr);
+  Renderer renderer(text != nullptr ? *text : key, /*key=*/text == nullptr,
+                    &params);
   if (!renderer.select(stmt) && text != nullptr) text->clear();
   std::vector<std::size_t> previous;
-  for (const Expr* node : renderer.params) {
+  for (const Expr* node : params) {
     previous.push_back(node->param_index);
     // The nodes belong to `stmt`, which the caller handed over mutable.
     const_cast<Expr*>(node)->param_index = previous.size() - 1;
