@@ -53,9 +53,11 @@ using db::sql::make_unary;
 
 template <typename... Args>
 SqlExpr sql_call(std::string func, Args... args) {
-  std::vector<SqlExpr> list;
-  (list.push_back(std::move(args)), ...);
-  return db::sql::make_call(std::move(func), std::move(list));
+  auto e = std::make_unique<db::sql::Expr>();
+  e->kind = db::sql::Expr::Kind::kFuncCall;
+  e->func = std::move(func);
+  (e->args.push_back(std::move(args)), ...);
+  return e;
 }
 
 SqlExpr sql_count_star() {
@@ -198,16 +200,13 @@ struct Compiled {
   std::uint32_t elem_class = 0;
 };
 
-constexpr const char* kNoTextForm =
-    "compiled SQL has no text form (non-finite literal)";
-
 /// Statement text of a compiled tree; the text is what ships on the inline
 /// path and what explain shows.
 std::string render(const db::sql::SelectStmt& select) {
   std::string text;
   std::vector<std::size_t> order;
   if (!db::sql::render_select_sql(select, text, order)) {
-    throw EvalError(kNoTextForm);
+    throw EvalError("compiled SQL has no text form");
   }
   return text;
 }
@@ -225,7 +224,7 @@ CompiledPlan finalize(Compiled compiled, PlanBuild&& build,
     plan.params.push_back(build.params.at(id));
     ordered_values.push_back(build.values.at(id));
   }
-  if (plan.sql.empty()) throw EvalError(kNoTextForm);
+  if (plan.sql.empty()) throw EvalError("compiled SQL has no text form");
   for (const CompiledPlan::Param& param : build.params) {
     if (param.slot == CompiledPlan::Slot::kAssertNull) {
       plan.params.push_back(param);
@@ -483,7 +482,11 @@ class SetTranslator {
   }
 
  protected:
-  explicit SetTranslator(const asl::Model& model) : model_(&model) {}
+  /// `prefix` names the translator in its errors; `prop` (may be null) is
+  /// the property being compiled.
+  SetTranslator(const asl::Model& model, const asl::PropertyInfo* prop,
+                std::string_view prefix)
+      : model_(&model), prop_(prop), prefix_(prefix) {}
   ~SetTranslator() = default;
 
   /// The owner of a setof access, and its class.
@@ -493,10 +496,19 @@ class SetTranslator {
   virtual FilterSql filter_leaf(const Expr& e, const SetSpec& sq) = 0;
   /// The error for a construct this translator cannot compile, located at
   /// `at` in the specification.
-  [[nodiscard]] virtual CompileLimit not_compilable(
-      const Expr& at, std::string_view what) const = 0;
+  [[nodiscard]] CompileLimit not_compilable(const Expr& at,
+                                            std::string_view what) const {
+    return CompileLimit(support::cat(
+        prefix_, what, " (",
+        prop_ != nullptr ? support::cat("property ", prop_->name, ", ") : "",
+        "at ", at.loc.to_string(), ")"));
+  }
 
   const asl::Model* model_;
+  const asl::PropertyInfo* prop_;
+
+ private:
+  std::string_view prefix_;
 };
 
 }  // namespace
@@ -578,7 +590,7 @@ void PlanCache::record(bool hit) {
 class SqlExprEval final : public SetTranslator {
  public:
   SqlExprEval(SqlEvaluator& owner, const asl::PropertyInfo* prop = nullptr)
-      : SetTranslator(*owner.model_), owner_(owner), prop_(prop) {}
+      : SetTranslator(*owner.model_, prop, "SQL strategy: "), owner_(owner) {}
 
   void push(std::string name, TV value) {
     env_.emplace_back(std::move(name), std::move(value));
@@ -771,8 +783,8 @@ class SqlExprEval final : public SetTranslator {
             return {sql_select(make_column({}, "member"),
                                junction_table(cls.name, e.name),
                                make_binary(SqlBinOp::kEq,
-                                          make_column({}, "owner"),
-                                          emit_provided(0, owner))),
+                                           make_column({}, "owner"),
+                                           emit_provided(0, owner))),
                     elem_class};
           });
       std::vector<ObjectId> ids;
@@ -884,14 +896,6 @@ class SqlExprEval final : public SetTranslator {
     const TV tv = eval(e);
     return {emit_scalar(&e, tv),
             tv.v.is_null() ? FilterSql::Null::kIs : FilterSql::Null::kNever};
-  }
-
-  [[nodiscard]] CompileLimit not_compilable(
-      const Expr& at, std::string_view what) const override {
-    return CompileLimit(support::cat(
-        "SQL strategy: ", what, " (",
-        prop_ != nullptr ? support::cat("property ", prop_->name, ", ") : "",
-        "at ", at.loc.to_string(), ")"));
   }
 
   // --- typed evaluation ------------------------------------------------------
@@ -1162,7 +1166,6 @@ class SqlExprEval final : public SetTranslator {
 
  private:
   SqlEvaluator& owner_;
-  const asl::PropertyInfo* prop_;
   PlanBuild* build_ = nullptr;
   std::vector<std::pair<std::string, TV>> env_;
 };
@@ -1215,8 +1218,8 @@ class WholeConditionCompiler final : public SetTranslator {
   WholeConditionCompiler(const asl::Model& model, const asl::PropertyInfo& prop,
                          bool cse = true, db::Database* catalog = nullptr,
                          bool count_rewrites = true)
-      : SetTranslator(model), prop_(&prop), cse_(cse), catalog_(catalog),
-        count_rewrites_(count_rewrites) {}
+      : SetTranslator(model, &prop, "whole-condition: "), cse_(cse),
+        catalog_(catalog), count_rewrites_(count_rewrites) {}
 
   /// The context-free plan; evaluate_whole binds the arguments per context.
   CompiledPlan compile() {
@@ -1298,13 +1301,6 @@ class WholeConditionCompiler final : public SetTranslator {
       if (env->binding.name == name) return &env->binding;
     }
     return nullptr;
-  }
-
-  [[nodiscard]] CompileLimit not_compilable(
-      const Expr& at, std::string_view what) const override {
-    return CompileLimit(support::cat("whole-condition: ", what, " (property ",
-                                     prop_->name, ", at ", at.loc.to_string(),
-                                     ")"));
   }
 
   std::pair<SqlExpr, std::uint32_t> set_owner(const Expr& e,
@@ -1477,15 +1473,11 @@ class WholeConditionCompiler final : public SetTranslator {
       // cap, so SUM/COUNT/AVG still rewrite at any partition count.)
       return nullptr;
     }
-    for (const SqlExpr& conjunct : sq.conjuncts) {
-      const db::sql::Expr* column = conjunct->lhs.get();
-      if (conjunct->kind == db::sql::Expr::Kind::kBinary &&
-          conjunct->bin_op == SqlBinOp::kEq &&
-          column->kind == db::sql::Expr::Kind::kColumnRef &&
-          column->table == sq.from.alias &&
-          support::iequals(column->column, layout->partition_column)) {
-        return nullptr;  // pruned probe: one partition at bind time
-      }
+    // The first conjunct pins the base scan (`j.owner = ...`, `a0.id = ...`);
+    // filters constrain the joined aliases only.
+    if (support::iequals(sq.conjuncts.front()->lhs->column,
+                         layout->partition_column)) {
+      return nullptr;  // pruned probe: one partition at bind time
     }
 
     // One part<K> group per distinct FROM/WHERE shape, shared by every
@@ -1590,59 +1582,6 @@ class WholeConditionCompiler final : public SetTranslator {
     if (s.where) walk(walk, s.where);
   }
 
-  using SubqueryKeys = std::unordered_map<const db::sql::Expr*, std::string>;
-  using CteNames = std::map<std::string, std::string>;  // key -> CTE name
-
-  /// Turns subquery node `e` into a read of CTE `name`.
-  static void read_cte(db::sql::Expr& e, const std::string& name) {
-    e.subquery = sql_select(make_column({}, "v"), name, nullptr);
-  }
-
-  /// In `copy`, a clone of `orig`, reads the hoisted CTE instead of each
-  /// innermost hoisted subquery (one holding no other); returns whether
-  /// anything under `orig` was replaced. `keys` are the original's.
-  static bool replace_innermost(  // NOLINT(misc-no-recursion)
-      const db::sql::Expr& orig, db::sql::Expr& copy, const CteNames& ctes,
-      const SubqueryKeys& keys) {
-    bool replaced = false;
-    if (orig.lhs) {
-      replaced |= replace_innermost(*orig.lhs, *copy.lhs, ctes, keys);
-    }
-    if (orig.rhs) {
-      replaced |= replace_innermost(*orig.rhs, *copy.rhs, ctes, keys);
-    }
-    for (std::size_t i = 0; i < orig.args.size(); ++i) {
-      replaced |= replace_innermost(*orig.args[i], *copy.args[i], ctes, keys);
-    }
-    if (orig.kind != db::sql::Expr::Kind::kSubquery) return replaced;
-    if (replace_innermost(*orig.subquery, *copy.subquery, ctes, keys)) {
-      return true;
-    }
-    const auto key = keys.find(&orig);
-    const auto cte = key == keys.end() ? ctes.end() : ctes.find(key->second);
-    if (cte == ctes.end()) return false;
-    read_cte(copy, cte->second);
-    return true;
-  }
-
-  static bool replace_innermost(  // NOLINT(misc-no-recursion)
-      const db::sql::SelectStmt& orig, db::sql::SelectStmt& copy,
-      const CteNames& ctes, const SubqueryKeys& keys) {
-    bool replaced = false;
-    for (std::size_t i = 0; i < orig.items.size(); ++i) {
-      replaced |= replace_innermost(*orig.items[i].expr, *copy.items[i].expr,
-                                    ctes, keys);
-    }
-    for (std::size_t i = 0; i < orig.joins.size(); ++i) {
-      replaced |= replace_innermost(*orig.joins[i].on, *copy.joins[i].on, ctes,
-                                    keys);
-    }
-    if (orig.where) {
-      replaced |= replace_innermost(*orig.where, *copy.where, ctes, keys);
-    }
-    return replaced;
-  }
-
   /// The CSE pass: any subquery that occurs more than once in the statement
   /// (compile-time sharing via LET inlining, or duplication from the
   /// IIF/COALESCE null glue) is hoisted into a named CTE; reads of
@@ -1658,10 +1597,10 @@ class WholeConditionCompiler final : public SetTranslator {
   void eliminate_common_subexpressions(db::sql::SelectStmt& stmt) {
     struct Shared {
       std::size_t count = 0;
-      const db::sql::SelectStmt* first = nullptr;  // into `stmt`
+      db::sql::SelectStmt* first = nullptr;  // into `stmt`
       std::string text;
     };
-    SubqueryKeys keys;
+    std::unordered_map<const db::sql::Expr*, std::string> keys;
     std::map<std::string, Shared> seen;
     const auto count = [&](SqlExpr& e) {
       const auto& from = e->subquery->from;
@@ -1686,10 +1625,37 @@ class WholeConditionCompiler final : public SetTranslator {
       const std::string& y = b.second->text;
       return x.size() != y.size() ? x.size() < y.size() : x < y;
     });
-    CteNames names;
+    std::map<std::string, std::string> names;  // key -> CTE name
     for (std::size_t i = 0; i < shared.size(); ++i) {
       names.emplace(*shared[i].first, cte_name(support::cat("cse", i)));
     }
+    const auto key_of = [&keys](const SqlExpr& e) {
+      const auto cached = keys.find(e.get());
+      return cached != keys.end() ? cached->second
+                                  : db::sql::structural_key(*e->subquery);
+    };
+    // Hoisted subqueries that hold another hoisted one. In a CTE body they
+    // stay inline and only their innermost hoisted parts are read.
+    std::set<std::string> holders;
+    for (const auto& [key, entry] : shared) {
+      const auto holds = [&, key = key](SqlExpr& e) {
+        if (names.count(key_of(e)) != 0) holders.insert(*key);
+        return true;
+      };
+      visit_subqueries(*entry->first, holds);
+    }
+    // Reads the CTE in place of each outermost hoisted subquery of `s` that
+    // `hoisted` admits.
+    const auto read_ctes = [&](db::sql::SelectStmt& s, const auto& hoisted) {
+      const auto read = [&](SqlExpr& e) {
+        const std::string key = key_of(e);
+        const auto cte = names.find(key);
+        if (cte == names.end() || !hoisted(key)) return true;
+        e = sql_cte_read("v", cte->second);
+        return false;
+      };
+      visit_subqueries(s, read);
+    };
 
     for (const PartitionGroup* group : group_order_) {
       for (std::size_t k = 0; k < group->names.size(); ++k) {
@@ -1703,26 +1669,17 @@ class WholeConditionCompiler final : public SetTranslator {
       }
     }
     // Bodies first, while every `first` still points into the unchanged
-    // statement: the subquery with its single output column aliased, and
-    // the (strictly shorter, so earlier) hoisted subqueries it holds read
-    // innermost-first.
+    // statement: the subquery with its single output column aliased.
     for (const auto& [key, entry] : shared) {
       std::unique_ptr<db::sql::SelectStmt> body = entry->first->clone();
       body->items.front().alias = "v";
-      (void)replace_innermost(*entry->first, *body, names, keys);
+      read_ctes(*body,
+                [&](const std::string& k) { return holders.count(k) == 0; });
       stmt.ctes.push_back({names.at(*key), std::move(body), {}});
     }
     // The statement reads each outermost hoisted subquery: one nested in a
     // bigger hoisted subquery disappears with the bigger one.
-    const auto replace = [&](SqlExpr& e) {
-      const auto key = keys.find(e.get());
-      const auto cte =
-          key == keys.end() ? names.end() : names.find(key->second);
-      if (cte == names.end()) return true;
-      read_cte(*e, cte->second);
-      return false;
-    };
-    visit_subqueries(stmt, replace);
+    read_ctes(stmt, [](const std::string&) { return true; });
   }
 
   // --- scalar position (no set binder in scope) ----------------------------
@@ -1995,7 +1952,6 @@ class WholeConditionCompiler final : public SetTranslator {
   /// most this many shards.
   static constexpr std::size_t kMaxFoldArgs = db::sql::kMaxScalarFnArgs;
 
-  const asl::PropertyInfo* prop_;
   bool cse_;
   /// Layout metadata source (and rewrite telemetry sink) of the partition-
   /// union rewrite; null compiles layout-blind.
@@ -2025,10 +1981,6 @@ class WholeConditionCompiler final : public SetTranslator {
   std::size_t part_counter_ = 0;
   std::set<std::string> counted_rewrites_;  // telemetry dedup by coordinator
 };
-
-}  // namespace
-
-namespace {
 
 PropertyResult not_applicable(std::string note) {
   PropertyResult out;
@@ -2101,6 +2053,13 @@ PropertyResult property_result(
   return out;
 }
 
+/// A plan's own executable copy of its tree (execution annotates the tree,
+/// so evaluators sharing a plan never share a statement).
+db::PreparedStatement prepared(const CompiledPlan& plan) {
+  return db::PreparedStatement(
+      db::sql::Statement(std::move(*plan.tree->clone())));
+}
+
 }  // namespace
 
 SqlEvaluator::SqlEvaluator(const asl::Model& model, db::Connection& conn,
@@ -2123,17 +2082,6 @@ SqlEvaluator::SqlEvaluator(const asl::Model& model, db::Connection& conn,
         "produces an equal fingerprint but a different AST)");
   }
 }
-
-namespace {
-
-/// A plan's own executable copy of its tree (execution annotates the tree,
-/// so evaluators sharing a plan never share a statement).
-db::PreparedStatement prepared(const CompiledPlan& plan) {
-  return db::PreparedStatement(
-      db::sql::Statement(std::move(*plan.tree->clone())));
-}
-
-}  // namespace
 
 SqlEvaluator::StatementEntry& SqlEvaluator::entry_for(
     const std::shared_ptr<const CompiledPlan>& plan) {

@@ -26,17 +26,16 @@ std::string_view to_string(BinOp op) {
 
 namespace {
 
-ExprPtr make_node(Expr::Kind kind, support::SourceLoc loc = {}) {
+ExprPtr make_node(Expr::Kind kind) {
   auto e = std::make_unique<Expr>();
   e->kind = kind;
-  e->loc = loc;
   return e;
 }
 
 }  // namespace
 
-ExprPtr make_literal(Value value, support::SourceLoc loc) {
-  ExprPtr e = make_node(Expr::Kind::kLiteral, loc);
+ExprPtr make_literal(Value value) {
+  ExprPtr e = make_node(Expr::Kind::kLiteral);
   e->literal = std::move(value);
   return e;
 }
@@ -54,33 +53,25 @@ ExprPtr make_param(std::size_t index) {
   return e;
 }
 
-ExprPtr make_unary(UnOp op, ExprPtr operand, support::SourceLoc loc) {
-  ExprPtr e = make_node(Expr::Kind::kUnary, loc);
+ExprPtr make_unary(UnOp op, ExprPtr operand) {
+  ExprPtr e = make_node(Expr::Kind::kUnary);
   e->un_op = op;
   e->lhs = std::move(operand);
   return e;
 }
 
-ExprPtr make_binary(BinOp op, ExprPtr lhs, ExprPtr rhs,
-                    support::SourceLoc loc) {
-  ExprPtr e = make_node(Expr::Kind::kBinary, loc);
+ExprPtr make_binary(BinOp op, ExprPtr lhs, ExprPtr rhs) {
+  ExprPtr e = make_node(Expr::Kind::kBinary);
   e->bin_op = op;
   e->lhs = std::move(lhs);
   e->rhs = std::move(rhs);
   return e;
 }
 
-ExprPtr make_is_null(ExprPtr operand, bool negated, support::SourceLoc loc) {
-  ExprPtr e = make_node(Expr::Kind::kIsNull, loc);
+ExprPtr make_is_null(ExprPtr operand, bool negated) {
+  ExprPtr e = make_node(Expr::Kind::kIsNull);
   e->lhs = std::move(operand);
   e->negated = negated;
-  return e;
-}
-
-ExprPtr make_call(std::string func, std::vector<ExprPtr> args) {
-  ExprPtr e = make_node(Expr::Kind::kFuncCall);
-  e->func = std::move(func);
-  e->args = std::move(args);
   return e;
 }
 
@@ -102,7 +93,6 @@ std::unique_ptr<SelectStmt> clone_select(const SelectStmt& s, ExprRemap* remap);
 ExprPtr clone_expr(const Expr& e, ExprRemap* remap) {
   auto out = std::make_unique<Expr>();
   out->kind = e.kind;
-  out->loc = e.loc;
   out->literal = e.literal;
   out->table = e.table;
   out->column = e.column;

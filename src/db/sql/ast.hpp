@@ -53,7 +53,6 @@ struct Expr {
   };
 
   Kind kind = Kind::kLiteral;
-  support::SourceLoc loc;
 
   Value literal;
 
@@ -88,16 +87,12 @@ struct Expr {
 
 /// Node builders shared by the parser and the query compilers, which build
 /// trees directly and render their text from them.
-[[nodiscard]] ExprPtr make_literal(Value value, support::SourceLoc loc = {});
+[[nodiscard]] ExprPtr make_literal(Value value);
 [[nodiscard]] ExprPtr make_column(std::string table, std::string column);
 [[nodiscard]] ExprPtr make_param(std::size_t index);
-[[nodiscard]] ExprPtr make_unary(UnOp op, ExprPtr operand,
-                                 support::SourceLoc loc = {});
-[[nodiscard]] ExprPtr make_binary(BinOp op, ExprPtr lhs, ExprPtr rhs,
-                                  support::SourceLoc loc = {});
-[[nodiscard]] ExprPtr make_is_null(ExprPtr operand, bool negated = false,
-                                   support::SourceLoc loc = {});
-[[nodiscard]] ExprPtr make_call(std::string func, std::vector<ExprPtr> args);
+[[nodiscard]] ExprPtr make_unary(UnOp op, ExprPtr operand);
+[[nodiscard]] ExprPtr make_binary(BinOp op, ExprPtr lhs, ExprPtr rhs);
+[[nodiscard]] ExprPtr make_is_null(ExprPtr operand, bool negated = false);
 [[nodiscard]] ExprPtr make_subquery(std::unique_ptr<SelectStmt> select);
 
 struct SelectItem {

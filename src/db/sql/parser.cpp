@@ -563,8 +563,8 @@ class Parser {
   ExprPtr parse_or() {
     ExprPtr lhs = parse_and();
     while (peek().is_keyword("OR")) {
-      const auto loc = advance().loc;
-      lhs = make_binary(BinOp::kOr, std::move(lhs), parse_and(), loc);
+      advance();
+      lhs = make_binary(BinOp::kOr, std::move(lhs), parse_and());
     }
     return lhs;
   }
@@ -572,16 +572,16 @@ class Parser {
   ExprPtr parse_and() {
     ExprPtr lhs = parse_not();
     while (peek().is_keyword("AND")) {
-      const auto loc = advance().loc;
-      lhs = make_binary(BinOp::kAnd, std::move(lhs), parse_not(), loc);
+      advance();
+      lhs = make_binary(BinOp::kAnd, std::move(lhs), parse_not());
     }
     return lhs;
   }
 
   ExprPtr parse_not() {
     if (peek().is_keyword("NOT")) {
-      const auto loc = advance().loc;
-      return make_unary(UnOp::kNot, parse_not(), loc);
+      advance();
+      return make_unary(UnOp::kNot, parse_not());
     }
     return parse_comparison();
   }
@@ -590,10 +590,10 @@ class Parser {
     ExprPtr lhs = parse_additive();
     // IS [NOT] NULL / [NOT] IN / [NOT] LIKE postfix forms.
     if (peek().is_keyword("IS")) {
-      const auto loc = advance().loc;
+      advance();
       const bool is_not = accept_keyword("NOT");
       expect_keyword("NULL");
-      return make_is_null(std::move(lhs), is_not, loc);
+      return make_is_null(std::move(lhs), is_not);
     }
     bool negated = false;
     if (peek().is_keyword("NOT") &&
@@ -602,12 +602,11 @@ class Parser {
       negated = true;
     }
     if (peek().is_keyword("IN")) {
-      const auto loc = advance().loc;
+      advance();
       auto e = std::make_unique<Expr>();
       e->kind = Expr::Kind::kInList;
       e->negated = negated;
       e->lhs = std::move(lhs);
-      e->loc = loc;
       expect_symbol("(");
       do {
         e->args.push_back(parse_expr());
@@ -616,13 +615,12 @@ class Parser {
       return e;
     }
     if (peek().is_keyword("LIKE")) {
-      const auto loc = advance().loc;
+      advance();
       auto e = std::make_unique<Expr>();
       e->kind = Expr::Kind::kLike;
       e->negated = negated;
       e->lhs = std::move(lhs);
       e->rhs = parse_additive();
-      e->loc = loc;
       return e;
     }
     if (negated) {
@@ -640,8 +638,8 @@ class Parser {
     };
     for (const auto& [sym, op] : kOps) {
       if (peek().is_symbol(sym)) {
-        const auto loc = advance().loc;
-        return make_binary(op, std::move(lhs), parse_additive(), loc);
+        advance();
+        return make_binary(op, std::move(lhs), parse_additive());
       }
     }
     return lhs;
@@ -651,8 +649,8 @@ class Parser {
     ExprPtr lhs = parse_multiplicative();
     while (peek().is_symbol("+") || peek().is_symbol("-")) {
       const BinOp op = peek().is_symbol("+") ? BinOp::kAdd : BinOp::kSub;
-      const auto loc = advance().loc;
-      lhs = make_binary(op, std::move(lhs), parse_multiplicative(), loc);
+      advance();
+      lhs = make_binary(op, std::move(lhs), parse_multiplicative());
     }
     return lhs;
   }
@@ -663,16 +661,16 @@ class Parser {
       BinOp op = BinOp::kMul;
       if (peek().is_symbol("/")) op = BinOp::kDiv;
       if (peek().is_symbol("%")) op = BinOp::kMod;
-      const auto loc = advance().loc;
-      lhs = make_binary(op, std::move(lhs), parse_unary(), loc);
+      advance();
+      lhs = make_binary(op, std::move(lhs), parse_unary());
     }
     return lhs;
   }
 
   ExprPtr parse_unary() {
     if (peek().is_symbol("-")) {
-      const auto loc = advance().loc;
-      return make_unary(UnOp::kNeg, parse_unary(), loc);
+      advance();
+      return make_unary(UnOp::kNeg, parse_unary());
     }
     if (peek().is_symbol("+")) {
       advance();
@@ -684,21 +682,18 @@ class Parser {
   ExprPtr parse_primary() {
     const Token& tok = peek();
     auto e = std::make_unique<Expr>();
-    e->loc = tok.loc;
 
     switch (tok.kind) {
       case TokenKind::kIntLit:
-        return make_literal(Value::integer(advance().int_value), e->loc);
+        return make_literal(Value::integer(advance().int_value));
       case TokenKind::kFloatLit:
-        return make_literal(Value::real(advance().float_value), e->loc);
+        return make_literal(Value::real(advance().float_value));
       case TokenKind::kStringLit:
-        return make_literal(Value::text(advance().text), e->loc);
+        return make_literal(Value::text(advance().text));
       case TokenKind::kSymbol:
         if (tok.is_symbol("?")) {
           advance();
-          e->kind = Expr::Kind::kParam;
-          e->param_index = next_param_++;
-          return e;
+          return make_param(next_param_++);
         }
         if (tok.is_symbol("(")) {
           advance();
@@ -716,11 +711,10 @@ class Parser {
       case TokenKind::kIdent: {
         if (tok.is_keyword("NULL")) {
           advance();
-          return make_literal(Value::null(), e->loc);
+          return make_literal(Value::null());
         }
         if (tok.is_keyword("TRUE") || tok.is_keyword("FALSE")) {
-          return make_literal(Value::boolean(advance().is_keyword("TRUE")),
-                              e->loc);
+          return make_literal(Value::boolean(advance().is_keyword("TRUE")));
         }
         if (tok.is_keyword("DATETIME") && peek(1).kind == TokenKind::kStringLit) {
           advance();
@@ -731,7 +725,7 @@ class Parser {
                                           lit.text, "'"),
                              lit.loc);
           }
-          return make_literal(Value::datetime(*parsed), e->loc);
+          return make_literal(Value::datetime(*parsed));
         }
         // Reserved words cannot start a primary expression; catching them
         // here turns "SELECT a, FROM t" into a syntax error instead of a
@@ -764,14 +758,9 @@ class Parser {
           }
           return e;
         }
-        e->kind = Expr::Kind::kColumnRef;
-        if (accept_symbol(".")) {
-          e->table = std::move(name);
-          e->column = expect_ident("column name");
-        } else {
-          e->column = std::move(name);
-        }
-        return e;
+        return accept_symbol(".")
+                   ? make_column(std::move(name), expect_ident("column name"))
+                   : make_column({}, std::move(name));
       }
       default:
         break;

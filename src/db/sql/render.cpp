@@ -58,11 +58,10 @@ int precedence(const Expr& e) {
 
 /// One rendering pass over a tree, recording each `?` node in text order in
 /// `params` when given (a parse numbers placeholders sequentially in exactly
-/// that order). In
-/// key mode every node has a spelling, none of which the SQL text has: a
-/// placeholder shows its index (`?3`), an alias reference its item (`@1`),
-/// a non-finite double its display form, and a negative literal is
-/// parenthesized so it cannot read as a negation.
+/// that order). In key mode every node has a spelling, none of which the
+/// SQL text has: a placeholder shows its index (`?3`), an alias reference
+/// its item (`@1`), a non-finite double its display form, and a negative
+/// literal is parenthesized so it cannot read as a negation.
 class Renderer {
  public:
   Renderer(std::string& out, bool key,
@@ -100,20 +99,12 @@ class Renderer {
     for (const Join& join : s.joins) {
       out_ += join.on == nullptr ? " CROSS JOIN " : " JOIN ";
       table_ref(join.table);
-      if (join.on == nullptr) continue;
-      out_ += " ON ";
-      if (!expr(*join.on, kTop)) return false;
+      if (join.on != nullptr && !clause(" ON ", join.on)) return false;
     }
-    if (s.where) {
-      out_ += " WHERE ";
-      if (!expr(*s.where, kTop)) return false;
-    }
-    if (!s.group_by.empty() && !list(" GROUP BY ", s.group_by, "")) {
+    if ((s.where && !clause(" WHERE ", s.where)) ||
+        (!s.group_by.empty() && !list(" GROUP BY ", s.group_by, "")) ||
+        (s.having && !clause(" HAVING ", s.having))) {
       return false;
-    }
-    if (s.having) {
-      out_ += " HAVING ";
-      if (!expr(*s.having, kTop)) return false;
     }
     for (std::size_t i = 0; i < s.order_by.size(); ++i) {
       out_ += i == 0 ? " ORDER BY " : ", ";
@@ -195,6 +186,11 @@ class Renderer {
   /// An operand that must bind at least as tightly as `min_precedence`.
   bool operand(const ExprPtr& e, int min_precedence) {
     return e != nullptr && expr(*e, min_precedence);
+  }
+
+  bool clause(std::string_view keyword, const ExprPtr& e) {
+    out_ += keyword;
+    return operand(e, kTop);
   }
 
   /// `open`, the comma-separated expressions, `close`.
