@@ -60,8 +60,9 @@ int precedence(const Expr& e) {
 /// `params` when given (a parse numbers placeholders sequentially in exactly
 /// that order). In key mode every node has a spelling, none of which the
 /// SQL text has: a placeholder shows its index (`?3`), an alias reference
-/// its item (`@1`), a non-finite double its display form, and a negative
-/// literal is parenthesized so it cannot read as a negation.
+/// its item (`@1`), a non-finite double its display form, a negative
+/// literal is parenthesized so it cannot read as a negation, and so is
+/// every composite operand.
 class Renderer {
  public:
   Renderer(std::string& out, bool key,
@@ -118,7 +119,9 @@ class Renderer {
 
   bool expr(const Expr& e, int min_precedence) {
     const int own = precedence(e);
-    if (own < min_precedence) {
+    // A key parenthesizes every composite operand: its structure must not
+    // rest on the precedence rules that the text's round trip checks.
+    if (key_ ? min_precedence > kTop && own < kPrimary : own < min_precedence) {
       out_ += '(';
       if (!expr(e, kTop)) return false;
       out_ += ')';
