@@ -156,6 +156,105 @@ TEST(SqlEval, QueriesAreIssued) {
   EXPECT_GT(sql.stats().sql_queries, 0u);
 }
 
+TEST(SqlEval, GuardFailureMatchesTheInterpreter) {
+  // The cached plan of the set site binds the LET `p` as a `?` while `p` is
+  // non-null; a later context where `p` is null needs `i.Ref IS NULL`
+  // instead, so the nullability guard fails and the site compiles for that
+  // context alone. The cached plan stays as it was.
+  const asl::Model model = asl::load_model({R"(
+    class Item { Item Ref; }
+    class Holder { Item Pick; setof Item Items; }
+    Property RefIsPick(Holder h) {
+      LET Item p = h.Pick;
+      IN
+      CONDITION: SIZE({i IN h.Items WITH i.Ref == p}) > 0;
+      CONFIDENCE: 1;
+      SEVERITY: 1;
+    };
+  )"});
+  asl::ObjectStore store(model);
+  const asl::ObjectId a = store.create("Item");
+  const asl::ObjectId loose = store.create("Item");  // Ref unset
+  store.set_attr(a, "Ref", RtValue::of_object(a));
+  // `picked`: Pick = a, which a's Ref matches. `unpicked`: Pick unset,
+  // which the loose item's unset Ref matches. `none`: Pick unset, and no
+  // item has an unset Ref.
+  const asl::ObjectId picked = store.create("Holder");
+  store.set_attr(picked, "Pick", RtValue::of_object(a));
+  const asl::ObjectId unpicked = store.create("Holder");
+  const asl::ObjectId none = store.create("Holder");
+  for (const asl::ObjectId holder : {picked, unpicked}) {
+    store.add_to_set(holder, "Items", a);
+    store.add_to_set(holder, "Items", loose);
+  }
+  store.add_to_set(none, "Items", a);
+
+  db::Database database;
+  cosy::create_schema(database, model);
+  db::Connection conn(database, db::ConnectionProfile::in_memory());
+  cosy::import_store(conn, store);
+
+  const asl::PropertyInfo* prop = model.find_property("RefIsPick");
+  ASSERT_NE(prop, nullptr);
+  const asl::Interpreter interp(model, store);
+  cosy::PlanCache cache(model);
+  cosy::SqlEvaluator sql(model, conn, cosy::SqlEvalMode::kPushdown, &cache);
+
+  const auto check = [&](asl::ObjectId holder, PropertyResult::Status status) {
+    const std::vector<RtValue> args = {RtValue::of_object(holder)};
+    const PropertyResult expected = interp.evaluate_property(*prop, args);
+    EXPECT_EQ(expected.status, status) << "holder " << holder;
+    expect_same(expected, sql.evaluate_property(*prop, args),
+                kojak::support::cat("holder ", holder));
+  };
+  check(picked, PropertyResult::Status::kHolds);
+  const std::size_t plans = cache.size();
+  const std::uint64_t misses = sql.stats().plan_cache_misses;
+  check(unpicked, PropertyResult::Status::kHolds);
+  check(none, PropertyResult::Status::kDoesNotHold);
+  // Each null context failed the set site's guard once; nothing was cached.
+  EXPECT_EQ(sql.stats().plan_cache_misses, misses + 2);
+  EXPECT_EQ(cache.size(), plans);
+  // The non-null shape still binds from the cache.
+  const std::uint64_t hits = sql.stats().plan_cache_hits;
+  check(picked, PropertyResult::Status::kHolds);
+  EXPECT_EQ(sql.stats().plan_cache_misses, misses + 2);
+  EXPECT_GT(sql.stats().plan_cache_hits, hits);
+}
+
+TEST(SqlEval, EvaluatorWithoutASharedCacheCompilesEachSiteOnce) {
+  // An evaluator built without a PlanCache still caches its own plans: a
+  // property's second context binds the plans its first context compiled.
+  World world(perf::workloads::imbalanced_ocean(), {1, 4});
+  const asl::PropertyInfo* prop = world.model.find_property("SyncCost");
+  ASSERT_NE(prop, nullptr);
+  const auto args_of = [&](const char* region) {
+    return std::vector<RtValue>{
+        RtValue::of_object(world.handles.regions.at(region)),
+        RtValue::of_object(world.handles.runs[1]),
+        RtValue::of_object(world.handles.regions.at("main"))};
+  };
+  const asl::Interpreter interp(world.model, world.store);
+  for (const cosy::SqlEvalMode mode :
+       {cosy::SqlEvalMode::kPushdown, cosy::SqlEvalMode::kClientSide,
+        cosy::SqlEvalMode::kWholeCondition}) {
+    const std::string what =
+        kojak::support::cat("mode ", static_cast<int>(mode));
+    cosy::SqlEvaluator sql(world.model, world.conn, mode);
+    const std::vector<RtValue> first = args_of("main.time_loop.step");
+    expect_same(interp.evaluate_property(*prop, first),
+                sql.evaluate_property(*prop, first), what);
+    const cosy::EvalStats before = sql.stats();
+    EXPECT_GT(before.plan_cache_misses, 0u) << what;
+    const std::vector<RtValue> second = args_of("barrier");
+    expect_same(interp.evaluate_property(*prop, second),
+                sql.evaluate_property(*prop, second), what);
+    EXPECT_EQ(sql.stats().plan_cache_misses, before.plan_cache_misses) << what;
+    EXPECT_GT(sql.stats().plan_cache_hits, before.plan_cache_hits) << what;
+    EXPECT_EQ(sql.stats().whole_fallbacks, 0u) << what;
+  }
+}
+
 TEST(SqlEval, RejectsInheritanceModels) {
   const asl::Model model = asl::load_model(
       {"class Base { int X; } class Derived extends Base { int Y; }"});
