@@ -95,9 +95,10 @@ ConnectionPool::Stats ConnectionPool::stats() const {
 
 double ConnectionPool::total_clock_us() const {
   std::lock_guard lock(mutex_);
-  double total = 0;
-  for (const auto& conn : connections_) total += conn->clock().now_us();
-  return total;
+  // Integer nanoseconds sum exactly in any session order.
+  std::uint64_t total_ns = 0;
+  for (const auto& conn : connections_) total_ns += conn->clock().now_ns();
+  return static_cast<double>(total_ns) / 1000.0;
 }
 
 double ConnectionPool::max_clock_us() const {

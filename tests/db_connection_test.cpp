@@ -222,6 +222,21 @@ TEST(ConnectionPool, CreatesLazilyAndReuses) {
             after_first + ConnectionProfile::oracle7().connect_us);
 }
 
+TEST(ConnectionPool, TotalClockSumsNanosecondsExactly) {
+  // 0.1 + 0.2 + 0.3 µs summed as doubles is 0.6000000000000001; summed as
+  // integer nanoseconds and converted once it is 0.6 in any session order.
+  Database db = seeded_db(1);
+  kdb::ConnectionPool pool(db, ConnectionProfile::in_memory(), 3);
+  auto a = pool.acquire();
+  auto b = pool.acquire();
+  auto c = pool.acquire();
+  a->clock().advance_ns(100);
+  b->clock().advance_ns(200);
+  c->clock().advance_ns(300);
+  EXPECT_EQ(pool.created(), 3u);
+  EXPECT_EQ(pool.total_clock_us(), 0.6);
+}
+
 TEST(ConnectionPool, TryAcquireExhaustion) {
   Database db = seeded_db(1);
   kdb::ConnectionPool pool(db, ConnectionProfile::in_memory(), 2);
