@@ -1585,10 +1585,11 @@ class WholeConditionCompiler final : public SetTranslator {
   /// The CSE pass: any subquery that occurs more than once in the statement
   /// (compile-time sharing via LET inlining, or duplication from the
   /// IIF/COALESCE null glue) is hoisted into a named CTE; reads of
-  /// `part<K>` shards are not candidates. CTEs are defined
-  /// shortest-rendered-first, and each body reads the earlier (shorter)
-  /// hoisted subqueries it contains, so the parser's no-forward-reference
-  /// rule holds by construction.
+  /// `part<K>` shards are not candidates. The statement and every CTE body
+  /// read the outermost hoisted subqueries they contain. CTEs are defined
+  /// shortest-rendered-first, and a contained subquery renders shorter than
+  /// its container, so the parser's no-forward-reference rule holds by
+  /// construction.
   ///
   /// Partition-union shards come first in the WITH clause: coordinator
   /// expressions (inline or hoisted into a cse CTE) reference the `part<K>`
@@ -1634,23 +1635,12 @@ class WholeConditionCompiler final : public SetTranslator {
       return cached != keys.end() ? cached->second
                                   : db::sql::structural_key(*e->subquery);
     };
-    // Hoisted subqueries that hold another hoisted one. In a CTE body they
-    // stay inline and only their innermost hoisted parts are read.
-    std::set<std::string> holders;
-    for (const auto& [key, entry] : shared) {
-      const auto holds = [&, key = key](SqlExpr& e) {
-        if (names.count(key_of(e)) != 0) holders.insert(*key);
-        return true;
-      };
-      visit_subqueries(*entry->first, holds);
-    }
-    // Reads the CTE in place of each outermost hoisted subquery of `s` that
-    // `hoisted` admits.
-    const auto read_ctes = [&](db::sql::SelectStmt& s, const auto& hoisted) {
+    // Reads the CTE in place of each outermost hoisted subquery of `s`: one
+    // nested in a bigger hoisted subquery disappears with the bigger one.
+    const auto read_ctes = [&](db::sql::SelectStmt& s) {
       const auto read = [&](SqlExpr& e) {
-        const std::string key = key_of(e);
-        const auto cte = names.find(key);
-        if (cte == names.end() || !hoisted(key)) return true;
+        const auto cte = names.find(key_of(e));
+        if (cte == names.end()) return true;
         e = sql_cte_read("v", cte->second);
         return false;
       };
@@ -1673,13 +1663,10 @@ class WholeConditionCompiler final : public SetTranslator {
     for (const auto& [key, entry] : shared) {
       std::unique_ptr<db::sql::SelectStmt> body = entry->first->clone();
       body->items.front().alias = "v";
-      read_ctes(*body,
-                [&](const std::string& k) { return holders.count(k) == 0; });
+      read_ctes(*body);
       stmt.ctes.push_back({names.at(*key), std::move(body), {}});
     }
-    // The statement reads each outermost hoisted subquery: one nested in a
-    // bigger hoisted subquery disappears with the bigger one.
-    read_ctes(stmt, [](const std::string&) { return true; });
+    read_ctes(stmt);
   }
 
   // --- scalar position (no set binder in scope) ----------------------------
