@@ -65,8 +65,8 @@ struct Outcome {
   std::string digest;
 };
 
-/// The pre-batch behavior: one session, one run at a time, translation from
-/// scratch for every (run, context).
+/// The pre-batch behavior: one session, one run at a time, each run's
+/// translation from scratch (no plan cache shared across runs).
 Outcome run_sequential_baseline() {
   db::Connection conn(shared_database(), db::ConnectionProfile::postgres());
   cosy::Analyzer analyzer(world().model, *world().store, world().handles,

@@ -32,7 +32,7 @@ struct AnalyzerConfig {
   /// of the model. Unknown names throw.
   std::vector<std::string> properties;
   /// Shared compiled-plan cache for the SQL backends (see PlanCache);
-  /// null runs every translation from scratch, as the 1999 toolchain did.
+  /// with null, each evaluator caches its plans for this analysis alone.
   PlanCache* plan_cache = nullptr;
   /// Incremental shard-result cache for the whole-condition SQL backends
   /// (see ShardResultCache): per-partition `part<K>` CTE results persist
@@ -66,7 +66,7 @@ struct AnalysisReport {
   /// sql-whole-condition contexts that did not run as one statement and
   /// were re-evaluated site-wise (see EvalStats::whole_fallbacks).
   std::uint64_t whole_fallbacks = 0;
-  /// Plan-cache traffic (SQL backends with a PlanCache). Telemetry, not
+  /// Plan-cache traffic (SQL backends). Telemetry, not
   /// part of the deterministic contract: with a cache shared by concurrent
   /// analyses, racing workers may both compile a cold site, so the split
   /// between hits and misses can vary with scheduling.

@@ -86,8 +86,7 @@ Monitor::Monitor(const asl::Model& model, db::Connection& conn,
     : model_(&model),
       conn_(&conn),
       options_(std::move(options)),
-      plan_cache_(model, options_.max_plans),
-      shard_cache_(options_.max_shard_entries) {}
+      plan_cache_(model) {}
 
 Monitor::~Monitor() = default;
 

@@ -109,12 +109,6 @@ struct MonitorOptions {
   std::size_t threads = 0;
   /// Rows per multi-row INSERT statement on the ingest path.
   std::size_t ingest_batch_rows = 64;
-  /// Plan-cache cap (0 = unbounded); plans persist across passes.
-  std::size_t max_plans = 0;
-  /// Shard-result cache cap per level (0 = unbounded): at most this many
-  /// partition results and this many statement memos stay resident, LRU
-  /// evicted beyond that. Evictions only cost recomputes, never correctness.
-  std::size_t max_shard_entries = 0;
 };
 
 /// The online-monitoring loop: ingest-batch -> incremental re-evaluate ->
@@ -174,8 +168,8 @@ class Monitor {
   PlanCache plan_cache_;
   ShardResultCache shard_cache_;
   /// The evaluation backend lives across passes: its evaluators keep their
-  /// parsed prepared statements, so a steady-state pass re-parses nothing —
-  /// it binds, probes the shard cache, and merges.
+  /// prepared statements, so a steady-state pass compiles nothing — it
+  /// binds, probes the shard cache, and merges.
   std::unique_ptr<EvalBackend> backend_;
   std::vector<Watch> watches_;
   /// Prepared multi-row INSERTs keyed on "<table>#<rows>" (reused across

@@ -9,29 +9,6 @@ std::string ShardResultCache::key(const std::string& fingerprint,
   return support::cat(fingerprint, "#p", partition);
 }
 
-void ShardResultCache::touch(std::list<std::string>& lru, Entry& entry) {
-  lru.splice(lru.begin(), lru, entry.lru_pos);
-}
-
-void ShardResultCache::upsert(EntryMap& map, std::list<std::string>& lru,
-                              const std::string& k, std::uint64_t version,
-                              std::shared_ptr<const db::QueryResult> rows) {
-  auto it = map.find(k);
-  if (it != map.end()) {
-    it->second.version = version;
-    it->second.rows = std::move(rows);
-    touch(lru, it->second);
-    return;
-  }
-  lru.push_front(k);
-  map.emplace(k, Entry{version, std::move(rows), lru.begin()});
-  if (max_entries_ != 0 && map.size() > max_entries_) {
-    map.erase(lru.back());
-    lru.pop_back();
-    ++evictions_;
-  }
-}
-
 ShardResultCache::Probe ShardResultCache::probe(const std::string& fingerprint,
                                                 std::size_t partition,
                                                 std::uint64_t version) {
@@ -40,7 +17,6 @@ ShardResultCache::Probe ShardResultCache::probe(const std::string& fingerprint,
   auto it = entries_.find(k);
   if (it != entries_.end() && it->second.version == version) {
     ++hits_;
-    touch(lru_, it->second);
     return {it->second.rows, false};
   }
   ++misses_;
@@ -55,7 +31,7 @@ std::shared_ptr<const db::QueryResult> ShardResultCache::store(
   const std::string k = key(fingerprint, partition);
   auto shared = std::make_shared<const db::QueryResult>(std::move(rows));
   std::lock_guard lock(mutex_);
-  upsert(entries_, lru_, k, version, shared);
+  entries_.insert_or_assign(k, Entry{version, shared});
   return shared;
 }
 
@@ -65,7 +41,6 @@ std::shared_ptr<const db::QueryResult> ShardResultCache::probe_statement(
   auto it = statement_entries_.find(fingerprint);
   if (it != statement_entries_.end() && it->second.version == version) {
     ++statement_hits_;
-    touch(statement_lru_, it->second);
     return it->second.rows;
   }
   ++statement_misses_;
@@ -77,7 +52,7 @@ std::shared_ptr<const db::QueryResult> ShardResultCache::store_statement(
     db::QueryResult rows) {
   auto shared = std::make_shared<const db::QueryResult>(std::move(rows));
   std::lock_guard lock(mutex_);
-  upsert(statement_entries_, statement_lru_, fingerprint, version, shared);
+  statement_entries_.insert_or_assign(fingerprint, Entry{version, shared});
   return shared;
 }
 
@@ -89,16 +64,13 @@ ShardResultCache::Stats ShardResultCache::stats() const {
           entries_.size(),
           statement_hits_,
           statement_misses_,
-          statement_entries_.size(),
-          evictions_};
+          statement_entries_.size()};
 }
 
 void ShardResultCache::clear() {
   std::lock_guard lock(mutex_);
   entries_.clear();
   statement_entries_.clear();
-  lru_.clear();
-  statement_lru_.clear();
 }
 
 }  // namespace kojak::cosy

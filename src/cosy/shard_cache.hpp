@@ -2,7 +2,6 @@
 #define KOJAK_COSY_SHARD_CACHE_HPP
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -29,21 +28,13 @@ namespace kojak::cosy {
 ///
 /// Results are held behind shared_ptr so an entry handed out for CTE
 /// injection stays alive even if a concurrent store() replaces it.
-/// Thread-safe; entries for a (fingerprint, partition) pair replace in
-/// place, so the footprint is bounded by plans x partitions, not by epochs.
-/// `max_entries` tightens that bound further (mirroring PlanCache's
-/// `max_plans`): each level — partition entries and statement memos — holds
-/// at most that many resident results, evicting least-recently-used first.
-/// Evicted rows already handed out stay alive through their shared_ptr.
+/// Thread-safe. The cache has no cap and needs none: an entry for a
+/// (fingerprint, partition) pair, or a statement memo for a fingerprint,
+/// replaces in place, so the footprint is bounded by the watch list (the
+/// statements and bound values it evaluates, times partitions), not by
+/// epochs.
 class ShardResultCache {
  public:
-  /// `max_entries` caps each level independently (0 = unbounded).
-  explicit ShardResultCache(std::size_t max_entries = 0)
-      : max_entries_(max_entries) {}
-
-  /// Maximum resident entries per level (0 = unbounded).
-  [[nodiscard]] std::size_t capacity() const noexcept { return max_entries_; }
-
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -56,8 +47,6 @@ class ShardResultCache {
     std::uint64_t statement_hits = 0;
     std::uint64_t statement_misses = 0;
     std::size_t statement_entries = 0;
-    /// Entries dropped by the LRU cap, across both levels.
-    std::uint64_t evictions = 0;
   };
 
   struct Probe {
@@ -98,32 +87,19 @@ class ShardResultCache {
   struct Entry {
     std::uint64_t version = 0;
     std::shared_ptr<const db::QueryResult> rows;
-    std::list<std::string>::iterator lru_pos;  // position in the level's LRU
   };
   using EntryMap = std::unordered_map<std::string, Entry>;
   [[nodiscard]] static std::string key(const std::string& fingerprint,
                                        std::size_t partition);
 
-  // All three run with mutex_ held. `lru` is the level's recency list
-  // (most recently used first); upsert evicts from the back once the level
-  // exceeds max_entries_.
-  void touch(std::list<std::string>& lru, Entry& entry);
-  void upsert(EntryMap& map, std::list<std::string>& lru,
-              const std::string& k, std::uint64_t version,
-              std::shared_ptr<const db::QueryResult> rows);
-
-  std::size_t max_entries_;
   mutable std::mutex mutex_;
   EntryMap entries_;
   EntryMap statement_entries_;
-  std::list<std::string> lru_;            // partition-level recency
-  std::list<std::string> statement_lru_;  // statement-level recency
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t dirty_ = 0;
   std::uint64_t statement_hits_ = 0;
   std::uint64_t statement_misses_ = 0;
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace kojak::cosy

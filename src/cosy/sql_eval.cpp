@@ -200,8 +200,8 @@ struct Compiled {
   std::uint32_t elem_class = 0;
 };
 
-/// Statement text of a compiled tree; the text is what ships on the inline
-/// path and what explain shows.
+/// Statement text of a compiled tree: what explain shows, and what the CSE
+/// pass orders its CTEs by.
 std::string render(const db::sql::SelectStmt& select) {
   std::string text;
   std::vector<std::size_t> order;
@@ -513,8 +513,8 @@ class SetTranslator {
 
 }  // namespace
 
-PlanCache::PlanCache(const asl::Model& model, std::size_t max_plans)
-    : model_(&model), fingerprint_(model.fingerprint()), max_plans_(max_plans) {}
+PlanCache::PlanCache(const asl::Model& model)
+    : model_(&model), fingerprint_(model.fingerprint()) {}
 
 PlanCache::Stats PlanCache::stats() const {
   std::lock_guard lock(mutex_);
@@ -529,14 +529,9 @@ std::size_t PlanCache::size() const {
 std::vector<std::shared_ptr<const CompiledPlan>> PlanCache::plans() const {
   std::lock_guard lock(mutex_);
   std::vector<std::shared_ptr<const CompiledPlan>> out;
-  out.reserve(lru_.size());
-  for (const Key& key : lru_) out.push_back(plans_.at(key).plan);
+  out.reserve(plans_.size());
+  for (const auto& [key, plan] : plans_) out.push_back(plan);
   return out;
-}
-
-void PlanCache::touch(Entry& entry) const {
-  lru_.splice(lru_.begin(), lru_, entry.lru_pos);
-  entry.lru_pos = lru_.begin();
 }
 
 std::shared_ptr<const CompiledPlan> PlanCache::find(std::string_view property,
@@ -544,36 +539,18 @@ std::shared_ptr<const CompiledPlan> PlanCache::find(std::string_view property,
                                                     std::uint64_t layout) const {
   std::lock_guard lock(mutex_);
   const auto it = plans_.find(Key{std::string(property), site, kind, layout});
-  if (it == plans_.end()) return nullptr;
-  touch(it->second);
-  return it->second.plan;
+  return it == plans_.end() ? nullptr : it->second;
 }
 
 std::shared_ptr<const CompiledPlan> PlanCache::insert(
     std::string_view property, const void* site, int kind,
     std::uint64_t layout, std::shared_ptr<const CompiledPlan> plan) {
   std::lock_guard lock(mutex_);
-  Key key{std::string(property), site, kind, layout};
-  const auto it = plans_.find(key);
-  if (it != plans_.end()) {
-    // A racing worker compiled the same site; the first plan in stays
-    // canonical so every evaluator converges on one instance.
-    touch(it->second);
-    return it->second.plan;
-  }
-  lru_.push_front(key);
-  auto [inserted, ok] =
-      plans_.emplace(std::move(key), Entry{std::move(plan), lru_.begin()});
-  std::shared_ptr<const CompiledPlan> canonical = inserted->second.plan;
-  while (max_plans_ != 0 && plans_.size() > max_plans_) {
-    // Evict the coldest plan. In-flight evaluators holding the shared_ptr
-    // keep the evicted plan (and its prepared statements) valid; the next
-    // find() for that site simply recompiles.
-    plans_.erase(lru_.back());
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-  return canonical;
+  // A racing worker may have compiled the same site; the first plan in
+  // stays canonical so every evaluator converges on one instance.
+  return plans_
+      .emplace(Key{std::string(property), site, kind, layout}, std::move(plan))
+      .first->second;
 }
 
 void PlanCache::record(bool hit) {
@@ -609,12 +586,6 @@ class SqlExprEval final : public SetTranslator {
     return owner_.mode_ == SqlEvalMode::kClientSide;
   }
 
-  /// The inline path: ships the statement as text with its literals.
-  db::QueryResult run(const db::sql::SelectStmt& select) {
-    ++owner_.stats_.sql_queries;
-    return owner_.conn_->execute(render(select));
-  }
-
   // --- plan cache machinery --------------------------------------------------
 
   /// Which SELECT a site compiles to; part of the cache key so one AST node
@@ -632,10 +603,9 @@ class SqlExprEval final : public SetTranslator {
     std::uint32_t elem_class = 0;
   };
 
-  /// Emits a context-dependent scalar into the SQL being built: a bound
-  /// parameter while a plan is recording, an inline literal otherwise.
+  /// Emits a context-dependent scalar into the plan being recorded: a bound
+  /// parameter, or a NULL literal guarded to stay null.
   SqlExpr emit_scalar(const Expr* origin, const TV& tv) {
-    if (build_ == nullptr) return make_literal(to_db_value(tv.v, tv.t));
     if (tv.v.is_null()) {
       build_->add({origin, CompiledPlan::Slot::kAssertNull, 0, {}},
                   db::Value::null());
@@ -648,17 +618,14 @@ class SqlExprEval final : public SetTranslator {
   /// Emits an object id whose expression is re-evaluated at bind time.
   SqlExpr emit_object(const Expr* origin, ObjectId id,
                       std::string null_error) {
-    db::Value value = db::Value::integer(static_cast<std::int64_t>(id));
-    if (build_ == nullptr) return make_literal(std::move(value));
     return make_param(build_->add(
         {origin, CompiledPlan::Slot::kObjectId, 0, std::move(null_error)},
-        std::move(value)));
+        db::Value::integer(static_cast<std::int64_t>(id))));
   }
 
   /// Emits a value the caller computed before entering the site (and will
   /// pass again, at the same index, on every later bind).
   SqlExpr emit_provided(std::size_t index, const db::Value& value) {
-    if (build_ == nullptr) return make_literal(value);
     return make_param(build_->add(
         {nullptr, CompiledPlan::Slot::kProvided, index, {}}, value));
   }
@@ -696,16 +663,19 @@ class SqlExprEval final : public SetTranslator {
     return true;
   }
 
-  db::QueryResult run_prepared(const std::shared_ptr<const CompiledPlan>& plan,
-                               std::span<const db::Value> values) {
-    db::PreparedStatement& stmt = owner_.entry_for(plan).stmt;
+  db::QueryResult execute(db::PreparedStatement& stmt,
+                          std::span<const db::Value> values) {
     ++owner_.stats_.sql_queries;
     return owner_.conn_->execute(stmt, values);
   }
 
-  /// Runs one translation site: uses the shared plan when present, records
-  /// one on first contact, falls back to inline-literal compilation when
-  /// caching is off (or a nullability guard fails).
+  /// Runs one translation site. A cached plan binds this context's values
+  /// and runs the evaluator's prepared clone. Otherwise the site compiles
+  /// into a plan that runs with the values recorded while compiling, and
+  /// is cached unless it is a one-off: the site has no property to key it
+  /// under (explain_set's nested aggregates), or a nullability guard of the
+  /// cached plan failed (this context needs a differently-shaped statement;
+  /// the cached plan stays).
   template <typename F>
   SiteResult run_site(const Expr& site, SiteKind kind,
                       std::span<const db::Value> provided, F&& compile) {
@@ -719,41 +689,74 @@ class SqlExprEval final : public SetTranslator {
     } restore{*this, build_};
     build_ = nullptr;
 
-    PlanCache* cache = owner_.cache_;
-    if (cache == nullptr || prop_ == nullptr) {
-      const Compiled compiled = compile();
-      return {run(*compiled.select), compiled.elem_class};
-    }
+    PlanCache& cache = *owner_.cache_;
     const int k = static_cast<int>(kind) * 2 +
                   (client_side() ? 1 : 0);  // mode disambiguates shared nodes
-    if (auto plan = cache->find(prop_->name, &site, k, owner_.layout_)) {
-      std::vector<db::Value> values;
-      if (bind_plan(*plan, provided, values)) {
-        ++owner_.stats_.plan_cache_hits;
-        cache->record(true);
-        return {run_prepared(plan, values), plan->elem_class};
+    const std::shared_ptr<const CompiledPlan> cached =
+        prop_ == nullptr ? nullptr
+                         : cache.find(prop_->name, &site, k, owner_.layout_);
+    std::vector<db::Value> values;
+    if (cached != nullptr) {
+      const bool bound = bind_plan(*cached, provided, values);
+      ++(bound ? owner_.stats_.plan_cache_hits
+               : owner_.stats_.plan_cache_misses);
+      cache.record(bound);
+      if (bound) {
+        return {execute(owner_.entry_for(cached).stmt, values),
+                cached->elem_class};
       }
-      // Nullability guard failed: this context needs a different SQL shape.
-      // Compile it fresh for this evaluation; the cached plan stays.
-      ++owner_.stats_.plan_cache_misses;
-      cache->record(false);
-      const Compiled compiled = compile();
-      return {run(*compiled.select), compiled.elem_class};
     }
     PlanBuild build;
     build_ = &build;
     Compiled compiled = compile();
     build_ = nullptr;
-    std::vector<db::Value> values;
+    if (prop_ == nullptr || cached != nullptr) {
+      // A one-off: its own tree runs once, with the values just recorded.
+      values.clear();
+      for (const std::size_t id : db::sql::renumber_params(*compiled.select)) {
+        values.push_back(build.values[id]);
+      }
+      db::PreparedStatement stmt(
+          db::sql::Statement(std::move(*compiled.select)));
+      return {execute(stmt, values), compiled.elem_class};
+    }
     // A racing worker may have compiled the same site meanwhile; converge
     // on the canonical plan (the values bind either — same template).
     const std::shared_ptr<const CompiledPlan> plan =
-        cache->insert(prop_->name, &site, k, owner_.layout_,
-                      std::make_shared<CompiledPlan>(finalize(
-                          std::move(compiled), std::move(build), values)));
+        cache.insert(prop_->name, &site, k, owner_.layout_,
+                     std::make_shared<CompiledPlan>(finalize(
+                         std::move(compiled), std::move(build), values)));
     ++owner_.stats_.plan_cache_misses;
-    cache->record(false);
-    return {run_prepared(plan, values), plan->elem_class};
+    cache.record(false);
+    return {execute(owner_.entry_for(plan).stmt, values), plan->elem_class};
+  }
+
+  /// The SQL of a set expression with this context's values inline (the
+  /// explain flows): recorded like a plan, then every `?` replaced by the
+  /// literal it binds. Site-wise statements hold no subqueries.
+  std::string explain(const Expr& set_expr) {
+    PlanBuild build;
+    build_ = &build;
+    std::unique_ptr<db::sql::SelectStmt> select =
+        compile_set(set_expr, nullptr).select(make_column("b", "id"));
+    build_ = nullptr;
+    const auto inline_values = [&](const auto& self, SqlExpr& e) -> void {
+      if (e->kind == db::sql::Expr::Kind::kParam) {
+        e = make_literal(build.values[e->param_index]);
+        return;
+      }
+      if (e->lhs) self(self, e->lhs);
+      if (e->rhs) self(self, e->rhs);
+      for (SqlExpr& arg : e->args) self(self, arg);
+    };
+    for (db::sql::SelectItem& item : select->items) {
+      inline_values(inline_values, item.expr);
+    }
+    for (db::sql::Join& join : select->joins) {
+      inline_values(inline_values, join.on);
+    }
+    if (select->where) inline_values(inline_values, select->where);
+    return render(*select);
   }
 
   // --- client-side set materialization (the §5 slow path) -------------------
@@ -2040,19 +2043,15 @@ PropertyResult property_result(
   return out;
 }
 
-/// A plan's own executable copy of its tree (execution annotates the tree,
-/// so evaluators sharing a plan never share a statement).
-db::PreparedStatement prepared(const CompiledPlan& plan) {
-  return db::PreparedStatement(
-      db::sql::Statement(std::move(*plan.tree->clone())));
-}
-
 }  // namespace
 
 SqlEvaluator::SqlEvaluator(const asl::Model& model, db::Connection& conn,
                            SqlEvalMode mode, PlanCache* plan_cache,
                            bool common_subexpr)
-    : model_(&model), conn_(&conn), mode_(mode), cache_(plan_cache),
+    : model_(&model), conn_(&conn), mode_(mode),
+      own_cache_(plan_cache == nullptr ? std::make_unique<PlanCache>(model)
+                                       : nullptr),
+      cache_(plan_cache == nullptr ? own_cache_.get() : plan_cache),
       cse_(common_subexpr), layout_(conn.layout_fingerprint()) {
   for (const asl::ClassInfo& cls : model.classes()) {
     if (cls.base) {
@@ -2061,7 +2060,7 @@ SqlEvaluator::SqlEvaluator(const asl::Model& model, db::Connection& conn,
           "(concrete class tables)");
     }
   }
-  if (cache_ != nullptr && &cache_->model() != &model) {
+  if (&cache_->model() != &model) {
     throw EvalError(
         "plan cache was compiled against a different model instance; plans "
         "hold pointers into that model's AST, so a cache is only valid for "
@@ -2074,24 +2073,12 @@ SqlEvaluator::StatementEntry& SqlEvaluator::entry_for(
     const std::shared_ptr<const CompiledPlan>& plan) {
   auto it = statements_.find(plan.get());
   if (it == statements_.end()) {
-    if (cache_ != nullptr && cache_->capacity() != 0) {
-      // A capped cache recompiles evicted sites into NEW plan instances;
-      // without pruning, this map would pin every generation forever and
-      // grow with each eviction — the opposite of what the cap promises.
-      // An entry whose plan is held only here belongs to an evicted
-      // generation nobody can request again (find() returns the resident
-      // instance), so it is safe to drop.
-      for (auto dead = statements_.begin(); dead != statements_.end();) {
-        if (dead->second.plan.use_count() == 1) {
-          dead = statements_.erase(dead);
-        } else {
-          ++dead;
-        }
-      }
-    }
+    // The evaluator's own copy of the tree: execution annotates it, so
+    // evaluators sharing a plan never share a statement.
+    db::PreparedStatement stmt(
+        db::sql::Statement(std::move(*plan->tree->clone())));
     it = statements_
-             .emplace(plan.get(),
-                      StatementEntry{plan, prepared(*plan), {}})
+             .emplace(plan.get(), StatementEntry{plan, std::move(stmt), {}})
              .first;
   }
   return it->second;
@@ -2317,14 +2304,10 @@ PropertyResult SqlEvaluator::evaluate_property(const asl::PropertyInfo& prop,
 
 PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
                                             const std::vector<RtValue>& args) {
-  // Plan lookup: shared through the cache when present, else compiled fresh
-  // for this evaluation (still one statement — only the translation work
-  // repeats, as the 1999 toolchain's would have).
   const int kind =
       cse_ ? kWholeConditionCsePlanKind : kWholeConditionPlainPlanKind;
   std::shared_ptr<const CompiledPlan> plan =
-      cache_ == nullptr ? nullptr
-                        : cache_->find(prop.name, &prop, kind, layout_);
+      cache_->find(prop.name, &prop, kind, layout_);
   if (plan != nullptr) {
     ++stats_.plan_cache_hits;
     cache_->record(true);
@@ -2333,15 +2316,10 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
     // rewrite); the plain ablation compiles layout-blind on purpose.
     WholeConditionCompiler compiler(*model_, prop, cse_,
                                     cse_ ? &conn_->database() : nullptr);
-    auto compiled = std::make_shared<CompiledPlan>(compiler.compile());
-    if (cache_ != nullptr) {
-      plan = cache_->insert(prop.name, &prop, kind, layout_,
-                            std::move(compiled));
-      ++stats_.plan_cache_misses;
-      cache_->record(false);
-    } else {
-      plan = std::move(compiled);
-    }
+    plan = cache_->insert(prop.name, &prop, kind, layout_,
+                          std::make_shared<CompiledPlan>(compiler.compile()));
+    ++stats_.plan_cache_misses;
+    cache_->record(false);
   }
 
   // Bind: whole-condition parameters are all caller-provided property
@@ -2363,10 +2341,7 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
 
   ++stats_.sql_queries;
   const db::QueryResult result = [&] {
-    std::optional<db::PreparedStatement> local;
-    StatementEntry* entry = cache_ != nullptr ? &entry_for(plan) : nullptr;
-    db::PreparedStatement& stmt =
-        entry != nullptr ? entry->stmt : local.emplace(prepared(*plan));
+    StatementEntry& entry = entry_for(plan);
     // Incremental path: with a shard cache attached, the statement-level
     // memo is consulted first — when every table the statement reads is at
     // the version it last ran against, the stored result is returned and
@@ -2375,13 +2350,11 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
     // result refreshes the memo. Falls through to the plain path when the
     // statement has nothing cacheable.
     if (shard_cache_ != nullptr) {
-      ShardCteAnalysis local_analysis;
-      ShardCteAnalysis& analysis =
-          entry != nullptr ? entry->shard : local_analysis;
       std::string memo_fp;
       std::uint64_t memo_version = 0;
-      const bool memoable = statement_memo_token(stmt, analysis, plan->sql,
-                                                 values, memo_fp, memo_version);
+      const bool memoable =
+          statement_memo_token(entry.stmt, entry.shard, plan->sql, values,
+                               memo_fp, memo_version);
       if (memoable) {
         if (std::shared_ptr<const db::QueryResult> rows =
                 shard_cache_->probe_statement(memo_fp, memo_version)) {
@@ -2390,16 +2363,16 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
         }
       }
       std::optional<db::QueryResult> cached =
-          try_execute_with_shard_cache(stmt, analysis, values);
+          try_execute_with_shard_cache(entry.stmt, entry.shard, values);
       db::QueryResult merged =
-          cached ? std::move(*cached) : conn_->execute(stmt, values);
+          cached ? std::move(*cached) : conn_->execute(entry.stmt, values);
       if (memoable) {
         shard_cache_->store_statement(memo_fp, memo_version,
                                       db::QueryResult(merged));
       }
       return merged;
     }
-    return conn_->execute(stmt, values);
+    return conn_->execute(entry.stmt, values);
   }();
 
   // Glue: map the one result row back onto the property contract. Column
@@ -2494,8 +2467,7 @@ std::string SqlEvaluator::explain_set(const Expr& set_expr,
   for (std::size_t i = 0; i < args.size() && i < prop.params.size(); ++i) {
     eval.push(prop.params[i].first, {args[i], prop.params[i].second});
   }
-  SetSpec sq = eval.compile_set(set_expr, nullptr);
-  return render(*std::move(sq).select(make_column("b", "id")));
+  return eval.explain(set_expr);
 }
 
 }  // namespace kojak::cosy

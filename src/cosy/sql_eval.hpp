@@ -2,7 +2,6 @@
 #define KOJAK_COSY_SQL_EVAL_HPP
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -71,14 +70,13 @@ struct CompiledPlan {
 /// and must not outlive it: attaching an evaluator over any other Model
 /// object is rejected — even one reloaded from the same documents, whose
 /// content fingerprint would match but whose AST lives elsewhere.
+///
+/// The cache has no cap and needs none: a plan is keyed (property, AST
+/// site, kind, layout), so the model and the table layouts seen fix how
+/// many plans there can be.
 class PlanCache {
  public:
-  /// `max_plans` caps the resident compiled plans (0 = unbounded). When the
-  /// cap is hit, the least-recently-used plan is evicted; long batch
-  /// campaigns over many properties therefore hold at most `max_plans`
-  /// translations while evaluators already running on an evicted plan keep
-  /// it alive through their shared_ptr.
-  explicit PlanCache(const asl::Model& model, std::size_t max_plans = 0);
+  explicit PlanCache(const asl::Model& model);
 
   [[nodiscard]] const asl::Model& model() const noexcept { return *model_; }
   /// Content hash of the model the plans were compiled against (telemetry
@@ -86,22 +84,19 @@ class PlanCache {
   [[nodiscard]] std::uint64_t model_fingerprint() const noexcept {
     return fingerprint_;
   }
-  /// Maximum resident plans (0 = unbounded).
-  [[nodiscard]] std::size_t capacity() const noexcept { return max_plans_; }
 
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;  ///< plans dropped by the LRU cap
     [[nodiscard]] double hit_rate() const noexcept {
       const double total = static_cast<double>(hits + misses);
       return total == 0 ? 0.0 : static_cast<double>(hits) / total;
     }
   };
   [[nodiscard]] Stats stats() const;
-  /// Number of distinct compiled plans currently resident.
+  /// Number of distinct compiled plans.
   [[nodiscard]] std::size_t size() const;
-  /// The resident plans, hottest first (tests and explain flows).
+  /// The plans, in key order (tests and explain flows).
   [[nodiscard]] std::vector<std::shared_ptr<const CompiledPlan>> plans() const;
 
   // Internal API used by SqlEvaluator. `layout` is the
@@ -134,20 +129,11 @@ class PlanCache {
       return a.layout < b.layout;
     }
   };
-  struct Entry {
-    std::shared_ptr<const CompiledPlan> plan;
-    std::list<Key>::iterator lru_pos;  // position in lru_ (front = hottest)
-  };
-
-  void touch(Entry& entry) const;  // move to the LRU front (mutex held)
 
   const asl::Model* model_;
   std::uint64_t fingerprint_;
-  std::size_t max_plans_;
   mutable std::mutex mutex_;
-  // find() refreshes recency, so both containers are logically const there.
-  mutable std::map<Key, Entry> plans_;
-  mutable std::list<Key> lru_;  // most recently used first
+  std::map<Key, std::shared_ptr<const CompiledPlan>> plans_;
   Stats stats_;
 };
 
@@ -168,8 +154,9 @@ class PlanCache {
 /// falls back to the interpreter at the analyzer level.
 ///
 /// An evaluator instance is not thread-safe (it owns a connection and its
-/// prepared statements); run one evaluator per worker. The optional
-/// PlanCache *is* shared across workers.
+/// prepared statements); run one evaluator per worker. Every evaluator
+/// caches its plans: in the PlanCache it is given, which *is* shared across
+/// workers, or else in one of its own.
 class SqlEvaluator {
  public:
   /// `common_subexpr` (kWholeCondition only): run the common-subexpression
@@ -178,6 +165,8 @@ class SqlEvaluator {
   /// ...`) referenced once each, and repeated argument parameters collapse
   /// into one `?` per occurrence in the deduplicated statement. Off reproduces
   /// the plain one-statement compilation (the bench ablation baseline).
+  /// Without `plan_cache` the evaluator keeps its plans in a cache of its
+  /// own.
   SqlEvaluator(const asl::Model& model, db::Connection& conn,
                SqlEvalMode mode = SqlEvalMode::kPushdown,
                PlanCache* plan_cache = nullptr, bool common_subexpr = true);
@@ -190,17 +179,11 @@ class SqlEvaluator {
       const asl::PropertyInfo& prop, std::vector<asl::RtValue> args);
 
   /// This evaluator's accounting so far: SQL statements issued, plan-cache
-  /// traffic (0/0 without a cache) and, kWholeCondition only, contexts that
-  /// could not run as one statement and were re-evaluated site-by-site
-  /// (results stay interpreter-identical; the COSY suites compile without
-  /// fallbacks, which tests assert).
+  /// traffic and, kWholeCondition only, contexts that could not run as one
+  /// statement and were re-evaluated site-by-site (results stay
+  /// interpreter-identical; the COSY suites compile without fallbacks,
+  /// which tests assert).
   [[nodiscard]] EvalStats stats() const noexcept { return stats_; }
-  /// Prepared statements resident in this evaluator (telemetry). Bounded
-  /// when the attached PlanCache is capped: statements of evicted plan
-  /// generations are pruned as new plans arrive.
-  [[nodiscard]] std::size_t statements_resident() const noexcept {
-    return statements_.size();
-  }
   /// Table-layout fingerprint the evaluator is currently keying plans
   /// under: snapshotted at construction and refreshed at the start of every
   /// evaluate_property (compilation reads the live catalog, so the key must
@@ -315,7 +298,8 @@ class SqlEvaluator {
   db::Connection* conn_;
   ShardResultCache* shard_cache_ = nullptr;
   SqlEvalMode mode_;
-  PlanCache* cache_;
+  std::unique_ptr<PlanCache> own_cache_;  ///< set when none was given
+  PlanCache* cache_;                      ///< never null
   bool cse_;
   std::uint64_t layout_ = 0;  ///< database layout fingerprint (plan keying)
   EvalStats stats_;

@@ -88,8 +88,6 @@ TEST(PlanCache, CachedAnalysisIsIdenticalAndHits) {
   cosy::AnalyzerConfig plain;
   plain.backend = "sql-pushdown";
   const cosy::AnalysisReport base = analyzer.analyze(2, plain);
-  EXPECT_EQ(base.plan_cache_hits, 0u);
-  EXPECT_EQ(base.plan_cache_misses, 0u);
 
   cosy::PlanCache cache(world.model);
   cosy::AnalyzerConfig cached = plain;
@@ -103,6 +101,10 @@ TEST(PlanCache, CachedAnalysisIsIdenticalAndHits) {
   EXPECT_GT(first.plan_cache_misses, 0u);
   EXPECT_EQ(first.plan_cache_misses, cache.size());
   EXPECT_GT(first.plan_cache_hits, first.plan_cache_misses);
+  // Without a shared cache the evaluator caches in its own: the same
+  // traffic as a fresh shared cache.
+  EXPECT_EQ(base.plan_cache_hits, first.plan_cache_hits);
+  EXPECT_EQ(base.plan_cache_misses, first.plan_cache_misses);
 
   // A second run over warm plans translates nothing at all.
   const cosy::AnalysisReport second = analyzer.analyze(1, cached);
@@ -153,94 +155,6 @@ TEST(PlanCache, RejectsReloadedModelInstance) {
       cosy::SqlEvaluator(world.model, conn, cosy::SqlEvalMode::kPushdown,
                          &stale),
       kojak::support::EvalError);
-}
-
-TEST(PlanCache, LruCapBoundsResidentPlansWithoutChangingResults) {
-  // The unbounded-growth guard for long batch campaigns: a capped cache
-  // never holds more than `max_plans` translations, evicts least-recently
-  // used, reports evictions in its stats — and none of it may change a
-  // single finding.
-  World world;
-  db::Connection conn(world.database, db::ConnectionProfile::in_memory());
-  cosy::Analyzer analyzer(world.model, world.store, world.handles, &conn);
-
-  cosy::AnalyzerConfig plain;
-  plain.backend = "sql-pushdown";
-  const std::string reference = render(analyzer.analyze(2, plain));
-
-  cosy::PlanCache unbounded(world.model);
-  cosy::AnalyzerConfig warm = plain;
-  warm.plan_cache = &unbounded;
-  (void)analyzer.analyze(2, warm);
-  const std::size_t full_size = unbounded.size();
-  ASSERT_GT(full_size, 4u);
-  EXPECT_EQ(unbounded.capacity(), 0u);
-  EXPECT_EQ(unbounded.stats().evictions, 0u);
-
-  cosy::PlanCache capped(world.model, /*max_plans=*/4);
-  EXPECT_EQ(capped.capacity(), 4u);
-  cosy::AnalyzerConfig capped_config = plain;
-  capped_config.plan_cache = &capped;
-  EXPECT_EQ(reference, render(analyzer.analyze(2, capped_config)));
-  EXPECT_LE(capped.size(), 4u);
-  const cosy::PlanCache::Stats stats = capped.stats();
-  EXPECT_GT(stats.evictions, 0u);
-  // Conservation: every compiled plan is either resident or was evicted.
-  EXPECT_EQ(stats.misses, capped.size() + stats.evictions);
-
-  // A second pass still answers identically (recompiling evicted sites) and
-  // stays within the cap.
-  EXPECT_EQ(reference, render(analyzer.analyze(2, capped_config)));
-  EXPECT_LE(capped.size(), 4u);
-  EXPECT_GT(capped.stats().evictions, stats.evictions);
-}
-
-TEST(PlanCache, LruEvictsColdestFirst) {
-  // Direct LRU-order pin on the whole-condition path: with a cap of one,
-  // alternating two properties recompiles every time; with room for both,
-  // nothing is ever evicted.
-  World world;
-  db::Connection conn(world.database, db::ConnectionProfile::in_memory());
-
-  const asl::PropertyInfo* a = world.model.find_property("SyncCost");
-  const asl::PropertyInfo* b = world.model.find_property("MeasuredCost");
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  const asl::ObjectId region = world.handles.regions.begin()->second;
-  const std::vector<asl::RtValue> args = {
-      asl::RtValue::of_object(region),
-      asl::RtValue::of_object(world.handles.runs[0]),
-      asl::RtValue::of_object(region)};
-
-  cosy::PlanCache tiny(world.model, /*max_plans=*/1);
-  cosy::SqlEvaluator eval(world.model, conn,
-                          cosy::SqlEvalMode::kWholeCondition, &tiny);
-  (void)eval.evaluate_property(*a, args);
-  (void)eval.evaluate_property(*b, args);  // evicts a's plan
-  (void)eval.evaluate_property(*a, args);  // recompiles, evicts b's plan
-  EXPECT_EQ(tiny.size(), 1u);
-  EXPECT_EQ(tiny.stats().evictions, 2u);
-  EXPECT_EQ(tiny.stats().hits, 0u);
-
-  // The eviction churn must not pin dead plan generations in the
-  // evaluator's prepared-statement map: alternating two properties under a
-  // cap of one keeps the resident statement count flat instead of growing
-  // by one per recompile.
-  for (int i = 0; i < 4; ++i) {
-    (void)eval.evaluate_property(*b, args);
-    (void)eval.evaluate_property(*a, args);
-  }
-  EXPECT_LE(eval.statements_resident(), 2u);
-
-  cosy::PlanCache roomy(world.model, /*max_plans=*/2);
-  cosy::SqlEvaluator eval2(world.model, conn,
-                           cosy::SqlEvalMode::kWholeCondition, &roomy);
-  (void)eval2.evaluate_property(*a, args);
-  (void)eval2.evaluate_property(*b, args);
-  (void)eval2.evaluate_property(*a, args);
-  EXPECT_EQ(roomy.size(), 2u);
-  EXPECT_EQ(roomy.stats().evictions, 0u);
-  EXPECT_EQ(roomy.stats().hits, 1u);
 }
 
 TEST(PlanCache, FingerprintTracksSpecContent) {

@@ -225,93 +225,6 @@ TEST(ShardCache, OnlyDirtyPartitionsRecompute) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-result cache: LRU cap (mirrors PlanCache::max_plans)
-
-TEST(ShardCache, LruCapEvictsLeastRecentlyUsedFirst) {
-  cosy::ShardResultCache cache(2);
-  EXPECT_EQ(cache.capacity(), 2u);
-  const auto rows_of = [](double v) {
-    db::QueryResult r;
-    r.columns = {"v"};
-    r.rows.push_back({db::Value::real(v)});
-    return r;
-  };
-
-  // Fill to cap, then touch p0 so p1 becomes the coldest entry.
-  (void)cache.store("plan", 0, 1, rows_of(0.0));
-  (void)cache.store("plan", 1, 1, rows_of(1.0));
-  EXPECT_NE(cache.probe("plan", 0, 1).rows, nullptr);
-
-  // Inserting p2 over a full cache must evict exactly p1.
-  (void)cache.store("plan", 2, 1, rows_of(2.0));
-  cosy::ShardResultCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 2u);
-  const cosy::ShardResultCache::Probe victim = cache.probe("plan", 1, 1);
-  EXPECT_EQ(victim.rows, nullptr);
-  EXPECT_FALSE(victim.stale);  // eviction leaves no stale ghost behind
-  EXPECT_NE(cache.probe("plan", 0, 1).rows, nullptr);
-
-  // Replacing an entry in place (same key, newer version) is not an insert:
-  // nothing is evicted, and the replaced key becomes hottest.
-  const std::shared_ptr<const db::QueryResult> held =
-      cache.probe("plan", 2, 1).rows;
-  ASSERT_NE(held, nullptr);
-  (void)cache.store("plan", 0, 2, rows_of(0.5));
-  EXPECT_EQ(cache.stats().evictions, 1u);
-
-  // Next insert evicts p2 (now coldest) — but the handle handed out above
-  // keeps the evicted rows alive and readable.
-  (void)cache.store("plan", 3, 1, rows_of(3.0));
-  EXPECT_EQ(cache.stats().evictions, 2u);
-  EXPECT_EQ(cache.probe("plan", 2, 1).rows, nullptr);
-  EXPECT_EQ(held->at(0, 0).as_double(), 2.0);
-
-  // The statement-memo level is capped independently at the same bound.
-  (void)cache.store_statement("s0", 1, rows_of(10.0));
-  (void)cache.store_statement("s1", 1, rows_of(11.0));
-  EXPECT_NE(cache.probe_statement("s0", 1), nullptr);
-  (void)cache.store_statement("s2", 1, rows_of(12.0));
-  stats = cache.stats();
-  EXPECT_EQ(stats.statement_entries, 2u);
-  EXPECT_EQ(stats.evictions, 3u);
-  EXPECT_EQ(cache.probe_statement("s1", 1), nullptr);
-  EXPECT_NE(cache.probe_statement("s0", 1), nullptr);
-}
-
-TEST(Monitor, BoundedShardCacheNeverChangesReports) {
-  const FleetWorld world(4, 40);
-  db::Database database;
-  world.populate(database, 8);
-  db::Connection conn(database, db::ConnectionProfile::in_memory());
-
-  // A cap far below the working set (12 watches x 8 partitions) forces
-  // constant eviction; every pass must still render byte-identically to an
-  // unbounded monitor at the same epoch.
-  cosy::Monitor bounded(world.model, conn, {.max_shard_entries = 3});
-  cosy::Monitor unbounded(world.model, conn);
-  world.watch_all(bounded);
-  world.watch_all(unbounded);
-
-  for (int pass = 0; pass < 3; ++pass) {
-    if (pass > 0) {
-      cosy::IngestBatch batch;
-      batch.add("Fleet_Readings",
-                {db::Value::integer(static_cast<std::int64_t>(world.fleets[1])),
-                 db::Value::integer(
-                     static_cast<std::int64_t>(world.first_probe(1)))});
-      bounded.ingest(batch);
-    }
-    const cosy::EpochReport capped = bounded.evaluate();
-    const cosy::EpochReport free = unbounded.evaluate();
-    EXPECT_EQ(capped.epoch, free.epoch) << "pass " << pass;
-    EXPECT_EQ(render_report(capped), render_report(free)) << "pass " << pass;
-  }
-  EXPECT_LE(bounded.shard_cache().stats().entries, 3u);
-  EXPECT_GT(bounded.shard_cache().stats().evictions, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Monitor: epoch deltas
 
 TEST(Monitor, ReportsRaisedClearedAndSeverityChangedDeltas) {
