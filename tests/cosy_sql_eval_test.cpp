@@ -264,6 +264,106 @@ TEST(SqlEval, RejectsInheritanceModels) {
 }
 
 // ---------------------------------------------------------------------------
+// Differential: the scalar glue around the set sites (ordering, arithmetic,
+// division, enum equality) against the interpreter, in every SQL mode.
+
+TEST(SqlEval, ScalarGlueMatchesTheInterpreterInEveryMode) {
+  const asl::Model model = asl::load_model({cosy::cosy_model_source(), R"(
+    Property StringOrder(Region r, TestRun t, TestRun u) {
+      CONDITION: (lt) r.Name < "m" OR (ge) r.Name >= "main";
+      CONFIDENCE: MAX((lt) -> 0.5, (ge) -> 0.75);
+      SEVERITY: MAX((lt) -> 1, (ge) -> 2);
+    };
+    Property DateTimeOrder(Region r, TestRun t, TestRun u) {
+      CONDITION: (before) t.Start < u.Start OR (after) t.Start >= u.Start;
+      CONFIDENCE: 1;
+      SEVERITY: MAX((before) -> 1, (after) -> 2);
+    };
+    Property Arithmetic(Region r, TestRun t, TestRun u) {
+      LET int Pes = t.NoPe * 2 - u.NoPe;
+          float Half = t.NoPe / 2 + 0.5;
+      IN
+      CONDITION: Pes + 1 > 0 - 100;
+      CONFIDENCE: Half - Half + 0.25;
+      SEVERITY: Pes * Half - t.Clockspeed;
+    };
+    Property DivisionByZero(Region r, TestRun t, TestRun u) {
+      CONDITION: t.NoPe / (u.NoPe - u.NoPe) > 0;
+      CONFIDENCE: 1;
+      SEVERITY: 1;
+    };
+    Property EnumEquality(Region r, TestRun t, TimingType k) {
+      CONDITION: (bar) k == Barrier OR (other) k != IdleWait;
+      CONFIDENCE: 1;
+      SEVERITY: MAX((bar) -> 3, (other) -> 1);
+    };
+  )"});
+  asl::ObjectStore store(model);
+  const perf::ExperimentData data = perf::simulate_experiment(
+      perf::workloads::imbalanced_ocean(), {1, 4, 16},
+      perf::SimulationOptions{});
+  const cosy::StoreHandles handles = cosy::build_store(store, data);
+  db::Database database;
+  cosy::create_schema(database, model);
+  db::Connection conn(database, db::ConnectionProfile::in_memory());
+  cosy::import_store(conn, store);
+
+  const asl::Interpreter interp(model, store);
+  const std::uint32_t timing = *model.find_enum("TimingType");
+  for (const char* name : {"StringOrder", "DateTimeOrder", "Arithmetic",
+                           "DivisionByZero", "EnumEquality"}) {
+    const asl::PropertyInfo* prop = model.find_property(name);
+    ASSERT_NE(prop, nullptr) << name;
+    std::vector<std::vector<RtValue>> contexts;
+    for (const auto& [region_name, region] : handles.regions) {
+      for (const asl::ObjectId t : handles.runs) {
+        if (prop->name == "EnumEquality") {
+          for (const std::int32_t k : {0, 1, 24}) {
+            contexts.push_back({RtValue::of_object(region),
+                                RtValue::of_object(t),
+                                RtValue::of_enum(timing, k)});
+          }
+          continue;
+        }
+        for (const asl::ObjectId u : handles.runs) {
+          contexts.push_back({RtValue::of_object(region),
+                              RtValue::of_object(t), RtValue::of_object(u)});
+        }
+      }
+    }
+    std::size_t holds = 0;
+    std::size_t gaps = 0;
+    for (const std::vector<RtValue>& args : contexts) {
+      const PropertyResult expected = interp.evaluate_property(*prop, args);
+      holds += expected.holds() ? 1 : 0;
+      gaps += expected.status == PropertyResult::Status::kNotApplicable;
+    }
+    // Every property but the division has contexts that hold and none that
+    // is a data gap; every division is one.
+    if (prop->name == "DivisionByZero") {
+      EXPECT_EQ(gaps, contexts.size());
+    } else {
+      EXPECT_GT(holds, 0u) << name;
+      EXPECT_EQ(gaps, 0u) << name;
+    }
+    for (const cosy::SqlEvalMode mode :
+         {cosy::SqlEvalMode::kPushdown, cosy::SqlEvalMode::kClientSide,
+          cosy::SqlEvalMode::kWholeCondition}) {
+      cosy::SqlEvaluator sql(model, conn, mode);
+      for (const std::vector<RtValue>& args : contexts) {
+        expect_same(interp.evaluate_property(*prop, args),
+                    sql.evaluate_property(*prop, args),
+                    kojak::support::cat(name, " mode ",
+                                        static_cast<int>(mode), " ",
+                                        args[0].to_display(), " ",
+                                        args[1].to_display(), " ",
+                                        args[2].to_display()));
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Differential: interpreter vs SQL pushdown on every paper property and
 // context of real workloads.
 
