@@ -56,6 +56,7 @@ ExprPtr Expr::clone() const {
   out->agg_kind = agg_kind;
   if (agg_value) out->agg_value = agg_value->clone();
   if (filter) out->filter = filter->clone();
+  out->type = type;
   return out;
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "asl/types.hpp"
 #include "support/source_location.hpp"
 
 namespace kojak::asl::ast {
@@ -68,6 +69,8 @@ struct Expr {
   AggKind agg_kind = AggKind::kMin;
   ExprPtr agg_value;  // value expression of the aggregate (null for COUNT form)
   ExprPtr filter;     // WITH predicate / aggregate AND-filter (may be null)
+
+  Type type;  // checked type, recorded by sema (kError until analyzed)
 
   [[nodiscard]] ExprPtr clone() const;
 };

@@ -33,7 +33,84 @@ int compare_ordered(const RtValue& a, const RtValue& b) {
                                b.to_display()));
 }
 
+/// The in-memory store's data: attribute slots of the object's own class.
+/// It keeps no state, so interpreters on several threads may share it.
+class StoreData final : public DataSource {
+ public:
+  StoreData(const Model& model, const ObjectStore& store)
+      : model_(&model), store_(&store) {}
+
+  RtValue read_member(ObjectId id, const Expr& member) override {
+    const Object& obj = store_->object(id);
+    const ClassInfo& cls = model_->class_info(obj.class_id);
+    const auto index = cls.find_attr(member.name);
+    if (!index) {
+      throw EvalError(support::cat("class ", cls.name, " has no attribute '",
+                                   member.name, "'"));
+    }
+    const RtValue& value = obj.attrs[*index];
+    // A never-populated setof attribute reads as the empty set.
+    if (value.is_null() && cls.attrs[*index].type.kind == TypeKind::kSet) {
+      static const SetPtr kEmpty = std::make_shared<std::vector<ObjectId>>();
+      return RtValue::of_set(kEmpty);
+    }
+    return value;
+  }
+
+ private:
+  const Model* model_;
+  const ObjectStore* store_;
+};
+
 }  // namespace
+
+Interpreter::Interpreter(const Model& model, const ObjectStore& store)
+    : model_(&model),
+      own_data_(std::make_shared<StoreData>(model, store)),
+      data_(own_data_.get()) {}
+
+std::string condition_label(const PropertyInfo& prop, std::size_t i) {
+  const std::string& id = prop.conditions[i].id;
+  return id.empty() ? support::cat("#", i + 1) : id;
+}
+
+PropertyResult decide_property(
+    const PropertyInfo& prop, const std::function<bool(std::size_t)>& condition,
+    const std::function<double(bool, std::size_t)>& arm) {
+  PropertyResult result;
+  std::vector<bool> truth;
+  truth.reserve(prop.conditions.size());
+  for (std::size_t i = 0; i < prop.conditions.size(); ++i) {
+    truth.push_back(condition(i));
+    if (truth.back() && result.matched_condition.empty()) {
+      result.matched_condition = condition_label(prop, i);
+    }
+  }
+  if (result.matched_condition.empty()) return result;
+  result.status = PropertyResult::Status::kHolds;
+
+  const auto held = [&](const std::string& guard) {
+    for (std::size_t i = 0; i < truth.size(); ++i) {
+      if (prop.conditions[i].id == guard) return static_cast<bool>(truth[i]);
+    }
+    return false;
+  };
+  const auto max_arm = [&](bool severity) {
+    const std::vector<GuardedInfo>& arms =
+        severity ? prop.severity : prop.confidence;
+    double best = -std::numeric_limits<double>::infinity();
+    bool any = false;
+    for (std::size_t i = 0; i < arms.size(); ++i) {
+      if (!arms[i].guard.empty() && !held(arms[i].guard)) continue;
+      best = std::max(best, arm(severity, i));
+      any = true;
+    }
+    return any ? best : 0.0;
+  };
+  result.confidence = std::clamp(max_arm(false), 0.0, 1.0);
+  result.severity = max_arm(true);
+  return result;
+}
 
 bool Interpreter::truthy(const RtValue& value) { return value.as_bool(); }
 
@@ -51,9 +128,6 @@ RtValue Interpreter::call(const FunctionInfo& fn, std::vector<RtValue> args) con
 }
 
 RtValue Interpreter::eval_aggregate(const Expr& e, Env& env) const {
-  // Identity form: MAX(scalar) — the degenerate list-MAX over one value.
-  if (!e.base) return eval(*e.agg_value, env);
-
   const RtValue set_value = eval(*e.base, env);
   const std::vector<ObjectId>& members = set_value.as_set();
 
@@ -111,6 +185,45 @@ RtValue Interpreter::eval_aggregate(const Expr& e, Env& env) const {
   throw EvalError("unknown aggregate kind");
 }
 
+RtValue Interpreter::eval_set(const Expr& e, Env& env) const {
+  using Kind = Expr::Kind;
+  // Identity form: MAX(scalar) — the degenerate list-MAX over one value.
+  if (e.kind == Kind::kAggregate && !e.base) return eval(*e.agg_value, env);
+  if (std::optional<RtValue> answered = data_->eval_set(e, env)) {
+    return std::move(*answered);
+  }
+  if (e.kind == Kind::kAggregate) return eval_aggregate(e, env);
+
+  const RtValue set_value = eval(*e.base, env);
+  const std::vector<ObjectId>& members = set_value.as_set();
+  switch (e.kind) {
+    case Kind::kComprehension: {
+      auto result = std::make_shared<std::vector<ObjectId>>();
+      result->reserve(members.size());
+      for (const ObjectId member : members) {
+        bool keep = true;
+        if (e.filter) {
+          env.push(e.name, RtValue::of_object(member));
+          keep = truthy(eval(*e.filter, env));
+          env.pop();
+        }
+        if (keep) result->push_back(member);
+      }
+      return RtValue::of_set(std::move(result));
+    }
+    case Kind::kUnique:
+      if (members.size() != 1) {
+        throw EvalError(support::cat("UNIQUE over a set of size ",
+                                     members.size()));
+      }
+      return RtValue::of_object(members.front());
+    case Kind::kExists:
+      return RtValue::of_bool(!members.empty());
+    default:  // kSize
+      return RtValue::of_int(static_cast<std::int64_t>(members.size()));
+  }
+}
+
 RtValue Interpreter::eval(const Expr& e, Env& env) const {
   using Kind = Expr::Kind;
   switch (e.kind) {
@@ -139,20 +252,7 @@ RtValue Interpreter::eval(const Expr& e, Env& env) const {
         throw EvalError(support::cat("attribute access '.", e.name,
                                      "' on null object"));
       }
-      const Object& obj = store_->object(id);
-      const ClassInfo& cls = model_->class_info(obj.class_id);
-      const auto index = cls.find_attr(e.name);
-      if (!index) {
-        throw EvalError(support::cat("class ", cls.name, " has no attribute '",
-                                     e.name, "'"));
-      }
-      const RtValue& value = obj.attrs[*index];
-      // A never-populated setof attribute reads as the empty set.
-      if (value.is_null() && cls.attrs[*index].type.kind == TypeKind::kSet) {
-        static const SetPtr kEmpty = std::make_shared<std::vector<ObjectId>>();
-        return RtValue::of_set(kEmpty);
-      }
-      return value;
+      return data_->read_member(id, e);
     }
 
     case Kind::kCall: {
@@ -228,53 +328,18 @@ RtValue Interpreter::eval(const Expr& e, Env& env) const {
       throw EvalError("unknown binary operator");
     }
 
-    case Kind::kComprehension: {
-      const RtValue set_value = eval(*e.base, env);
-      const std::vector<ObjectId>& members = set_value.as_set();
-      auto result = std::make_shared<std::vector<ObjectId>>();
-      result->reserve(members.size());
-      for (const ObjectId member : members) {
-        bool keep = true;
-        if (e.filter) {
-          env.push(e.name, RtValue::of_object(member));
-          keep = truthy(eval(*e.filter, env));
-          env.pop();
-        }
-        if (keep) result->push_back(member);
-      }
-      return RtValue::of_set(std::move(result));
-    }
-
+    case Kind::kComprehension:
     case Kind::kAggregate:
-      return eval_aggregate(e, env);
-
-    case Kind::kUnique: {
-      const RtValue set_value = eval(*e.base, env);
-      const std::vector<ObjectId>& members = set_value.as_set();
-      if (members.size() != 1) {
-        throw EvalError(support::cat("UNIQUE over a set of size ",
-                                     members.size()));
-      }
-      return RtValue::of_object(members.front());
-    }
-
-    case Kind::kExists: {
-      const RtValue set_value = eval(*e.base, env);
-      return RtValue::of_bool(!set_value.as_set().empty());
-    }
-
-    case Kind::kSize: {
-      const RtValue set_value = eval(*e.base, env);
-      return RtValue::of_int(
-          static_cast<std::int64_t>(set_value.as_set().size()));
-    }
+    case Kind::kUnique:
+    case Kind::kExists:
+    case Kind::kSize:
+      return eval_set(e, env);
   }
   throw EvalError("unhandled expression kind");
 }
 
 PropertyResult Interpreter::evaluate_property(const PropertyInfo& prop,
                                               std::vector<RtValue> args) const {
-  PropertyResult result;
   if (args.size() != prop.params.size()) {
     throw EvalError(support::cat("property ", prop.name, " expects ",
                                  prop.params.size(), " arguments, got ",
@@ -289,51 +354,21 @@ PropertyResult Interpreter::evaluate_property(const PropertyInfo& prop,
     for (const LetInfo& let : prop.lets) {
       env.push(let.name, eval(*let.init, env));
     }
-
-    // Conditions: OR-combined; remember which held for guarded arms.
-    std::vector<std::pair<std::string, bool>> truth;
-    bool holds = false;
-    for (std::size_t i = 0; i < prop.conditions.size(); ++i) {
-      const ConditionInfo& cond = prop.conditions[i];
-      const bool value = truthy(eval(*cond.pred, env));
-      truth.emplace_back(cond.id, value);
-      if (value && !holds) {
-        holds = true;
-        result.matched_condition =
-            cond.id.empty() ? support::cat("#", i + 1) : cond.id;
-      }
-    }
-    if (!holds) {
-      result.status = PropertyResult::Status::kDoesNotHold;
-      return result;
-    }
-    result.status = PropertyResult::Status::kHolds;
-
-    const auto held = [&](const std::string& guard) {
-      for (const auto& [id, value] : truth) {
-        if (id == guard) return value;
-      }
-      return false;
-    };
-    const auto eval_arms = [&](const std::vector<GuardedInfo>& arms) {
-      double best = -std::numeric_limits<double>::infinity();
-      bool any = false;
-      for (const GuardedInfo& arm : arms) {
-        if (!arm.guard.empty() && !held(arm.guard)) continue;
-        best = std::max(best, eval(*arm.expr, env).as_float());
-        any = true;
-      }
-      return any ? best : 0.0;
-    };
-
-    result.confidence = std::clamp(eval_arms(prop.confidence), 0.0, 1.0);
-    result.severity = eval_arms(prop.severity);
+    return decide_property(
+        prop,
+        [&](std::size_t i) {
+          return truthy(eval(*prop.conditions[i].pred, env));
+        },
+        [&](bool severity, std::size_t i) {
+          const std::vector<GuardedInfo>& arms =
+              severity ? prop.severity : prop.confidence;
+          return eval(*arms[i].expr, env).as_float();
+        });
+  } catch (const support::CompileLimit&) {
+    throw;
   } catch (const EvalError& error) {
-    result = PropertyResult{};
-    result.status = PropertyResult::Status::kNotApplicable;
-    result.note = error.what();
+    return PropertyResult::not_applicable(error.what());
   }
-  return result;
 }
 
 }  // namespace kojak::asl

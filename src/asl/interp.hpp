@@ -1,6 +1,9 @@
 #ifndef KOJAK_ASL_INTERP_HPP
 #define KOJAK_ASL_INTERP_HPP
 
+#include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,7 +29,29 @@ struct PropertyResult {
   std::string note;
 
   [[nodiscard]] bool holds() const noexcept { return status == Status::kHolds; }
+
+  [[nodiscard]] static PropertyResult not_applicable(std::string note) {
+    PropertyResult out;
+    out.status = Status::kNotApplicable;
+    out.note = std::move(note);
+    return out;
+  }
 };
+
+/// How a result names condition `i` of `prop`: its id, or "#<i+1>".
+[[nodiscard]] std::string condition_label(const PropertyInfo& prop,
+                                          std::size_t i);
+
+/// The property contract over one context, shared by every evaluator:
+/// `condition(i)` says whether condition i holds and `arm(severity, i)` is
+/// the value of confidence arm i (severity arm i when `severity`). The first
+/// condition that holds is the match; confidence and severity are each the
+/// maximum over the arms whose guard held (0 without one), and confidence
+/// is clamped to [0, 1]. A callback reports a data gap by throwing, and the
+/// caller turns that into a not-applicable result.
+[[nodiscard]] PropertyResult decide_property(
+    const PropertyInfo& prop, const std::function<bool(std::size_t)>& condition,
+    const std::function<double(bool, std::size_t)>& arm);
 
 /// Variable bindings for expression evaluation (parameters, LET bindings,
 /// comprehension/aggregate binders).
@@ -48,13 +73,38 @@ class Env {
   std::vector<std::pair<std::string, RtValue>> vars_;
 };
 
-/// Tree-walking evaluator over the object store: the semantic reference
-/// implementation of ASL (the SQL-pushdown engine in kojak_cosy must agree
-/// with it; tests check this differentially).
+/// Where the interpreter's data comes from: the in-memory ObjectStore, or a
+/// database the SQL evaluators read (cosy/sql_eval). A source shared by
+/// interpreters on several threads must be stateless, as the store's is.
+class DataSource {
+ public:
+  /// Attribute `member.name` of object `id`, an instance of the class sema
+  /// recorded as `member.base->type`. A setof attribute reads as the ids of
+  /// its members (an unset one as the empty set).
+  [[nodiscard]] virtual RtValue read_member(ObjectId id,
+                                            const ast::Expr& member) = 0;
+  /// The value of a whole set node — a comprehension, an aggregate over a
+  /// set, UNIQUE, EXISTS or SIZE — in `env`, or nullopt to let the
+  /// interpreter run its own loop over the members.
+  [[nodiscard]] virtual std::optional<RtValue> eval_set(
+      const ast::Expr& /*set*/, Env& /*env*/) {
+    return std::nullopt;
+  }
+
+ protected:
+  ~DataSource() = default;
+};
+
+/// The one ASL evaluator: a tree walk over the expressions of a model, the
+/// semantic reference implementation of the language. Its data comes from a
+/// DataSource — the object store, or SQL reads of the imported database (the
+/// site-wise SQL backends of kojak_cosy, which the differential tests pin to
+/// the store-backed interpreter).
 class Interpreter {
  public:
-  Interpreter(const Model& model, const ObjectStore& store)
-      : model_(&model), store_(&store) {}
+  Interpreter(const Model& model, const ObjectStore& store);
+  Interpreter(const Model& model, DataSource& data)
+      : model_(&model), data_(&data) {}
 
   /// Evaluates an expression under the given environment.
   [[nodiscard]] RtValue eval(const ast::Expr& expr, Env& env) const;
@@ -65,16 +115,19 @@ class Interpreter {
 
   /// Evaluates a property for a context (argument values in parameter
   /// order). Evaluation errors yield kNotApplicable, not an exception:
-  /// a data gap in one region must not abort the whole analysis.
+  /// a data gap in one region must not abort the whole analysis. A
+  /// support::CompileLimit of the data source is no data gap and escapes.
   [[nodiscard]] PropertyResult evaluate_property(const PropertyInfo& prop,
                                                  std::vector<RtValue> args) const;
 
  private:
+  [[nodiscard]] RtValue eval_set(const ast::Expr& expr, Env& env) const;
   [[nodiscard]] RtValue eval_aggregate(const ast::Expr& expr, Env& env) const;
   [[nodiscard]] static bool truthy(const RtValue& value);
 
   const Model* model_;
-  const ObjectStore* store_;
+  std::shared_ptr<DataSource> own_data_;  ///< the store's, when built on one
+  DataSource* data_;
 };
 
 }  // namespace kojak::asl

@@ -167,12 +167,11 @@ struct Scope {
 
 class SemaBuilder {
  public:
-  explicit SemaBuilder(ast::SpecFile spec) {
-    model_.spec_ = std::make_shared<const ast::SpecFile>(std::move(spec));
-  }
+  explicit SemaBuilder(ast::SpecFile spec)
+      : spec_(std::make_shared<ast::SpecFile>(std::move(spec))) {}
 
   Model build() {
-    const ast::SpecFile& spec = *model_.spec_;
+    ast::SpecFile& spec = *spec_;
     register_names(spec);
     resolve_classes(spec);
     resolve_constants(spec);
@@ -185,6 +184,7 @@ class SemaBuilder {
       }
       throw SemaError(message, errors_.front().first);
     }
+    model_.spec_ = std::move(spec_);
     return std::move(model_);
   }
 
@@ -321,8 +321,8 @@ class SemaBuilder {
     }
   }
 
-  void resolve_constants(const ast::SpecFile& spec) {
-    for (const auto& cst : spec.constants) {
+  void resolve_constants(ast::SpecFile& spec) {
+    for (auto& cst : spec.constants) {
       if (model_.find_constant(cst.name)) {
         error(cst.loc, support::cat("duplicate constant '", cst.name, "'"));
         continue;
@@ -336,7 +336,7 @@ class SemaBuilder {
     }
   }
 
-  void resolve_functions(const ast::SpecFile& spec) {
+  void resolve_functions(ast::SpecFile& spec) {
     // Register signatures first so functions can call each other.
     for (const auto& fn : spec.functions) {
       if (model_.find_function(fn.name)) {
@@ -352,7 +352,7 @@ class SemaBuilder {
       info.body = fn.body.get();
       model_.functions_.push_back(std::move(info));
     }
-    for (const auto& fn : spec.functions) {
+    for (auto& fn : spec.functions) {
       const FunctionInfo* info = model_.find_function(fn.name);
       if (info == nullptr || info->body != fn.body.get()) continue;
       Scope scope;
@@ -363,8 +363,8 @@ class SemaBuilder {
     }
   }
 
-  void resolve_properties(const ast::SpecFile& spec) {
-    for (const auto& prop : spec.properties) {
+  void resolve_properties(ast::SpecFile& spec) {
+    for (auto& prop : spec.properties) {
       if (model_.find_property(prop.name)) {
         error(prop.loc, support::cat("duplicate property '", prop.name, "'"));
         continue;
@@ -377,7 +377,7 @@ class SemaBuilder {
         info.params.emplace_back(param.name, type);
         scope.vars.emplace_back(param.name, type);
       }
-      for (const auto& let : prop.lets) {
+      for (auto& let : prop.lets) {
         const Type declared = resolve_type(let.type);
         const Type actual = check_expr(*let.init, scope);
         require_assignable(declared, actual, let.loc,
@@ -386,7 +386,7 @@ class SemaBuilder {
         scope.vars.emplace_back(let.name, declared);
       }
       std::set<std::string> condition_ids;
-      for (const auto& cond : prop.conditions) {
+      for (auto& cond : prop.conditions) {
         if (!cond.id.empty() && !condition_ids.insert(cond.id).second) {
           error(cond.loc, support::cat("duplicate condition id '(", cond.id,
                                        ")' in property ", prop.name));
@@ -398,10 +398,10 @@ class SemaBuilder {
         }
         info.conditions.push_back({cond.id, cond.pred.get()});
       }
-      const auto check_arms = [&](const std::vector<ast::GuardedExpr>& arms,
+      const auto check_arms = [&](std::vector<ast::GuardedExpr>& arms,
                                   std::vector<GuardedInfo>& out,
                                   std::string_view what) {
-        for (const auto& arm : arms) {
+        for (auto& arm : arms) {
           if (!arm.guard.empty() && !condition_ids.contains(arm.guard)) {
             error(arm.loc, support::cat(what, " guard '(", arm.guard,
                                         ")' does not name a condition"));
@@ -436,7 +436,14 @@ class SemaBuilder {
 
   // --- expression type checking --------------------------------------------
 
-  Type check_expr(const ast::Expr& e, Scope& scope) {
+  /// Checks `e` and records its type on the node: the evaluators read an
+  /// object's class and a scalar's database mapping from there.
+  Type check_expr(ast::Expr& e, Scope& scope) {
+    e.type = type_of(e, scope);
+    return e.type;
+  }
+
+  Type type_of(ast::Expr& e, Scope& scope) {
     using Kind = ast::Expr::Kind;
     switch (e.kind) {
       case Kind::kIntLit: return Type::of(TypeKind::kInt);
@@ -478,7 +485,7 @@ class SemaBuilder {
         const FunctionInfo* fn = model_.find_function(e.name);
         if (fn == nullptr) {
           error(e.loc, support::cat("unknown function '", e.name, "'"));
-          for (const auto& arg : e.args) check_expr(*arg, scope);
+          for (auto& arg : e.args) check_expr(*arg, scope);
           return Type::error();
         }
         if (e.args.size() != fn->params.size()) {
@@ -620,7 +627,7 @@ class SemaBuilder {
     return Type::error();
   }
 
-  Type check_binary(const ast::Expr& e, Scope& scope) {
+  Type check_binary(ast::Expr& e, Scope& scope) {
     const Type lhs = check_expr(*e.lhs, scope);
     const Type rhs = check_expr(*e.rhs, scope);
     if (lhs.is_error() || rhs.is_error()) return Type::error();
@@ -693,6 +700,7 @@ class SemaBuilder {
     }
   }
 
+  std::shared_ptr<ast::SpecFile> spec_;
   Model model_;
   std::vector<std::pair<SourceLoc, std::string>> errors_;
 };

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
-#include <limits>
 #include <optional>
 #include <set>
 #include <span>
@@ -20,12 +18,12 @@ namespace kojak::cosy {
 
 using asl::ast::AggKind;
 using asl::ast::Expr;
-using asl::EnumVal;
 using asl::ObjectId;
 using asl::PropertyResult;
 using asl::RtValue;
 using asl::Type;
 using asl::TypeKind;
+using support::CompileLimit;
 using support::EvalError;
 using SqlExpr = db::sql::ExprPtr;
 using SqlBinOp = db::sql::BinOp;
@@ -160,24 +158,13 @@ const Expr* unroll_member_chain(const Expr& e,
   return root;
 }
 
-/// A site the SQL translators cannot compile. Whole-condition evaluation
-/// falls back to site-wise on any EvalError; a site-wise compile failure is
-/// not a data gap and escapes evaluate_sitewise as this error.
-class CompileLimit final : public EvalError {
+/// A NULL column of a whole-condition row the property contract consults:
+/// the context is not applicable. (A column of the wrong type is an
+/// EvalError instead, which sends the context site-wise.)
+class DataGap final : public support::Error {
  public:
-  using EvalError::EvalError;
+  using Error::Error;
 };
-
-}  // namespace
-
-/// A runtime value paired with its static ASL type; the SQL strategy needs
-/// the type to know which table an object id lives in.
-struct TV {
-  RtValue v;
-  Type t;
-};
-
-namespace {
 
 /// Accumulates parameters while a plan is being recorded. `params` and
 /// `values` align index-by-index in emission order (kAssertNull entries
@@ -245,7 +232,6 @@ struct Binding {
   std::string_view name;
   Kind kind = Kind::kArg;
   std::size_t arg_index = 0;          // kArg
-  Type type;                          // declared static type
   const Expr* expr = nullptr;         // kExpr
   const EnvFrame* def_env = nullptr;  // scope the expr was written in
 };
@@ -266,8 +252,8 @@ struct SetSpec {
   std::vector<SqlExpr> conjuncts;
   int alias_counter = 0;
   /// Whole-condition scope the set expression was written in: where its
-  /// uncorrelated subexpressions compile. The site-wise translator keeps
-  /// its scope in its own environment and leaves this null.
+  /// uncorrelated subexpressions compile. The site-wise translator
+  /// evaluates them in the interpreter's environment and leaves this null.
   const EnvFrame* env = nullptr;
 
   /// `SELECT <item> FROM ... WHERE c1 AND c2 ...` made of the set (no
@@ -410,7 +396,7 @@ class SetTranslator {
           throw not_compilable(
               e, "member path in a set filter must be rooted at the binder");
         }
-        return {join_path(sq, "b", sq.elem_class, chain).first,
+        return {join_path(sq, "b", sq.elem_class, chain),
                 FilterSql::Null::kLegal};
       }
       case Kind::kUnary:
@@ -441,11 +427,9 @@ class SetTranslator {
   }
 
   /// Walks `chain` starting from `alias` (an instance of `cls_id`), adding
-  /// one JOIN per intermediate object reference; returns the final column
-  /// and its attribute type.
-  std::pair<SqlExpr, Type> join_path(SetSpec& sq, std::string alias,
-                                     std::uint32_t cls_id,
-                                     std::span<const Expr* const> chain) {
+  /// one JOIN per intermediate object reference; returns the final column.
+  SqlExpr join_path(SetSpec& sq, std::string alias, std::uint32_t cls_id,
+                    std::span<const Expr* const> chain) {
     for (std::size_t i = 0; i < chain.size(); ++i) {
       const asl::ClassInfo& cls = model_->class_info(cls_id);
       const auto attr = cls.find_attr(chain[i]->name);
@@ -463,7 +447,7 @@ class SetTranslator {
                                             chain[i]->name,
                                             "' in scalar position"));
         }
-        return {make_column(alias, chain[i]->name), attr_type};
+        return make_column(alias, chain[i]->name);
       }
       if (attr_type.kind != TypeKind::kClass) {
         throw not_compilable(*chain[i],
@@ -562,29 +546,143 @@ void PlanCache::record(bool hit) {
   }
 }
 
-/// Expression evaluator with one environment; issues SQL through the owning
-/// SqlEvaluator's connection.
-class SqlExprEval final : public SetTranslator {
+/// The data of the site-wise SQL evaluators (paper §5): asl::Interpreter
+/// walks the property, and this source answers its member reads with SQL
+/// component fetches and, under pushdown, its set nodes with set queries.
+/// Client-fetch answers no set node, so the interpreter loops over fetched
+/// members itself: the paper's slow path. Statements go through the owning
+/// SqlEvaluator's connection and plan cache.
+class SqlExprEval final : public SetTranslator, public asl::DataSource {
  public:
-  SqlExprEval(SqlEvaluator& owner, const asl::PropertyInfo* prop = nullptr)
-      : SetTranslator(*owner.model_, prop, "SQL strategy: "), owner_(owner) {}
+  explicit SqlExprEval(SqlEvaluator& owner,
+                       const asl::PropertyInfo* prop = nullptr)
+      : SetTranslator(*owner.model_, prop, "SQL strategy: "), owner_(owner),
+        interp_(*owner.model_, *this) {}
+  SqlExprEval(const SqlExprEval&) = delete;  // interp_ reads through `this`
+  SqlExprEval& operator=(const SqlExprEval&) = delete;
 
-  void push(std::string name, TV value) {
-    env_.emplace_back(std::move(name), std::move(value));
-  }
-  void pop() { env_.pop_back(); }
+  [[nodiscard]] const asl::Interpreter& interpreter() const { return interp_; }
 
-  [[nodiscard]] const TV* find(std::string_view name) const {
-    for (auto it = env_.rbegin(); it != env_.rend(); ++it) {
-      if (it->first == name) return &it->second;
+  /// The SQL of a set expression in `env` with its values inline (the
+  /// explain flows): recorded like a plan, then every `?` replaced by the
+  /// literal it binds. Site-wise statements hold no subqueries.
+  std::string explain(const Expr& set_expr, asl::Env& env) {
+    const EnvScope scope(*this, env);
+    PlanBuild build;
+    build_ = &build;
+    std::unique_ptr<db::sql::SelectStmt> select =
+        compile_set(set_expr, nullptr).select(make_column("b", "id"));
+    build_ = nullptr;
+    const auto inline_values = [&](const auto& self, SqlExpr& e) -> void {
+      if (e->kind == db::sql::Expr::Kind::kParam) {
+        e = make_literal(build.values[e->param_index]);
+        return;
+      }
+      if (e->lhs) self(self, e->lhs);
+      if (e->rhs) self(self, e->rhs);
+      for (SqlExpr& arg : e->args) self(self, arg);
+    };
+    for (db::sql::SelectItem& item : select->items) {
+      inline_values(inline_values, item.expr);
     }
-    return nullptr;
+    for (db::sql::Join& join : select->joins) {
+      inline_values(inline_values, join.on);
+    }
+    if (select->where) inline_values(inline_values, select->where);
+    return render(*select);
   }
 
-  [[nodiscard]] const asl::Model& model() const { return *owner_.model_; }
-  [[nodiscard]] bool client_side() const {
-    return owner_.mode_ == SqlEvalMode::kClientSide;
+  // --- the interpreter's data ------------------------------------------------
+
+  /// One attribute record (kAttrFetch), or the member ids of a setof
+  /// attribute (kJunctionIds).
+  RtValue read_member(ObjectId id, const Expr& e) override {
+    if (e.base->type.kind != TypeKind::kClass) {
+      throw EvalError(support::cat("SQL strategy: '.", e.name,
+                                   "' on an expression sema did not type"));
+    }
+    const asl::ClassInfo& cls = model_->class_info(e.base->type.id);
+    const auto attr = cls.find_attr(e.name);
+    if (!attr) {
+      throw EvalError(support::cat("class ", cls.name, " has no attribute '",
+                                   e.name, "'"));
+    }
+    const Type& type = cls.attrs[*attr].type;
+    const db::Value key = db::Value::integer(static_cast<std::int64_t>(id));
+    const std::span<const db::Value> provided(&key, 1);
+    if (type.kind == TypeKind::kSet) {
+      const SiteResult site =
+          run_site(e, SiteKind::kJunctionIds, provided, [&]() -> Compiled {
+            return {sql_select(make_column({}, "member"),
+                               junction_table(cls.name, e.name),
+                               make_binary(SqlBinOp::kEq,
+                                           make_column({}, "owner"),
+                                           emit_provided(0, key))),
+                    type.id};
+          });
+      return RtValue::of_set(member_ids(site.result));
+    }
+    const SiteResult site =
+        run_site(e, SiteKind::kAttrFetch, provided, [&]() -> Compiled {
+          return {sql_select(make_column({}, e.name), cls.name,
+                             make_binary(SqlBinOp::kEq, make_column({}, "id"),
+                                         emit_provided(0, key))),
+                  0};
+        });
+    if (site.result.row_count() != 1) {
+      throw EvalError(support::cat("object ", id, " not found in table ",
+                                   cls.name));
+    }
+    return to_rt_value(site.result.rows[0][0], type);
   }
+
+  /// Pushdown answers every set node with one set query; client-fetch
+  /// declines.
+  std::optional<RtValue> eval_set(const Expr& e, asl::Env& env) override {
+    if (client_side()) return std::nullopt;
+    const EnvScope scope(*this, env);
+    switch (e.kind) {
+      case Expr::Kind::kComprehension:
+        return RtValue::of_set(member_ids(set_ids(e, e).result));
+      case Expr::Kind::kUnique: {
+        const SiteResult site = set_ids(e, *e.base);
+        if (site.result.row_count() != 1) {
+          throw EvalError(support::cat("UNIQUE over a set of size ",
+                                       site.result.row_count()));
+        }
+        return RtValue::of_object(
+            static_cast<ObjectId>(site.result.rows[0][0].as_int()));
+      }
+      case Expr::Kind::kExists:
+      case Expr::Kind::kSize: {
+        const SiteResult site =
+            run_site(e, SiteKind::kSetCount, {}, [&]() -> Compiled {
+              SetSpec sq = compile_set(*e.base, nullptr);
+              return {std::move(sq).select(sql_count_star()), sq.elem_class};
+            });
+        const std::int64_t n = site.result.scalar().as_int();
+        return e.kind == Expr::Kind::kExists ? RtValue::of_bool(n > 0)
+                                             : RtValue::of_int(n);
+      }
+      default:  // kAggregate over a set
+        return aggregate(e);
+    }
+  }
+
+ private:
+  /// Points the leaf rules and bind_plan at the environment of the set node
+  /// being answered, restoring the enclosing one on exit (a leaf may
+  /// evaluate a nested set node in a function's own environment).
+  struct EnvScope {
+    EnvScope(SqlExprEval& self, asl::Env& env) : self(self), saved(self.env_) {
+      self.env_ = &env;
+    }
+    ~EnvScope() { self.env_ = saved; }
+    EnvScope(const EnvScope&) = delete;
+    EnvScope& operator=(const EnvScope&) = delete;
+    SqlExprEval& self;
+    asl::Env* saved;
+  };
 
   // --- plan cache machinery --------------------------------------------------
 
@@ -605,14 +703,14 @@ class SqlExprEval final : public SetTranslator {
 
   /// Emits a context-dependent scalar into the plan being recorded: a bound
   /// parameter, or a NULL literal guarded to stay null.
-  SqlExpr emit_scalar(const Expr* origin, const TV& tv) {
-    if (tv.v.is_null()) {
+  SqlExpr emit_scalar(const Expr* origin, const RtValue& value) {
+    if (value.is_null()) {
       build_->add({origin, CompiledPlan::Slot::kAssertNull, 0, {}},
                   db::Value::null());
       return make_literal(db::Value::null());
     }
     return make_param(build_->add({origin, CompiledPlan::Slot::kValue, 0, {}},
-                                  to_db_value(tv.v, tv.t)));
+                                  to_db_value(value, origin->type)));
   }
 
   /// Emits an object id whose expression is re-evaluated at bind time.
@@ -638,25 +736,23 @@ class SqlExprEval final : public SetTranslator {
     values.clear();
     values.reserve(plan.params.size());
     for (const CompiledPlan::Param& param : plan.params) {
+      if (param.slot == CompiledPlan::Slot::kProvided) {
+        values.push_back(provided[param.provided_index]);
+        continue;
+      }
+      const RtValue value = interp_.eval(*param.expr, *env_);
       switch (param.slot) {
-        case CompiledPlan::Slot::kProvided:
-          values.push_back(provided[param.provided_index]);
-          break;
-        case CompiledPlan::Slot::kObjectId: {
-          const TV tv = eval(*param.expr);
-          if (tv.v.is_null()) throw EvalError(param.null_error);
+        case CompiledPlan::Slot::kObjectId:
+          if (value.is_null()) throw EvalError(param.null_error);
           values.push_back(
-              db::Value::integer(static_cast<std::int64_t>(tv.v.as_object())));
+              db::Value::integer(static_cast<std::int64_t>(value.as_object())));
           break;
-        }
-        case CompiledPlan::Slot::kValue: {
-          const TV tv = eval(*param.expr);
-          if (tv.v.is_null()) return false;
-          values.push_back(to_db_value(tv.v, tv.t));
+        case CompiledPlan::Slot::kValue:
+          if (value.is_null()) return false;
+          values.push_back(to_db_value(value, param.expr->type));
           break;
-        }
-        case CompiledPlan::Slot::kAssertNull:
-          if (!eval(*param.expr).v.is_null()) return false;
+        default:  // kAssertNull
+          if (!value.is_null()) return false;
           break;
       }
     }
@@ -731,164 +827,20 @@ class SqlExprEval final : public SetTranslator {
     return {execute(owner_.entry_for(plan).stmt, values), plan->elem_class};
   }
 
-  /// The SQL of a set expression with this context's values inline (the
-  /// explain flows): recorded like a plan, then every `?` replaced by the
-  /// literal it binds. Site-wise statements hold no subqueries.
-  std::string explain(const Expr& set_expr) {
-    PlanBuild build;
-    build_ = &build;
-    std::unique_ptr<db::sql::SelectStmt> select =
-        compile_set(set_expr, nullptr).select(make_column("b", "id"));
-    build_ = nullptr;
-    const auto inline_values = [&](const auto& self, SqlExpr& e) -> void {
-      if (e->kind == db::sql::Expr::Kind::kParam) {
-        e = make_literal(build.values[e->param_index]);
-        return;
-      }
-      if (e->lhs) self(self, e->lhs);
-      if (e->rhs) self(self, e->rhs);
-      for (SqlExpr& arg : e->args) self(self, arg);
-    };
-    for (db::sql::SelectItem& item : select->items) {
-      inline_values(inline_values, item.expr);
-    }
-    for (db::sql::Join& join : select->joins) {
-      inline_values(inline_values, join.on);
-    }
-    if (select->where) inline_values(inline_values, select->where);
-    return render(*select);
-  }
-
-  // --- client-side set materialization (the §5 slow path) -------------------
-
-  /// Fetches the member ids of a set expression with plain component
-  /// accesses: one junction query per setof attribute, then per-member
-  /// attribute fetches for every filter evaluation.
-  std::pair<std::vector<ObjectId>, std::uint32_t> client_set_ids(const Expr& e) {
-    if (e.kind == Expr::Kind::kMember) {
-      const TV base = eval(*e.base);
-      if (base.t.kind != TypeKind::kClass || base.v.is_null()) {
-        throw EvalError("client fetch: set base must be a non-null object");
-      }
-      const asl::ClassInfo& cls = model().class_info(base.t.id);
-      const auto attr = cls.find_attr(e.name);
-      if (!attr || cls.attrs[*attr].type.kind != TypeKind::kSet) {
-        throw EvalError(support::cat("client fetch: '", e.name,
-                                     "' is not a setof attribute of ",
-                                     cls.name));
-      }
-      const db::Value owner =
-          db::Value::integer(static_cast<std::int64_t>(base.v.as_object()));
-      const std::uint32_t elem_class = cls.attrs[*attr].type.id;
-      const SiteResult site = run_site(
-          e, SiteKind::kJunctionIds, std::span<const db::Value>(&owner, 1),
-          [&]() -> Compiled {
-            return {sql_select(make_column({}, "member"),
-                               junction_table(cls.name, e.name),
-                               make_binary(SqlBinOp::kEq,
-                                           make_column({}, "owner"),
-                                           emit_provided(0, owner))),
-                    elem_class};
-          });
-      std::vector<ObjectId> ids;
-      ids.reserve(site.result.row_count());
-      for (const db::Row& row : site.result.rows) {
-        ids.push_back(static_cast<ObjectId>(row[0].as_int()));
-      }
-      return {std::move(ids), elem_class};
-    }
-    if (e.kind == Expr::Kind::kComprehension) {
-      auto [ids, elem_class] = client_set_ids(*e.base);
-      if (e.filter) {
-        std::vector<ObjectId> kept;
-        for (const ObjectId member : ids) {
-          push(e.name, {RtValue::of_object(member), Type::class_of(elem_class)});
-          const bool keep = eval(*e.filter).v.as_bool();
-          pop();
-          if (keep) kept.push_back(member);
-        }
-        ids = std::move(kept);
-      }
-      return {std::move(ids), elem_class};
-    }
-    throw EvalError(
-        "client fetch: set expression must be a setof attribute chain or a "
-        "comprehension over one");
-  }
-
-  TV eval_client_aggregate(const Expr& e) {
-    auto [ids, elem_class] = client_set_ids(*e.base);
-    double sum = 0.0;
-    double best = 0.0;
-    std::int64_t best_int = 0;
-    bool best_is_int = false;
-    std::size_t count = 0;
-    bool first = true;
-    for (const ObjectId member : ids) {
-      push(e.name, {RtValue::of_object(member), Type::class_of(elem_class)});
-      bool keep = true;
-      if (e.filter) keep = eval(*e.filter).v.as_bool();
-      if (keep) {
-        if (e.agg_kind == asl::ast::AggKind::kCount) {
-          ++count;
-        } else {
-          const TV v = eval(*e.agg_value);
-          const double x = v.v.as_float();
-          sum += x;
-          ++count;
-          const bool better =
-              first || (e.agg_kind == asl::ast::AggKind::kMin ? x < best
-                                                              : x > best);
-          if ((e.agg_kind == asl::ast::AggKind::kMin ||
-               e.agg_kind == asl::ast::AggKind::kMax) &&
-              better) {
-            best = x;
-            best_is_int = v.v.is_int();
-            best_int = best_is_int ? v.v.as_int() : 0;
-          }
-          first = false;
-        }
-      }
-      pop();
-    }
-    switch (e.agg_kind) {
-      case asl::ast::AggKind::kCount:
-        return {RtValue::of_int(static_cast<std::int64_t>(count)),
-                Type::of(TypeKind::kInt)};
-      case asl::ast::AggKind::kSum:
-        return {RtValue::of_float(sum), Type::of(TypeKind::kFloat)};
-      case asl::ast::AggKind::kAvg:
-        if (count == 0) throw EvalError("AVG over an empty set");
-        return {RtValue::of_float(sum / static_cast<double>(count)),
-                Type::of(TypeKind::kFloat)};
-      case asl::ast::AggKind::kMin:
-      case asl::ast::AggKind::kMax:
-        if (count == 0) {
-          throw EvalError(support::cat(asl::ast::to_string(e.agg_kind),
-                                       " over an empty set"));
-        }
-        if (best_is_int) {
-          return {RtValue::of_int(best_int), Type::of(TypeKind::kInt)};
-        }
-        return {RtValue::of_float(best), Type::of(TypeKind::kFloat)};
-    }
-    throw EvalError("unknown aggregate kind");
-  }
-
   // --- set compilation: the site-wise leaf rules --------------------------
 
   std::pair<SqlExpr, std::uint32_t> set_owner(const Expr& e,
                                               const SetSpec&) override {
-    const TV base = eval(e);
-    if (base.t.kind != TypeKind::kClass) {
+    if (e.type.kind != TypeKind::kClass) {
       throw not_compilable(e, "set base must be an object");
     }
-    if (base.v.is_null()) {
+    const RtValue base = interp_.eval(e, *env_);
+    if (base.is_null()) {
       throw EvalError("SQL strategy: set access on null object");
     }
-    return {emit_object(&e, base.v.as_object(),
+    return {emit_object(&e, base.as_object(),
                         "SQL strategy: set access on null object"),
-            base.t.id};
+            e.type.id};
   }
 
   /// Evaluates the subexpression now and binds its value: uncorrelated
@@ -896,281 +848,60 @@ class SqlExprEval final : public SetTranslator {
   /// value is bound under a kValue guard, so it is never null when the
   /// plan runs.
   FilterSql filter_leaf(const Expr& e, const SetSpec&) override {
-    const TV tv = eval(e);
-    return {emit_scalar(&e, tv),
-            tv.v.is_null() ? FilterSql::Null::kIs : FilterSql::Null::kNever};
+    const RtValue value = interp_.eval(e, *env_);
+    return {emit_scalar(&e, value),
+            value.is_null() ? FilterSql::Null::kIs : FilterSql::Null::kNever};
   }
 
-  // --- typed evaluation ------------------------------------------------------
+  [[nodiscard]] bool client_side() const {
+    return owner_.mode_ == SqlEvalMode::kClientSide;
+  }
 
-  TV eval(const Expr& e) {
-    using Kind = Expr::Kind;
-    switch (e.kind) {
-      case Kind::kIntLit:
-        return {RtValue::of_int(e.int_value), Type::of(TypeKind::kInt)};
-      case Kind::kFloatLit:
-        return {RtValue::of_float(e.float_value), Type::of(TypeKind::kFloat)};
-      case Kind::kBoolLit:
-        return {RtValue::of_bool(e.bool_value), Type::of(TypeKind::kBool)};
-      case Kind::kStringLit:
-        return {RtValue::of_string(e.string_value), Type::of(TypeKind::kString)};
-      case Kind::kNullLit:
-        return {RtValue::null(), Type::of(TypeKind::kNullRef)};
-
-      case Kind::kIdent: {
-        if (const TV* var = find(e.name)) return *var;
-        if (const asl::ConstInfo* cst = model().find_constant(e.name)) {
-          return {eval(*cst->value).v, cst->type};
-        }
-        if (const auto member = model().find_enum_member(e.name)) {
-          return {RtValue::of_enum(member->first, member->second),
-                  Type::enum_of(member->first)};
-        }
-        throw EvalError(support::cat("unknown name '", e.name, "'"));
-      }
-
-      case Kind::kMember: {
-        const TV base = eval(*e.base);
-        if (base.t.kind != TypeKind::kClass) {
-          throw EvalError(support::cat("attribute access '.", e.name,
-                                       "' on non-object"));
-        }
-        if (base.v.is_null()) {
-          throw EvalError(support::cat("attribute access '.", e.name,
-                                       "' on null object"));
-        }
-        const asl::ClassInfo& cls = model().class_info(base.t.id);
-        const auto attr = cls.find_attr(e.name);
-        if (!attr) {
-          throw EvalError(support::cat("class ", cls.name,
-                                       " has no attribute '", e.name, "'"));
-        }
-        const Type& attr_type = cls.attrs[*attr].type;
-        if (attr_type.kind == TypeKind::kSet) {
-          throw EvalError(
-              "SQL strategy: set-valued attribute outside a set context");
-        }
-        const db::Value id =
-            db::Value::integer(static_cast<std::int64_t>(base.v.as_object()));
-        const SiteResult site = run_site(
-            e, SiteKind::kAttrFetch, std::span<const db::Value>(&id, 1),
-            [&]() -> Compiled {
-              return {sql_select(make_column({}, e.name), cls.name,
-                                 make_binary(SqlBinOp::kEq,
-                                             make_column({}, "id"),
-                                             emit_provided(0, id))),
-                      0};
-            });
-        if (site.result.row_count() != 1) {
-          throw EvalError(support::cat("object ", base.v.as_object(),
-                                       " not found in table ", cls.name));
-        }
-        return {to_rt_value(site.result.rows[0][0], attr_type), attr_type};
-      }
-
-      case Kind::kCall: {
-        const asl::FunctionInfo* fn = model().find_function(e.name);
-        if (fn == nullptr) {
-          throw EvalError(support::cat("unknown function '", e.name, "'"));
-        }
-        std::vector<TV> args;
-        args.reserve(e.args.size());
-        for (const auto& arg : e.args) args.push_back(eval(*arg));
-        // Functions see only their parameters (no lexical capture).
-        std::vector<std::pair<std::string, TV>> saved;
-        saved.swap(env_);
-        for (std::size_t i = 0; i < args.size(); ++i) {
-          push(fn->params[i].first, std::move(args[i]));
-        }
-        TV result = eval(*fn->body);
-        env_ = std::move(saved);
-        result.t = fn->return_type;
-        return result;
-      }
-
-      case Kind::kUnary: {
-        const TV operand = eval(*e.lhs);
-        if (e.un_op == asl::ast::UnOp::kNot) {
-          return {RtValue::of_bool(!operand.v.as_bool()),
-                  Type::of(TypeKind::kBool)};
-        }
-        if (operand.v.is_int()) {
-          return {RtValue::of_int(-operand.v.as_int()), operand.t};
-        }
-        return {RtValue::of_float(-operand.v.as_float()), operand.t};
-      }
-
-      case Kind::kBinary:
-        return eval_binary(e);
-
-      case Kind::kComprehension: {
-        if (client_side()) {
-          auto [raw, elem_class] = client_set_ids(e);
-          auto ids = std::make_shared<std::vector<ObjectId>>(std::move(raw));
-          return {RtValue::of_set(std::move(ids)), Type::set_of(elem_class)};
-        }
-        const SiteResult site =
-            run_site(e, SiteKind::kSetIds, {}, [&]() -> Compiled {
-              SetSpec sq = compile_set(e, nullptr);
-              return {std::move(sq).select(make_column("b", "id")),
-                      sq.elem_class};
-            });
-        auto ids = std::make_shared<std::vector<ObjectId>>();
-        ids->reserve(site.result.row_count());
-        for (const db::Row& row : site.result.rows) {
-          ids->push_back(static_cast<ObjectId>(row[0].as_int()));
-        }
-        return {RtValue::of_set(std::move(ids)), Type::set_of(site.elem_class)};
-      }
-
-      case Kind::kAggregate: {
-        if (!e.base) return eval(*e.agg_value);  // identity form
-        if (client_side()) return eval_client_aggregate(e);
-        const SiteResult site =
-            run_site(e, SiteKind::kSetAgg, {}, [&]() -> Compiled {
-              SetSpec sq =
-                  filtered_set(*e.base, e.name, e.filter.get(), nullptr);
-              SqlExpr select =
-                  e.agg_kind == AggKind::kCount
-                      ? sql_count_star()
-                      : sql_call(std::string(asl::ast::to_string(e.agg_kind)),
-                                 over_binder(*e.agg_value, sq, false).sql);
-              return {std::move(sq).select(std::move(select)), sq.elem_class};
-            });
-        const db::Value scalar = site.result.scalar();
-        if (e.agg_kind == asl::ast::AggKind::kCount) {
-          return {RtValue::of_int(scalar.as_int()), Type::of(TypeKind::kInt)};
-        }
-        if (scalar.is_null()) {
-          if (e.agg_kind == asl::ast::AggKind::kSum) {
-            return {RtValue::of_float(0.0), Type::of(TypeKind::kFloat)};
-          }
-          throw EvalError(support::cat(asl::ast::to_string(e.agg_kind),
-                                       " over an empty set"));
-        }
-        if (scalar.type() == db::ValueType::kInt) {
-          return {RtValue::of_int(scalar.as_int()), Type::of(TypeKind::kInt)};
-        }
-        return {RtValue::of_float(scalar.as_double()),
-                Type::of(TypeKind::kFloat)};
-      }
-
-      case Kind::kUnique: {
-        if (client_side()) {
-          auto [ids, elem_class] = client_set_ids(*e.base);
-          if (ids.size() != 1) {
-            throw EvalError(support::cat("UNIQUE over a set of size ",
-                                         ids.size()));
-          }
-          return {RtValue::of_object(ids.front()), Type::class_of(elem_class)};
-        }
-        const SiteResult site =
-            run_site(e, SiteKind::kSetIds, {}, [&]() -> Compiled {
-              SetSpec sq = compile_set(*e.base, nullptr);
-              return {std::move(sq).select(make_column("b", "id")),
-                      sq.elem_class};
-            });
-        if (site.result.row_count() != 1) {
-          throw EvalError(support::cat("UNIQUE over a set of size ",
-                                       site.result.row_count()));
-        }
-        return {RtValue::of_object(
-                    static_cast<ObjectId>(site.result.rows[0][0].as_int())),
-                Type::class_of(site.elem_class)};
-      }
-
-      case Kind::kExists:
-      case Kind::kSize: {
-        std::int64_t n = 0;
-        if (client_side()) {
-          n = static_cast<std::int64_t>(client_set_ids(*e.base).first.size());
-        } else {
-          const SiteResult site =
-              run_site(e, SiteKind::kSetCount, {}, [&]() -> Compiled {
-                SetSpec sq = compile_set(*e.base, nullptr);
-                return {std::move(sq).select(sql_count_star()), sq.elem_class};
-              });
-          n = site.result.scalar().as_int();
-        }
-        if (e.kind == Kind::kExists) {
-          return {RtValue::of_bool(n > 0), Type::of(TypeKind::kBool)};
-        }
-        return {RtValue::of_int(n), Type::of(TypeKind::kInt)};
-      }
+  static asl::SetPtr member_ids(const db::QueryResult& result) {
+    auto ids = std::make_shared<std::vector<ObjectId>>();
+    ids->reserve(result.row_count());
+    for (const db::Row& row : result.rows) {
+      ids->push_back(static_cast<ObjectId>(row[0].as_int()));
     }
-    throw EvalError("unhandled expression kind");
+    return ids;
   }
 
-  TV eval_binary(const Expr& e) {
-    using asl::ast::BinOp;
-    switch (e.bin_op) {
-      case BinOp::kAnd: {
-        const TV lhs = eval(*e.lhs);
-        if (!lhs.v.as_bool()) {
-          return {RtValue::of_bool(false), Type::of(TypeKind::kBool)};
-        }
-        return {RtValue::of_bool(eval(*e.rhs).v.as_bool()),
-                Type::of(TypeKind::kBool)};
-      }
-      case BinOp::kOr: {
-        const TV lhs = eval(*e.lhs);
-        if (lhs.v.as_bool()) {
-          return {RtValue::of_bool(true), Type::of(TypeKind::kBool)};
-        }
-        return {RtValue::of_bool(eval(*e.rhs).v.as_bool()),
-                Type::of(TypeKind::kBool)};
-      }
-      case BinOp::kAdd:
-      case BinOp::kSub:
-      case BinOp::kMul: {
-        const TV lhs = eval(*e.lhs);
-        const TV rhs = eval(*e.rhs);
-        const bool as_int = lhs.v.is_int() && rhs.v.is_int();
-        const double x = lhs.v.as_float();
-        const double y = rhs.v.as_float();
-        double r = 0;
-        switch (e.bin_op) {
-          case BinOp::kAdd: r = x + y; break;
-          case BinOp::kSub: r = x - y; break;
-          default: r = x * y; break;
-        }
-        if (as_int) {
-          return {RtValue::of_int(static_cast<std::int64_t>(r)),
-                  Type::of(TypeKind::kInt)};
-        }
-        return {RtValue::of_float(r), Type::of(TypeKind::kFloat)};
-      }
-      case BinOp::kDiv: {
-        const double x = eval(*e.lhs).v.as_float();
-        const double y = eval(*e.rhs).v.as_float();
-        if (y == 0.0) throw EvalError("division by zero");
-        return {RtValue::of_float(x / y), Type::of(TypeKind::kFloat)};
-      }
-      case BinOp::kEq:
-      case BinOp::kNe: {
-        const bool eq = RtValue::equals(eval(*e.lhs).v, eval(*e.rhs).v);
-        return {RtValue::of_bool(e.bin_op == BinOp::kEq ? eq : !eq),
-                Type::of(TypeKind::kBool)};
-      }
-      default: {
-        const double x = eval(*e.lhs).v.as_float();
-        const double y = eval(*e.rhs).v.as_float();
-        bool r = false;
-        switch (e.bin_op) {
-          case BinOp::kLt: r = x < y; break;
-          case BinOp::kLe: r = x <= y; break;
-          case BinOp::kGt: r = x > y; break;
-          default: r = x >= y; break;
-        }
-        return {RtValue::of_bool(r), Type::of(TypeKind::kBool)};
-      }
+  /// The kSetIds site of `site`: the member ids of `set`.
+  SiteResult set_ids(const Expr& site, const Expr& set) {
+    return run_site(site, SiteKind::kSetIds, {}, [&]() -> Compiled {
+      SetSpec sq = compile_set(set, nullptr);
+      return {std::move(sq).select(make_column("b", "id")), sq.elem_class};
+    });
+  }
+
+  RtValue aggregate(const Expr& e) {
+    const SiteResult site =
+        run_site(e, SiteKind::kSetAgg, {}, [&]() -> Compiled {
+          SetSpec sq = filtered_set(*e.base, e.name, e.filter.get(), nullptr);
+          SqlExpr select =
+              e.agg_kind == AggKind::kCount
+                  ? sql_count_star()
+                  : sql_call(std::string(asl::ast::to_string(e.agg_kind)),
+                             over_binder(*e.agg_value, sq, false).sql);
+          return {std::move(sq).select(std::move(select)), sq.elem_class};
+        });
+    const db::Value scalar = site.result.scalar();
+    if (e.agg_kind == AggKind::kCount) return RtValue::of_int(scalar.as_int());
+    if (scalar.is_null()) {
+      if (e.agg_kind == AggKind::kSum) return RtValue::of_float(0.0);
+      throw EvalError(support::cat(asl::ast::to_string(e.agg_kind),
+                                   " over an empty set"));
     }
+    if (scalar.type() == db::ValueType::kInt) {
+      return RtValue::of_int(scalar.as_int());
+    }
+    return RtValue::of_float(scalar.as_double());
   }
 
- private:
   SqlEvaluator& owner_;
+  asl::Interpreter interp_;
   PlanBuild* build_ = nullptr;
-  std::vector<std::pair<std::string, TV>> env_;
+  asl::Env* env_ = nullptr;  ///< environment of the set node being answered
 };
 
 namespace {
@@ -1229,18 +960,18 @@ class WholeConditionCompiler final : public SetTranslator {
     const EnvFrame* env = nullptr;
     for (std::size_t i = 0; i < prop_->params.size(); ++i) {
       env = push(env, Binding{prop_->params[i].first, Binding::Kind::kArg, i,
-                              prop_->params[i].second, nullptr, nullptr});
+                              nullptr, nullptr});
     }
     std::vector<const EnvFrame*> let_envs;  // scope visible to each LET init
     for (const asl::LetInfo& let : prop_->lets) {
       let_envs.push_back(env);
-      env = push(env, Binding{let.name, Binding::Kind::kExpr, 0, let.type,
-                              let.init, env});
+      env = push(env,
+                 Binding{let.name, Binding::Kind::kExpr, 0, let.init, env});
     }
 
     auto select = std::make_unique<db::sql::SelectStmt>();
-    const auto add = [&](TSql column) {
-      select->items.push_back({std::move(column.sql), {}, false, {}});
+    const auto add = [&](SqlExpr column) {
+      select->items.push_back({std::move(column), {}, false, {}});
     };
     // Probe the LETs whose evaluation can only yield NULL through a data
     // gap the interpreter would have thrown on (UNIQUE over a non-singleton
@@ -1275,13 +1006,6 @@ class WholeConditionCompiler final : public SetTranslator {
   }
 
  private:
-  /// SQL tree with its static ASL type (needed to resolve member chains and
-  /// junction tables without a runtime context).
-  struct TSql {
-    SqlExpr sql;
-    Type type;
-  };
-
   struct DepthGuard {
     DepthGuard(WholeConditionCompiler& self, const Expr& at) : self_(self) {
       if (++self_.depth_ > kMaxInlineDepth) {
@@ -1308,17 +1032,16 @@ class WholeConditionCompiler final : public SetTranslator {
 
   std::pair<SqlExpr, std::uint32_t> set_owner(const Expr& e,
                                               const SetSpec& sq) override {
-    TSql owner = scalar(e, sq.env);
-    if (owner.type.kind != TypeKind::kClass) {
+    if (e.type.kind != TypeKind::kClass) {
       throw not_compilable(e, "set base is not an object");
     }
-    return {std::move(owner.sql), owner.type.id};
+    return {scalar(e, sq.env), e.type.id};
   }
 
   /// Compiles the subexpression symbolically; filter_null() says how
   /// equality treats its NULL.
   FilterSql filter_leaf(const Expr& e, const SetSpec& sq) override {
-    return {scalar(e, sq.env).sql, filter_null(e, sq.env)};
+    return {scalar(e, sq.env), filter_null(e, sq.env)};
   }
 
   /// A property argument is never null here: a context whose argument is
@@ -1384,8 +1107,7 @@ class WholeConditionCompiler final : public SetTranslator {
     const EnvFrame* fn_env = nullptr;
     for (std::size_t i = 0; i < call.args.size(); ++i) {
       fn_env = push(fn_env, Binding{fn.params[i].first, Binding::Kind::kExpr, 0,
-                                    fn.params[i].second, call.args[i].get(),
-                                    env});
+                                    call.args[i].get(), env});
     }
     return fn_env;
   }
@@ -1674,42 +1396,34 @@ class WholeConditionCompiler final : public SetTranslator {
 
   // --- scalar position (no set binder in scope) ----------------------------
 
-  TSql scalar(const Expr& e, const EnvFrame* env) {  // NOLINT(misc-no-recursion)
+  SqlExpr scalar(const Expr& e,  // NOLINT(misc-no-recursion)
+                 const EnvFrame* env) {
     using Kind = Expr::Kind;
     switch (e.kind) {
       case Kind::kIntLit:
-        return {make_literal(db::Value::integer(e.int_value)),
-                Type::of(TypeKind::kInt)};
+        return make_literal(db::Value::integer(e.int_value));
       case Kind::kFloatLit:
-        return {make_literal(db::Value::real(e.float_value)),
-                Type::of(TypeKind::kFloat)};
+        return make_literal(db::Value::real(e.float_value));
       case Kind::kBoolLit:
-        return {make_literal(db::Value::boolean(e.bool_value)),
-                Type::of(TypeKind::kBool)};
+        return make_literal(db::Value::boolean(e.bool_value));
       case Kind::kStringLit:
-        return {make_literal(db::Value::text(e.string_value)),
-                Type::of(TypeKind::kString)};
+        return make_literal(db::Value::text(e.string_value));
       case Kind::kNullLit:
-        return {make_literal(db::Value::null()), Type::of(TypeKind::kNullRef)};
+        return make_literal(db::Value::null());
 
       case Kind::kIdent: {
         if (const Binding* bound = lookup(e.name, env)) {
           if (bound->kind == Binding::Kind::kArg) {
-            return {arg_param(bound->arg_index), bound->type};
+            return arg_param(bound->arg_index);
           }
           const DepthGuard guard(*this, e);
-          TSql inner = scalar(*bound->expr, bound->def_env);
-          inner.type = bound->type;  // the declared alias type wins
-          return inner;
+          return scalar(*bound->expr, bound->def_env);
         }
         if (const asl::ConstInfo* cst = model_->find_constant(e.name)) {
-          TSql value = scalar(*cst->value, nullptr);
-          value.type = cst->type;
-          return value;
+          return scalar(*cst->value, nullptr);
         }
         if (const auto member = model_->find_enum_member(e.name)) {
-          return {make_literal(db::Value::integer(member->second)),
-                  Type::enum_of(member->first)};
+          return make_literal(db::Value::integer(member->second));
         }
         throw not_compilable(e, support::cat("unknown name '", e.name, "'"));
       }
@@ -1720,12 +1434,8 @@ class WholeConditionCompiler final : public SetTranslator {
       case Kind::kCall:
         return inline_call(e, env);
 
-      case Kind::kUnary: {
-        TSql operand = scalar(*e.lhs, env);
-        return {make_unary(sql_operator(e.un_op), std::move(operand.sql)),
-                e.un_op == asl::ast::UnOp::kNot ? Type::of(TypeKind::kBool)
-                                                : operand.type};
-      }
+      case Kind::kUnary:
+        return make_unary(sql_operator(e.un_op), scalar(*e.lhs, env));
 
       case Kind::kBinary:
         return binary(e, env);
@@ -1738,8 +1448,7 @@ class WholeConditionCompiler final : public SetTranslator {
         // subquery is assembled.
         SqlExpr arg =
             count ? nullptr : over_binder(*e.agg_value, sq, false).sql;
-        return {aggregate_scalar(e.agg_kind, std::move(arg), sq),
-                Type::of(count ? TypeKind::kInt : TypeKind::kFloat)};
+        return aggregate_scalar(e.agg_kind, std::move(arg), sq);
       }
 
       case Kind::kUnique: {
@@ -1748,20 +1457,17 @@ class WholeConditionCompiler final : public SetTranslator {
         // (several members abort the statement, zero yields NULL — both
         // surface as not-applicable, as the interpreter's throw would).
         SetSpec sq = compile_set(*e.base, env);
-        return {make_subquery(std::move(sq).select(make_column("b", "id"))),
-                Type::class_of(sq.elem_class)};
+        return make_subquery(std::move(sq).select(make_column("b", "id")));
       }
       case Kind::kExists: {
         SetSpec sq = compile_set(*e.base, env);
-        return {make_binary(SqlBinOp::kGt,
+        return make_binary(SqlBinOp::kGt,
                            aggregate_scalar(AggKind::kCount, nullptr, sq),
-                           make_literal(db::Value::integer(0))),
-                Type::of(TypeKind::kBool)};
+                           make_literal(db::Value::integer(0)));
       }
       case Kind::kSize: {
         SetSpec sq = compile_set(*e.base, env);
-        return {aggregate_scalar(AggKind::kCount, nullptr, sq),
-                Type::of(TypeKind::kInt)};
+        return aggregate_scalar(AggKind::kCount, nullptr, sq);
       }
 
       case Kind::kComprehension:
@@ -1770,9 +1476,9 @@ class WholeConditionCompiler final : public SetTranslator {
     throw not_compilable(e, "unhandled expression kind");
   }
 
-  TSql binary(const Expr& e, const EnvFrame* env) {  // NOLINT(misc-no-recursion)
+  SqlExpr binary(const Expr& e,  // NOLINT(misc-no-recursion)
+                 const EnvFrame* env) {
     using asl::ast::BinOp;
-    const Type boolean = Type::of(TypeKind::kBool);
     if (e.bin_op == BinOp::kEq || e.bin_op == BinOp::kNe) {
       // ASL equality is total over *legal* nulls (RtValue::equals: an unset
       // attribute equals only null, never an error), but a NULL produced by
@@ -1791,7 +1497,7 @@ class WholeConditionCompiler final : public SetTranslator {
         equal = make_literal(db::Value::boolean(true));
       } else if (lhs_nulllit || rhs_nulllit) {
         const Expr& tested = lhs_nulllit ? *e.rhs : *e.lhs;
-        SqlExpr tested_sql = scalar(tested, env).sql;
+        SqlExpr tested_sql = scalar(tested, env);
         if (may_be_null(tested, env, 0)) {
           equal = make_is_null(std::move(tested_sql));
         } else {
@@ -1803,67 +1509,48 @@ class WholeConditionCompiler final : public SetTranslator {
       } else {
         const bool lhs_legal = may_be_null(*e.lhs, env, 0);
         const bool rhs_legal = may_be_null(*e.rhs, env, 0);
-        TSql lhs = scalar(*e.lhs, env);
-        TSql rhs = scalar(*e.rhs, env);
+        SqlExpr lhs = scalar(*e.lhs, env);
+        SqlExpr rhs = scalar(*e.rhs, env);
         if (lhs_legal && rhs_legal) {
-          equal = total_equality(std::move(lhs.sql), std::move(rhs.sql));
+          equal = total_equality(std::move(lhs), std::move(rhs));
         } else if (!lhs_legal && !rhs_legal) {
           // NULL only arises from gaps: propagate it.
-          equal = make_binary(SqlBinOp::kEq, std::move(lhs.sql),
-                             std::move(rhs.sql));
+          equal = make_binary(SqlBinOp::kEq, std::move(lhs), std::move(rhs));
         } else {
-          SqlExpr gap = (lhs_legal ? rhs.sql : lhs.sql)->clone();
+          SqlExpr gap = (lhs_legal ? rhs : lhs)->clone();
           equal = sql_call(
               "IIF", make_is_null(std::move(gap)),
               make_literal(db::Value::null()),
               sql_call("COALESCE",
-                       make_binary(SqlBinOp::kEq, std::move(lhs.sql),
-                                  std::move(rhs.sql)),
+                       make_binary(SqlBinOp::kEq, std::move(lhs),
+                                  std::move(rhs)),
                        make_literal(db::Value::boolean(false))));
         }
       }
       if (e.bin_op == BinOp::kNe) {
         equal = make_unary(db::sql::UnOp::kNot, std::move(equal));
       }
-      return {std::move(equal), boolean};
+      return equal;
     }
-    TSql lhs = scalar(*e.lhs, env);
-    TSql rhs = scalar(*e.rhs, env);
+    SqlExpr lhs = scalar(*e.lhs, env);
+    SqlExpr rhs = scalar(*e.rhs, env);
     if (e.bin_op == BinOp::kAnd || e.bin_op == BinOp::kOr) {
       // ASL short-circuits left to right: a null (data-gap) LEFT operand is
       // an evaluation error, while the right operand is only consulted when
       // the left doesn't decide. SQL's three-valued logic would instead let
       // a dominating right operand absorb the gap (NULL OR TRUE = TRUE), so
       // a NULL left operand must poison the result explicitly.
-      SqlExpr tested = make_is_null(lhs.sql->clone());
-      return {sql_call("IIF", std::move(tested),
-                       make_literal(db::Value::null()),
-                       make_binary(sql_operator(e.bin_op), std::move(lhs.sql),
-                                  std::move(rhs.sql))),
-              boolean};
+      SqlExpr tested = make_is_null(lhs->clone());
+      return sql_call("IIF", std::move(tested),
+                      make_literal(db::Value::null()),
+                      make_binary(sql_operator(e.bin_op), std::move(lhs),
+                                  std::move(rhs)));
     }
-    Type type = boolean;
-    switch (e.bin_op) {
-      case BinOp::kAdd:
-      case BinOp::kSub:
-      case BinOp::kMul:
-        type = (lhs.type.kind == TypeKind::kInt &&
-                rhs.type.kind == TypeKind::kInt)
-                   ? Type::of(TypeKind::kInt)
-                   : Type::of(TypeKind::kFloat);
-        break;
-      case BinOp::kDiv:
-        type = Type::of(TypeKind::kFloat);
-        break;
-      default:
-        break;
-    }
-    return {make_binary(sql_operator(e.bin_op), std::move(lhs.sql),
-                       std::move(rhs.sql)),
-            type};
+    return make_binary(sql_operator(e.bin_op), std::move(lhs), std::move(rhs));
   }
 
-  TSql inline_call(const Expr& e, const EnvFrame* env) {  // NOLINT(misc-no-recursion)
+  SqlExpr inline_call(const Expr& e,  // NOLINT(misc-no-recursion)
+                      const EnvFrame* env) {
     const asl::FunctionInfo* fn = model_->find_function(e.name);
     if (fn == nullptr) {
       throw not_compilable(e, support::cat("unknown function '", e.name, "'"));
@@ -1875,9 +1562,7 @@ class WholeConditionCompiler final : public SetTranslator {
     const DepthGuard guard(*this, e);
     // The body sees only the parameters; each argument expression compiles
     // (where referenced) in the caller's scope.
-    TSql body = scalar(*fn->body, call_env(*fn, e, env));
-    body.type = fn->return_type;
-    return body;
+    return scalar(*fn->body, call_env(*fn, e, env));
   }
 
   /// Follows LET/parameter aliases and inlines specification functions
@@ -1909,7 +1594,8 @@ class WholeConditionCompiler final : public SetTranslator {
   /// aliases and function inlining; a UNIQUE root fuses into one subquery
   /// (`Summary(r,t).Incl` becomes `SELECT b.Incl FROM <set> WHERE ...`),
   /// any other object-valued root anchors a fresh per-class subquery.
-  TSql member_chain(const Expr& e, const EnvFrame* env) {  // NOLINT(misc-no-recursion)
+  SqlExpr member_chain(const Expr& e,  // NOLINT(misc-no-recursion)
+                       const EnvFrame* env) {
     std::vector<const Expr*> chain;
     const Expr* root = unroll_member_chain(e, chain);
 
@@ -1918,23 +1604,23 @@ class WholeConditionCompiler final : public SetTranslator {
 
     if (root->kind == Expr::Kind::kUnique) {
       SetSpec sq = compile_set(*root->base, root_env);
-      auto [column, type] = join_path(sq, "b", sq.elem_class, chain);
-      return {make_subquery(std::move(sq).select(std::move(column))), type};
+      SqlExpr column = join_path(sq, "b", sq.elem_class, chain);
+      return make_subquery(std::move(sq).select(std::move(column)));
     }
 
-    TSql base = scalar(*root, root_env);
-    if (base.type.kind != TypeKind::kClass) {
+    SqlExpr base = scalar(*root, root_env);
+    if (root->type.kind != TypeKind::kClass) {
       throw not_compilable(e, support::cat("attribute access '.",
                                            chain.front()->name,
                                            "' on a non-object expression"));
     }
     SetSpec sq;
     sq.env = root_env;
-    sq.from = sql_table(model_->class_info(base.type.id).name, "a0");
+    sq.from = sql_table(model_->class_info(root->type.id).name, "a0");
     sq.conjuncts.push_back(make_binary(SqlBinOp::kEq, make_column("a0", "id"),
-                                      std::move(base.sql)));
-    auto [column, type] = join_path(sq, "a0", base.type.id, chain);
-    return {make_subquery(std::move(sq).select(std::move(column))), type};
+                                      std::move(base)));
+    SqlExpr column = join_path(sq, "a0", root->type.id, chain);
+    return make_subquery(std::move(sq).select(std::move(column)));
   }
 
   static constexpr int kMaxInlineDepth = 16;
@@ -1971,77 +1657,6 @@ class WholeConditionCompiler final : public SetTranslator {
   std::size_t part_counter_ = 0;
   std::set<std::string> counted_rewrites_;  // telemetry dedup by coordinator
 };
-
-PropertyResult not_applicable(std::string note) {
-  PropertyResult out;
-  out.status = PropertyResult::Status::kNotApplicable;
-  out.note = std::move(note);
-  return out;
-}
-
-/// The property contract over condition truths and arm values: the first
-/// holding condition is the match, and confidence and severity are each the
-/// max over the arms whose guard held (0 without one). `condition(i)` and
-/// `arm(severity, i)` return nullopt for a data gap — a NULL column of the
-/// whole-condition row (the site-wise evaluator throws instead) — which
-/// makes the context not applicable.
-PropertyResult property_result(
-    const asl::PropertyInfo& prop,
-    const std::function<std::optional<bool>(std::size_t)>& condition,
-    const std::function<std::optional<double>(bool, std::size_t)>& arm) {
-  PropertyResult out;
-  std::vector<bool> truth;
-  const auto label = [&prop](std::size_t i) {
-    return prop.conditions[i].id.empty() ? support::cat("#", i + 1)
-                                         : prop.conditions[i].id;
-  };
-  for (std::size_t i = 0; i < prop.conditions.size(); ++i) {
-    const std::optional<bool> held = condition(i);
-    if (!held) {
-      return not_applicable(support::cat("whole-condition: condition ",
-                                         label(i), " hit a data gap"));
-    }
-    truth.push_back(*held);
-    if (*held && out.matched_condition.empty()) {
-      out.matched_condition = label(i);
-    }
-  }
-  if (out.matched_condition.empty()) {
-    out.status = PropertyResult::Status::kDoesNotHold;
-    return out;
-  }
-  out.status = PropertyResult::Status::kHolds;
-  const auto guard_held = [&](const std::string& guard) {
-    for (std::size_t i = 0; i < truth.size(); ++i) {
-      if (prop.conditions[i].id == guard) return static_cast<bool>(truth[i]);
-    }
-    return false;
-  };
-  const auto max_arm = [&](bool severity) -> std::optional<double> {
-    const auto& arms = severity ? prop.severity : prop.confidence;
-    double best = -std::numeric_limits<double>::infinity();
-    bool any = false;
-    for (std::size_t i = 0; i < arms.size(); ++i) {
-      if (!arms[i].guard.empty() && !guard_held(arms[i].guard)) continue;
-      const std::optional<double> value = arm(severity, i);
-      if (!value) return std::nullopt;
-      best = std::max(best, *value);
-      any = true;
-    }
-    return any ? best : 0.0;
-  };
-  const std::optional<double> confidence = max_arm(false);
-  if (!confidence) {
-    return not_applicable("whole-condition: a confidence arm hit a data gap");
-  }
-  const std::optional<double> severity = max_arm(true);
-  if (!severity) {
-    return not_applicable("whole-condition: a severity arm hit a data gap");
-  }
-  out.confidence = std::clamp(*confidence, 0.0, 1.0);
-  out.severity = *severity;
-  return out;
-}
 
 }  // namespace
 
@@ -2293,9 +1908,9 @@ PropertyResult SqlEvaluator::evaluate_property(const asl::PropertyInfo& prop,
     } catch (const EvalError&) {
       // The property does not compile into one statement, or the statement
       // failed structurally (e.g. a UNIQUE set with several members aborts
-      // the scalar subquery). Re-evaluate site by site: that path is pinned
-      // against the interpreter differentially, so results stay identical —
-      // only the statement count grows for this context.
+      // the scalar subquery). Re-evaluate site by site: that path is the
+      // interpreter over SQL data, so results stay identical — only the
+      // statement count grows for this context.
       ++stats_.whole_fallbacks;
     }
   }
@@ -2394,21 +2009,36 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
   // would have thrown before looking at any condition.
   for (std::size_t i = 0; i < lets; ++i) {
     if (row[i].is_null()) {
-      return not_applicable("whole-condition: a LET binding hit a data gap");
+      return PropertyResult::not_applicable(
+          "whole-condition: a LET binding hit a data gap");
     }
   }
   // A NULL in a considered arm is a data gap; NULLs in skipped arms never
   // matter — exactly the arms the interpreter would (not) have evaluated.
-  return property_result(
-      prop,
-      [&](std::size_t i) -> std::optional<bool> {
-        const db::Value& v = row[lets + i];
-        return v.is_null() ? std::nullopt : std::optional(v.as_bool());
-      },
-      [&](bool severity, std::size_t i) -> std::optional<double> {
-        const db::Value& v = row[lets + conds + (severity ? confs : 0) + i];
-        return v.is_null() ? std::nullopt : std::optional(v.as_double());
-      });
+  try {
+    return asl::decide_property(
+        prop,
+        [&](std::size_t i) {
+          const db::Value& v = row[lets + i];
+          if (v.is_null()) {
+            throw DataGap(support::cat("whole-condition: condition ",
+                                       asl::condition_label(prop, i),
+                                       " hit a data gap"));
+          }
+          return v.as_bool();
+        },
+        [&](bool severity, std::size_t i) {
+          const db::Value& v = row[lets + conds + (severity ? confs : 0) + i];
+          if (v.is_null()) {
+            throw DataGap(support::cat("whole-condition: a ",
+                                       severity ? "severity" : "confidence",
+                                       " arm hit a data gap"));
+          }
+          return v.as_double();
+        });
+  } catch (const DataGap& gap) {
+    return PropertyResult::not_applicable(gap.what());
+  }
 }
 
 std::string SqlEvaluator::explain_whole_condition(
@@ -2432,42 +2062,19 @@ std::string SqlEvaluator::explain_whole_condition(
 
 PropertyResult SqlEvaluator::evaluate_sitewise(const asl::PropertyInfo& prop,
                                                std::vector<RtValue> args) {
-  SqlExprEval eval(*this, &prop);
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    eval.push(prop.params[i].first, {std::move(args[i]), prop.params[i].second});
-  }
-
-  try {
-    for (const asl::LetInfo& let : prop.lets) {
-      TV value = eval.eval(*let.init);
-      value.t = let.type;
-      eval.push(let.name, std::move(value));
-    }
-
-    return property_result(
-        prop,
-        [&](std::size_t i) -> std::optional<bool> {
-          return eval.eval(*prop.conditions[i].pred).v.as_bool();
-        },
-        [&](bool severity, std::size_t i) -> std::optional<double> {
-          const auto& arms = severity ? prop.severity : prop.confidence;
-          return eval.eval(*arms[i].expr).v.as_float();
-        });
-  } catch (const CompileLimit&) {
-    throw;  // a compile limitation is not a data gap
-  } catch (const EvalError& error) {
-    return not_applicable(error.what());
-  }
+  SqlExprEval data(*this, &prop);
+  return data.interpreter().evaluate_property(prop, std::move(args));
 }
 
 std::string SqlEvaluator::explain_set(const Expr& set_expr,
                                       const asl::PropertyInfo& prop,
                                       const std::vector<RtValue>& args) {
-  SqlExprEval eval(*this);  // no property context: plans stay untouched
+  SqlExprEval data(*this);  // no property context: plans stay untouched
+  asl::Env env;
   for (std::size_t i = 0; i < args.size() && i < prop.params.size(); ++i) {
-    eval.push(prop.params[i].first, {args[i], prop.params[i].second});
+    env.push(prop.params[i].first, args[i]);
   }
-  return eval.explain(set_expr);
+  return data.explain(set_expr, env);
 }
 
 }  // namespace kojak::cosy

@@ -145,13 +145,22 @@ class PlanCache {
 /// kClientSide mode it is exactly that slow alternative, kept as the
 /// measured baseline of experiment T3.
 ///
-/// Restrictions (checked, explained in the thrown EvalError):
-///  * the data model must be inheritance-free (concrete tables per class),
-///  * set expressions must be syntactic member chains or comprehensions,
-///  * aggregates correlated with an enclosing binder are not supported in
-///    kPushdown mode.
-/// The COSY model and property suites satisfy all three; anything outside
-/// falls back to the interpreter at the analyzer level.
+/// Both site-wise modes run asl::Interpreter, the one ASL evaluator, over
+/// data read with SQL: each member read is an attribute or junction fetch,
+/// and in kPushdown each set node (comprehension, aggregate over a set,
+/// UNIQUE, EXISTS, SIZE) is one set query. kClientSide answers no set node,
+/// so the interpreter loops over the fetched members itself.
+/// kWholeCondition compiles the whole property into one statement and
+/// re-evaluates a context site-wise when that statement cannot serve it.
+///
+/// Restrictions (checked):
+///  * the data model must be inheritance-free (concrete tables per class;
+///    the constructor throws EvalError),
+///  * in kPushdown, set expressions must be syntactic member chains or
+///    comprehensions over one, and expressions over a set's binder are
+///    limited to member chains and scalar glue: any other site throws a
+///    located support::CompileLimit, never a not-applicable result.
+/// The COSY model and property suites satisfy both.
 ///
 /// An evaluator instance is not thread-safe (it owns a connection and its
 /// prepared statements); run one evaluator per worker. Every evaluator
@@ -172,9 +181,10 @@ class SqlEvaluator {
                PlanCache* plan_cache = nullptr, bool common_subexpr = true);
 
   /// Evaluates a property for a context; arguments are RtValues whose
-  /// object references are database ids. Mirrors
-  /// asl::Interpreter::evaluate_property (differential tests pin them
-  /// together).
+  /// object references are database ids. Site-wise this is
+  /// asl::Interpreter::evaluate_property over SQL data; whole-condition maps
+  /// its one result row through the same asl::decide_property contract
+  /// (differential tests pin every mode to the store-backed interpreter).
   [[nodiscard]] asl::PropertyResult evaluate_property(
       const asl::PropertyInfo& prop, std::vector<asl::RtValue> args);
 
@@ -260,8 +270,8 @@ class SqlEvaluator {
   /// prepared statements, so statements are per-evaluator, plans shared).
   StatementEntry& entry_for(const std::shared_ptr<const CompiledPlan>& plan);
 
-  /// Site-by-site evaluation (pushdown / client-side), also the fallback of
-  /// the whole-condition mode.
+  /// The interpreter over this evaluator's SQL data (pushdown /
+  /// client-side), also the fallback of the whole-condition mode.
   [[nodiscard]] asl::PropertyResult evaluate_sitewise(
       const asl::PropertyInfo& prop, std::vector<asl::RtValue> args);
   /// One-statement whole-condition evaluation; throws EvalError when the

@@ -46,6 +46,14 @@ class EvalError : public Error {
   using Error::Error;
 };
 
+/// A construct an evaluation engine cannot translate (a site no SQL
+/// translator compiles). It is an EvalError but no data gap: evaluators let
+/// it escape instead of reporting the context not applicable.
+class CompileLimit : public EvalError {
+ public:
+  using EvalError::EvalError;
+};
+
 /// Failure while importing performance data (malformed report file, ...).
 class ImportError : public Error {
  public:

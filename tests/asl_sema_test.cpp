@@ -238,6 +238,23 @@ TEST(SemaTypes, NumericPromotion) {
   EXPECT_EQ(model.find_function("H")->return_type.kind, TypeKind::kFloat);
 }
 
+TEST(SemaTypes, RecordsEachExpressionTypeOnTheAst) {
+  // The evaluators read an object's class and a scalar's database mapping
+  // from the checked AST, and a clone keeps them.
+  const asl::Model model = analyze_ok(
+      "int G(Leaf l) = l.N + 1;\n"
+      "float H(Node n) = SIZE(n.Leaves) * 0.5;\n");
+  const asl::ast::Expr& g = *model.find_function("G")->body;
+  EXPECT_EQ(g.type.kind, TypeKind::kInt);
+  EXPECT_EQ(g.lhs->base->type, asl::Type::class_of(*model.find_class("Leaf")));
+  EXPECT_EQ(g.lhs->type.kind, TypeKind::kInt);
+  const asl::ast::Expr& h = *model.find_function("H")->body;
+  EXPECT_EQ(h.type.kind, TypeKind::kFloat);
+  EXPECT_EQ(h.lhs->base->type,
+            asl::Type::set_of(*model.find_class("Leaf")));
+  EXPECT_EQ(h.clone()->lhs->base->type, h.lhs->base->type);
+}
+
 TEST(SemaTypes, NullComparableWithObjects) {
   (void)analyze_ok("bool F(Node n) = n.Next == null;");
 }
