@@ -152,10 +152,10 @@ void print_summary_table() {
             << " properties, SQL pushdown over the Postgres profile ===\n"
             << table.render()
             << "(backend ms = modelled wire/server time summed over every "
-               "pooled session, which no scheduling moves; 'sequential loop' "
-               "is one session doing every run in order with no plan cache. "
-               "'identical' checks the rendered findings byte-for-byte "
-               "against the baseline.)\n\n";
+               "pooled session, whichever session served which run; "
+               "'sequential loop' is one session doing every run in order "
+               "with no plan cache. 'identical' checks the rendered findings "
+               "byte-for-byte against the baseline.)\n\n";
   if (!all_identical) {
     std::cerr << "FATAL: batch findings diverged from the sequential loop\n";
     std::exit(1);
