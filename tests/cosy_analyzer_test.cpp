@@ -148,16 +148,19 @@ TEST(Analyzer, ParallelEvaluationIsDeterministic) {
   World world(perf::workloads::imbalanced_ocean(), {1, 16});
   cosy::Analyzer analyzer(world.model, world.store, world.handles);
   cosy::AnalyzerConfig serial_config;
+  serial_config.threads = 1;
   cosy::AnalyzerConfig parallel_config;
   parallel_config.backend = "interpreter-sharded";
+  parallel_config.threads = 0;  // one worker per hardware thread
   const cosy::AnalysisReport a = analyzer.analyze(1, serial_config);
   const cosy::AnalysisReport b = analyzer.analyze(1, parallel_config);
   ASSERT_EQ(a.findings.size(), b.findings.size());
   for (std::size_t i = 0; i < a.findings.size(); ++i) {
     EXPECT_EQ(a.findings[i].property, b.findings[i].property);
     EXPECT_EQ(a.findings[i].context, b.findings[i].context);
-    EXPECT_DOUBLE_EQ(a.findings[i].result.severity, b.findings[i].result.severity);
+    EXPECT_EQ(a.findings[i].result.severity, b.findings[i].result.severity);
   }
+  EXPECT_EQ(a.to_table(0), b.to_table(0));
 }
 
 TEST(Analyzer, SqlStrategyWithoutConnectionThrows) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "asl/interp.hpp"
 #include "asl/sema.hpp"
 #include "cosy/analyzer.hpp"
@@ -1044,122 +1046,141 @@ TEST(WholeCondition, BeatsPushdownOnDistributedProfiles) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded SQL backend
+// Context fan-out: one run's contexts spread over `threads` workers
 
-TEST(SqlSharded, ByteIdenticalToWholeConditionAtAnyThreadCount) {
-  // The acceptance contract: context shards across pooled sessions reduce
-  // in request order, so the report — findings, not-applicable audits,
-  // notes, everything — is byte-identical to the single-session
-  // whole-condition backend at 1, 2, and 8 threads.
-  World world(perf::workloads::imbalanced_ocean(), {1, 4, 16});
+namespace {
 
-  db::Connection reference_conn(world.database,
-                                db::ConnectionProfile::postgres());
-  cosy::Analyzer reference(world.model, world.store, world.handles,
-                           &reference_conn);
-  cosy::AnalyzerConfig whole;
-  whole.backend = "sql-whole-condition";
-  std::vector<std::string> expected;
-  for (std::size_t run = 0; run < world.handles.runs.size(); ++run) {
-    expected.push_back(render_exact(reference.analyze(run, whole)));
+/// The backends whose context list fans out over `AnalyzerConfig::threads`
+/// workers: the store-backed interpreter and the whole-condition SQL path.
+constexpr const char* kParallelInterpreter = "interpreter-sharded";
+constexpr const char* kParallelSql = "sql-sharded";
+
+/// One world for every (backend, threads) case: building it dominates.
+World& fan_out_world() {
+  static World world(perf::workloads::imbalanced_ocean(), {1, 4, 16});
+  return world;
+}
+
+/// Analyzes `run` with `backend` on `threads` workers through Analyzer. A
+/// backend that needs a database gets a pool of `threads` Postgres sessions
+/// and no connection of its own.
+cosy::AnalysisReport analyze_on_workers(World& world,
+                                        const std::string& backend,
+                                        std::size_t threads, std::size_t run,
+                                        cosy::PlanCache* cache = nullptr) {
+  cosy::AnalyzerConfig config;
+  config.backend = backend;
+  config.threads = threads;
+  config.plan_cache = cache;
+  if (!cosy::EvalBackend::requires_connection(backend)) {
+    cosy::Analyzer analyzer(world.model, world.store, world.handles);
+    return analyzer.analyze(run, config);
   }
+  db::ConnectionPool pool(world.database, db::ConnectionProfile::postgres(),
+                          threads);
+  cosy::Analyzer analyzer(world.model, world.store, world.handles,
+                          /*conn=*/nullptr, &pool);
+  return analyzer.analyze(run, config);
+}
 
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    db::ConnectionPool pool(world.database, db::ConnectionProfile::postgres(),
-                            threads);
-    cosy::Analyzer analyzer(world.model, world.store, world.handles,
-                            /*conn=*/nullptr, &pool);
-    cosy::AnalyzerConfig sharded;
-    sharded.backend = "sql-sharded";
-    sharded.threads = threads;
-    for (std::size_t run = 0; run < world.handles.runs.size(); ++run) {
-      const cosy::AnalysisReport report = analyzer.analyze(run, sharded);
-      EXPECT_EQ(expected[run], render_exact(report))
-          << "run " << run << " threads " << threads;
-      // Sharding cannot change the statement economics: still exactly one
-      // statement per (property, context).
-      EXPECT_EQ(report.sql_queries, analyzer.context_count())
-          << "run " << run << " threads " << threads;
+struct FanOutCase {
+  const char* backend;
+  std::size_t threads;
+};
+
+}  // namespace
+
+class ContextFanOutDifferential
+    : public ::testing::TestWithParam<FanOutCase> {};
+
+TEST_P(ContextFanOutDifferential, ByteIdenticalToTheSerialInterpreter) {
+  // Results land in their request slots, so the report — findings,
+  // not-applicable audits, notes, everything — is the serial
+  // interpreter's at any thread count, and the fan-out issues exactly the
+  // statements one worker does.
+  World& world = fan_out_world();
+  const std::string backend = GetParam().backend;
+  const std::size_t threads = GetParam().threads;
+  cosy::Analyzer interpreter(world.model, world.store, world.handles);
+  db::Connection conn(world.database, db::ConnectionProfile::postgres());
+  cosy::Analyzer serial(world.model, world.store, world.handles, &conn);
+  cosy::AnalyzerConfig one_worker;
+  one_worker.backend = backend;
+  one_worker.threads = 1;
+  for (std::size_t run = 0; run < world.handles.runs.size(); ++run) {
+    const cosy::AnalysisReport report =
+        analyze_on_workers(world, backend, threads, run);
+    EXPECT_EQ(render_exact(interpreter.analyze(run)), render_exact(report))
+        << "run " << run;
+    const std::uint64_t serial_queries =
+        serial.analyze(run, one_worker).sql_queries;
+    if (backend == "bulk-fetch") {
+      // Each worker fetches every table once in prepare().
+      ASSERT_GT(serial_queries, 0u);
+      EXPECT_EQ(report.sql_queries % serial_queries, 0u) << "run " << run;
+      EXPECT_GE(report.sql_queries, serial_queries) << "run " << run;
+      EXPECT_LE(report.sql_queries, threads * serial_queries) << "run " << run;
+    } else {
+      EXPECT_EQ(report.sql_queries, serial_queries) << "run " << run;
     }
   }
 }
 
-TEST(SqlSharded, SharedPlanCacheCompilesEachPropertyOnce) {
+INSTANTIATE_TEST_SUITE_P(
+    BackendsAndThreads, ContextFanOutDifferential,
+    ::testing::Values(FanOutCase{kParallelInterpreter, 1},
+                      FanOutCase{kParallelInterpreter, 2},
+                      FanOutCase{kParallelInterpreter, 8},
+                      FanOutCase{kParallelSql, 1},
+                      FanOutCase{kParallelSql, 2},
+                      FanOutCase{kParallelSql, 8}),
+    [](const auto& info) {
+      std::string name = kojak::support::cat(info.param.backend, "_x",
+                                             info.param.threads);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+TEST(ContextFanOut, SharedPlanCacheCompilesEachPropertyOnce) {
   World world(perf::workloads::imbalanced_ocean(), {1, 4});
-  db::ConnectionPool pool(world.database, db::ConnectionProfile::in_memory(),
-                          4);
-  cosy::Analyzer analyzer(world.model, world.store, world.handles,
-                          /*conn=*/nullptr, &pool);
   cosy::PlanCache cache(world.model);
-  cosy::AnalyzerConfig config;
-  config.backend = "sql-sharded";
-  config.threads = 4;
-  config.plan_cache = &cache;
-  const cosy::AnalysisReport report = analyzer.analyze(1, config);
-  EXPECT_EQ(report.sql_queries, analyzer.context_count());
-  // One whole-condition plan per property, shared across every shard.
+  const cosy::AnalysisReport report =
+      analyze_on_workers(world, kParallelSql, 4, 1, &cache);
+  cosy::Analyzer counting(world.model, world.store, world.handles);
+  EXPECT_EQ(report.sql_queries, counting.context_count());
+  // One whole-condition plan per property, shared across every worker.
   EXPECT_EQ(cache.size(), world.model.properties().size());
   EXPECT_GT(report.plan_cache_hits, 0u);
 }
 
-TEST(SqlSharded, NeedsAConnectionOrAPool) {
+TEST(ContextFanOut, NeedsAConnectionOrAPool) {
   World world(perf::workloads::scalable_stencil(), {1, 2});
-  cosy::EvalBackendDeps deps;
-  deps.model = &world.model;
-  EXPECT_THROW((void)cosy::EvalBackend::create("sql-sharded", deps),
-               EvalError);
+  cosy::Analyzer neither(world.model, world.store, world.handles);
+  cosy::AnalyzerConfig config;
+  config.backend = kParallelSql;
+  config.threads = 2;
   try {
-    (void)cosy::EvalBackend::create("sql-sharded", deps);
+    (void)neither.analyze(1, config);
     FAIL() << "expected EvalError";
   } catch (const EvalError& error) {
-    EXPECT_NE(std::string(error.what()).find("connection pool"),
-              std::string::npos)
-        << error.what();
+    const std::string message = error.what();
+    EXPECT_NE(message.find("connection"), std::string::npos) << message;
+    EXPECT_NE(message.find("pool"), std::string::npos) << message;
   }
-  db::ConnectionPool pool(world.database, db::ConnectionProfile::in_memory(),
-                          2);
-  deps.pool = &pool;
-  EXPECT_NE(cosy::EvalBackend::create("sql-sharded", deps), nullptr);
 
-  // The model-instance pinning guard applies at creation, like the other
-  // SQL backends.
+  // The model-instance pinning guard still applies on the pooled path.
   const asl::Model reloaded = cosy::load_cosy_model();
   cosy::PlanCache stale(reloaded);
-  deps.plan_cache = &stale;
-  EXPECT_THROW((void)cosy::EvalBackend::create("sql-sharded", deps),
-               EvalError);
+  EXPECT_THROW(
+      (void)analyze_on_workers(world, kParallelSql, 2, 1, &stale),
+      EvalError);
 }
 
-// ---------------------------------------------------------------------------
-// Sharded interpreter backend
-
-TEST(ShardedInterpreter, ByteIdenticalReportsForAnyThreadCount) {
-  World world(perf::workloads::imbalanced_ocean(), {1, 4, 16});
-  cosy::Analyzer analyzer(world.model, world.store, world.handles);
-
-  cosy::AnalyzerConfig serial;
-  serial.backend = "interpreter";
-  std::vector<std::string> references;
-  for (std::size_t run = 0; run < world.handles.runs.size(); ++run) {
-    references.push_back(render_exact(analyzer.analyze(run, serial)));
-  }
-
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    cosy::AnalyzerConfig sharded;
-    sharded.backend = "interpreter-sharded";
-    sharded.threads = threads;
-    for (std::size_t run = 0; run < world.handles.runs.size(); ++run) {
-      EXPECT_EQ(references[run], render_exact(analyzer.analyze(run, sharded)))
-          << "run " << run << " threads " << threads;
-    }
-  }
-}
-
-TEST(ShardedInterpreter, WorksInsideTheBatchEngine) {
+TEST(ContextFanOut, WorksInsideTheBatchEngine) {
   World world(perf::workloads::imbalanced_ocean(), {1, 4, 16});
   cosy::BatchAnalyzer batch(world.model, world.store, world.handles, nullptr);
   cosy::BatchConfig config;
-  config.backend = "interpreter-sharded";
+  config.backend = kParallelInterpreter;
   config.threads = 2;
   const cosy::BatchResult result = batch.analyze_all(config);
   EXPECT_EQ(result.items.size(), world.handles.runs.size());
