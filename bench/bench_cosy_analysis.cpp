@@ -38,7 +38,7 @@ void BM_AnalyzeInterpreter(benchmark::State& state) {
 void BM_AnalyzeInterpreterParallel(benchmark::State& state) {
   cosy::Analyzer analyzer(world().model, *world().store, world().handles);
   cosy::AnalyzerConfig config;
-  config.backend = "interpreter-sharded";
+  config.threads = 0;  // one worker per hardware thread
   const auto run = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(analyzer.analyze(run, config));

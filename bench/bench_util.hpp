@@ -14,6 +14,7 @@
 #include "cosy/schema_gen.hpp"
 #include "cosy/specs.hpp"
 #include "cosy/store_builder.hpp"
+#include "db/connection_pool.hpp"
 #include "perf/report_io.hpp"
 #include "perf/simulator.hpp"
 #include "perf/workloads.hpp"
@@ -47,6 +48,18 @@ struct World {
     return database;
   }
 };
+
+/// Opens every session of `pool` by holding all of its leases at once.
+/// Call it before reading a pooled run's clocks: each session's connect
+/// cost is then charged before the clock is read, as it is for a single
+/// connection constructed before its run.
+inline void connect_all(db::ConnectionPool& pool) {
+  std::vector<db::ConnectionPool::Lease> leases;
+  leases.reserve(pool.capacity());
+  for (std::size_t i = 0; i < pool.capacity(); ++i) {
+    leases.push_back(pool.acquire());
+  }
+}
 
 }  // namespace kojak::bench
 

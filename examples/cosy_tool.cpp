@@ -264,6 +264,9 @@ int main(int argc, char** argv) {
     cosy::AnalyzerConfig config;
     config.backend = options.backend;
     config.problem_threshold = options.threshold;
+    // Spread the contexts over every hardware thread. The SQL backends have
+    // one connection here, so they run on one worker.
+    config.threads = 0;
     const std::size_t run = options.run.value_or(handles.runs.size() - 1);
     const cosy::AnalysisReport report = analyzer.analyze(run, config);
     if (options.format == "markdown") {

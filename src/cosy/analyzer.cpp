@@ -187,11 +187,8 @@ AnalysisReport Analyzer::analyze(std::size_t run_index,
     for (auto& ctx : per_property) contexts.push_back(std::move(ctx));
   }
 
-  std::vector<PropertyResult> results(contexts.size());
-
-  // The evaluation path is a named backend driven through the uniform
-  // prepare/evaluate/stats contract; the analyzer no longer branches on how
-  // a backend does its work.
+  // The evaluation path is a named backend and the worker count a number:
+  // the analyzer branches on neither.
   EvalBackendDeps deps;
   deps.model = model_;
   deps.store = store_;
@@ -200,18 +197,14 @@ AnalysisReport Analyzer::analyze(std::size_t run_index,
   deps.plan_cache = config.plan_cache;
   deps.threads = config.threads;
   deps.shard_cache = config.shard_cache;
-  const std::unique_ptr<EvalBackend> backend =
-      EvalBackend::create(config.backend, deps);
-  backend->prepare(*model_, run);
-
   std::vector<EvalRequest> requests;
   requests.reserve(contexts.size());
   for (const PropertyContext& ctx : contexts) {
     requests.push_back({ctx.property, &ctx.args});
   }
-  backend->evaluate_all(requests, results);
-
-  const EvalStats stats = backend->stats();
+  std::vector<PropertyResult> results(contexts.size());
+  const EvalStats stats =
+      evaluate_contexts(config.backend, deps, run, requests, results);
   report.sql_queries = stats.sql_queries;
   report.whole_fallbacks = stats.whole_fallbacks;
   report.plan_cache_hits = stats.plan_cache_hits;

@@ -26,8 +26,10 @@ struct AnalyzerConfig {
   double problem_threshold = 0.05;
   /// Region whose duration normalizes severities; empty -> the main region.
   std::string basis_region;
-  /// Worker count for sharding backends (0 = hardware).
-  std::size_t threads = 0;
+  /// Workers that share one run's contexts, for every backend (0 =
+  /// hardware; see evaluate_contexts). A backend that needs a database
+  /// runs on one worker unless the Analyzer has a pool.
+  std::size_t threads = 1;
   /// Evaluate only these properties (a "suite"); empty means every property
   /// of the model. Unknown names throw.
   std::vector<std::string> properties;
@@ -112,11 +114,10 @@ struct PropertyContext {
 /// version and evaluates every property of the model.
 class Analyzer {
  public:
-  /// `store`/`handles` come from build_store; `conn` is required for the SQL
-  /// backends and must hold the same data (see import_store). `pool`
-  /// supplies sessions for backends that shard one run's contexts across
-  /// several database sessions (sql-sharded); either a connection or a pool
-  /// satisfies such a backend.
+  /// `store`/`handles` come from build_store; the SQL backends need `conn`
+  /// or `pool`, over a database that holds the same data (see
+  /// import_store). With a pool, each of `AnalyzerConfig::threads` workers
+  /// leases its own session.
   Analyzer(const asl::Model& model, const asl::ObjectStore& store,
            const StoreHandles& handles, db::Connection* conn = nullptr,
            db::ConnectionPool* pool = nullptr);

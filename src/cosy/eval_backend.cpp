@@ -30,19 +30,12 @@ void EvalBackend::prepare(const asl::Model& model, asl::ObjectId run) {
   }
 }
 
-void EvalBackend::evaluate_all(std::span<const EvalRequest> requests,
-                               std::span<asl::PropertyResult> results) {
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    results[i] = evaluate(*requests[i].property, *requests[i].args);
-  }
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
 // Interpreter family
 
-class InterpreterBackend : public EvalBackend {
+class InterpreterBackend final : public EvalBackend {
  public:
   explicit InterpreterBackend(const EvalBackendDeps& deps)
       : EvalBackend(deps), interp_(*deps.model, *deps.store) {}
@@ -57,60 +50,8 @@ class InterpreterBackend : public EvalBackend {
     return interp_.evaluate_property(property, args);
   }
 
- protected:
-  const asl::Interpreter interp_;
-};
-
-/// Runs body(i, worker) for i in [0, n) on a private pool of
-/// min(workers, n) threads, spawned only when that is more than one;
-/// otherwise the indices run inline on the caller.
-void sharded_for(
-    std::size_t n, std::size_t workers,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  workers = std::min(workers, n);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i, 0);
-    return;
-  }
-  support::ThreadPool pool(workers);
-  pool.parallel_for(n, workers, body);
-}
-
-/// The interpreter with the ROADMAP's intra-run parallelism: workers claim
-/// the contexts of one huge run one at a time, and each writes its result
-/// into the request's slot. The reduction order is the request order
-/// regardless of scheduling, so reports are byte-identical for any thread
-/// count.
-class ShardedInterpreterBackend final : public InterpreterBackend {
- public:
-  explicit ShardedInterpreterBackend(const EvalBackendDeps& deps)
-      : InterpreterBackend(deps), threads_(deps.threads) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "interpreter-sharded";
-  }
-
-  void evaluate_all(std::span<const EvalRequest> requests,
-                    std::span<asl::PropertyResult> results) override {
-    const auto evaluate_one = [&](std::size_t i, std::size_t) {
-      results[i] = interp_.evaluate_property(*requests[i].property,
-                                             *requests[i].args);
-    };
-    if (threads_ == 0) {
-      // No explicit worker count: shard on the long-lived process pool
-      // instead of spawning threads per analysis.
-      support::global_pool().parallel_for(requests.size(), 0, evaluate_one);
-    } else {
-      // An explicit count gets its own pool: tests (and callers embedding
-      // the backend under an already-saturated scheduler) rely on exactly
-      // this many workers, which the hardware-sized global pool cannot
-      // promise.
-      sharded_for(requests.size(), threads_, evaluate_one);
-    }
-  }
-
  private:
-  std::size_t threads_;
+  const asl::Interpreter interp_;
 };
 
 // ---------------------------------------------------------------------------
@@ -141,102 +82,6 @@ class SqlBackend final : public EvalBackend {
  private:
   std::string_view name_;  // points at the registry key (stable)
   SqlEvaluator eval_;
-};
-
-/// The ROADMAP's sharded *SQL* backend: workers claim one run's contexts
-/// one at a time, and each worker leases its own session from the
-/// db::ConnectionPool and drives a whole-condition (+CSE) SqlEvaluator over
-/// the contexts it claims. Without a pool it runs serially on `conn`.
-/// Results land in their request slots, so the reduction is the same
-/// deterministic index order `interpreter-sharded` uses — reports are
-/// byte-identical to `sql-whole-condition` for any thread count. The shared
-/// PlanCache (when supplied) means each property still compiles once per
-/// analysis, not once per shard.
-class ShardedSqlBackend final : public EvalBackend {
- public:
-  explicit ShardedSqlBackend(const EvalBackendDeps& deps)
-      : EvalBackend(deps), threads_(deps.threads) {
-    if (deps.plan_cache != nullptr &&
-        &deps.plan_cache->model() != deps.model) {
-      // Same instance-pinning guard SqlEvaluator enforces, surfaced at
-      // creation instead of first shard evaluation.
-      throw EvalError(
-          "plan cache was compiled against a different model instance; "
-          "plans hold pointers into that model's AST");
-    }
-  }
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "sql-sharded";
-  }
-
-  [[nodiscard]] asl::PropertyResult evaluate(
-      const asl::PropertyInfo& property,
-      const std::vector<asl::RtValue>& args) override {
-    const EvalRequest request{&property, &args};
-    asl::PropertyResult result;
-    evaluate_all({&request, 1}, {&result, 1});
-    return result;
-  }
-
-  void evaluate_all(std::span<const EvalRequest> requests,
-                    std::span<asl::PropertyResult> results) override {
-    const std::size_t n = requests.size();
-    if (deps().pool == nullptr) {
-      for (std::size_t i = 0; i < n; ++i) {
-        results[i] = primary().evaluate_property(*requests[i].property,
-                                                 *requests[i].args);
-      }
-      return;
-    }
-    // Never ask for more leases than the pool can hand out at once: a
-    // worker holds its session until the join, so oversubscription would
-    // serialize on acquire() without buying anything.
-    const std::size_t workers = std::min(
-        {threads_ != 0 ? threads_
-                       : std::max<std::size_t>(
-                             1, std::thread::hardware_concurrency()),
-         deps().pool->capacity(), n});
-    // Each worker leases its session and builds its evaluator at its first
-    // claimed index. Evaluators are declared after the leases, so they are
-    // destroyed before their sessions return to the pool.
-    std::vector<db::ConnectionPool::Lease> leases(workers);
-    std::vector<std::optional<SqlEvaluator>> evals(workers);
-    sharded_for(n, workers, [&](std::size_t i, std::size_t worker) {
-      std::optional<SqlEvaluator>& eval = evals[worker];
-      if (!eval) {
-        leases[worker] = deps().pool->acquire();
-        eval.emplace(*deps().model, *leases[worker],
-                     SqlEvalMode::kWholeCondition, deps().plan_cache);
-        eval->set_shard_cache(deps().shard_cache);
-      }
-      results[i] = eval->evaluate_property(*requests[i].property,
-                                           *requests[i].args);
-    });
-    for (const std::optional<SqlEvaluator>& eval : evals) {
-      if (eval) stats_ += eval->stats();
-    }
-  }
-
-  [[nodiscard]] EvalStats stats() const override {
-    EvalStats out = stats_;
-    if (primary_) out += primary_->stats();
-    return out;
-  }
-
- private:
-  SqlEvaluator& primary() {
-    if (!primary_) {
-      primary_.emplace(*deps().model, *deps().conn,
-                       SqlEvalMode::kWholeCondition, deps().plan_cache);
-      primary_->set_shard_cache(deps().shard_cache);
-    }
-    return *primary_;
-  }
-
-  std::size_t threads_;
-  std::optional<SqlEvaluator> primary_;  // deps().conn-backed, serial path
-  EvalStats stats_;  // summed from the pooled evaluators after each join
 };
 
 /// One bulk transfer of every table in prepare(), then in-memory
@@ -298,13 +143,6 @@ Registry& registry() {
          [](const EvalBackendDeps& deps) {
            return std::make_unique<InterpreterBackend>(deps);
          }});
-    add({"interpreter-sharded",
-         "interpreter with the context list sharded across a thread pool "
-         "(deterministic reduction order)",
-         /*needs_store=*/true, /*needs_connection=*/false,
-         [](const EvalBackendDeps& deps) {
-           return std::make_unique<ShardedInterpreterBackend>(deps);
-         }});
     add({"sql-pushdown",
          "set operations compile to SQL; scalar glue stays client-side",
          /*needs_store=*/false, /*needs_connection=*/true,
@@ -333,15 +171,6 @@ Registry& registry() {
                "sql-whole-condition-plain", SqlEvalMode::kWholeCondition,
                deps, /*common_subexpr=*/false);
          }});
-    add({"sql-sharded",
-         "whole-condition evaluation (incl. the partition-union rewrite) "
-         "with one run's context list sharded across ConnectionPool "
-         "sessions (deterministic reduction)",
-         /*needs_store=*/false, /*needs_connection=*/true,
-         [](const EvalBackendDeps& deps) {
-           return std::make_unique<ShardedSqlBackend>(deps);
-         },
-         /*pool_satisfies_connection=*/true});
     add({"client-fetch",
          "record-at-a-time component fetching with all evaluation in the "
          "tool (the paper's §5 slow path)",
@@ -391,12 +220,9 @@ std::unique_ptr<EvalBackend> EvalBackend::create(std::string_view name,
     throw EvalError(support::cat("backend '", name,
                                  "' needs an in-memory object store"));
   }
-  if (reg.needs_connection && deps.conn == nullptr &&
-      !(reg.pool_satisfies_connection && deps.pool != nullptr)) {
-    throw EvalError(support::cat(
-        "backend '", name, "' needs a database ",
-        reg.pool_satisfies_connection ? "connection or connection pool"
-                                      : "connection"));
+  if (reg.needs_connection && deps.conn == nullptr) {
+    throw EvalError(
+        support::cat("backend '", name, "' needs a database connection"));
   }
   return reg.factory(deps);
 }
@@ -432,6 +258,74 @@ void EvalBackend::register_backend(Registration registration) {
   Registry& r = registry();
   std::lock_guard lock(r.mutex);
   r.entries.insert_or_assign(registration.name, std::move(registration));
+}
+
+EvalStats evaluate_contexts(std::string_view backend,
+                            const EvalBackendDeps& deps, asl::ObjectId run,
+                            std::span<const EvalRequest> requests,
+                            std::span<asl::PropertyResult> results) {
+  const bool needs_connection = EvalBackend::requires_connection(backend);
+  if (needs_connection && deps.conn == nullptr && deps.pool == nullptr) {
+    throw EvalError(support::cat("backend '", backend,
+                                 "' needs a database connection or a "
+                                 "connection pool"));
+  }
+  std::size_t workers =
+      deps.threads != 0
+          ? deps.threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  if (needs_connection) {
+    // A worker holds its session until the join, so more workers than
+    // sessions would only queue on acquire().
+    workers = deps.pool != nullptr ? std::min(workers, deps.pool->capacity())
+                                   : 1;
+  }
+  workers = std::min(workers, requests.size());
+
+  if (workers <= 1) {
+    db::ConnectionPool::Lease lease;
+    EvalBackendDeps own = deps;
+    if (needs_connection && own.conn == nullptr) {
+      lease = deps.pool->acquire();
+      own.conn = lease.get();
+    }
+    const std::unique_ptr<EvalBackend> engine =
+        EvalBackend::create(backend, own);
+    engine->prepare(*deps.model, run);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      results[i] = engine->evaluate(*requests[i].property, *requests[i].args);
+    }
+    return engine->stats();
+  }
+
+  // Each worker's backend is declared after its lease, so it is destroyed
+  // before the session returns to the pool.
+  struct Worker {
+    db::ConnectionPool::Lease lease;
+    std::unique_ptr<EvalBackend> engine;
+  };
+  std::vector<Worker> slots(workers);
+  const auto evaluate_one = [&](std::size_t i, std::size_t worker) {
+    Worker& slot = slots[worker];
+    if (slot.engine == nullptr) {
+      EvalBackendDeps own = deps;
+      if (needs_connection) {
+        slot.lease = deps.pool->acquire();
+        own.conn = slot.lease.get();
+      }
+      slot.engine = EvalBackend::create(backend, own);
+      slot.engine->prepare(*deps.model, run);
+    }
+    results[i] =
+        slot.engine->evaluate(*requests[i].property, *requests[i].args);
+  };
+  support::ThreadPool pool(workers);
+  pool.parallel_for(requests.size(), workers, evaluate_one);
+  EvalStats total;
+  for (const Worker& slot : slots) {
+    if (slot.engine != nullptr) total += slot.engine->stats();
+  }
+  return total;
 }
 
 }  // namespace kojak::cosy

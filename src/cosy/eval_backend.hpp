@@ -38,18 +38,18 @@ struct EvalBackendDeps {
   const asl::Model* model = nullptr;
   const asl::ObjectStore* store = nullptr;
   db::Connection* conn = nullptr;
-  /// Session pool for backends that fan one run's context list out across
-  /// multiple database sessions (sql-sharded). Backends that accept a pool
-  /// fall back to `conn` when it is null (and vice versa).
+  /// Sessions for evaluate_contexts' workers: each worker of a backend that
+  /// needs a connection leases its own. Backends never read it.
   db::ConnectionPool* pool = nullptr;
   PlanCache* plan_cache = nullptr;
-  /// Worker count for intra-run sharding backends; 0 means hardware.
-  std::size_t threads = 0;
+  /// Worker count for evaluate_contexts (0 = hardware). Backends never
+  /// read it.
+  std::size_t threads = 1;
   /// Incremental shard-result cache for the whole-condition SQL family
   /// (cosy::Monitor supplies one that lives across epochs): partition-pinned
   /// `part<K>` CTE results are served from cache and only dirty partitions
   /// recompute. Null: every pass recomputes everything (the cold behavior).
-  /// Thread-safe, so the sharded backend shares it across its sessions.
+  /// Thread-safe, so evaluate_contexts' workers share it.
   ShardResultCache* shard_cache = nullptr;
 };
 
@@ -57,17 +57,12 @@ struct EvalBackendDeps {
 ///
 ///   prepare(model, run)  — once per analyzed run, before any evaluation;
 ///   evaluate(prop, args) — one (property, context) pair;
-///   evaluate_all(...)    — a whole context list (overridable for intra-run
-///                          parallelism; results are indexed by request, so
-///                          any schedule reduces deterministically);
 ///   stats()              — the backend's accounting for the analysis.
 ///
 /// Backends are named, listable, and constructible from config/CLI strings
 /// through the registry (`EvalBackend::create`). Built-ins:
 ///
 ///   interpreter          — in-memory object store, the semantic reference;
-///   interpreter-sharded  — the same, with the context list sharded across
-///                          a support::ThreadPool (intra-run parallelism);
 ///   sql-pushdown         — set operations compile to SQL, scalars client-side;
 ///   sql-whole-condition  — the paper-§6 path: the entire condition +
 ///                          confidence + severity surface compiles into ONE
@@ -76,15 +71,14 @@ struct EvalBackendDeps {
 ///                          (each shared subquery runs once per context);
 ///   sql-whole-condition-plain — the same without the CSE/CTE pass (the
 ///                          bench ablation baseline);
-///   sql-sharded          — whole-condition evaluation with one run's
-///                          context list sharded across ConnectionPool
-///                          sessions (deterministic index-based reduction);
 ///   client-fetch         — the §5 slow path, record-at-a-time fetching;
 ///   bulk-fetch           — one bulk transfer per table, then interpretation.
 ///
-/// An instance is single-analysis, single-thread (internal fan-out is the
-/// backend's own business); the analyzer creates one per analyze() call so
-/// stats stay per-report.
+/// A backend says where a property is evaluated, not how many threads
+/// evaluate it: an instance is single-analysis and single-thread, and
+/// evaluate_contexts spreads one run's contexts over workers that each own
+/// an instance. The analyzer creates backends per analyze() call, so stats
+/// stay per-report.
 class EvalBackend {
  public:
   virtual ~EvalBackend() = default;
@@ -99,13 +93,6 @@ class EvalBackend {
       const asl::PropertyInfo& property,
       const std::vector<asl::RtValue>& args) = 0;
 
-  /// Evaluates `requests[i]` into `results[i]` for every i. The base
-  /// implementation is a serial loop; sharding backends override it. The
-  /// index-based contract keeps reduction order deterministic for any
-  /// internal schedule.
-  virtual void evaluate_all(std::span<const EvalRequest> requests,
-                            std::span<asl::PropertyResult> results);
-
   [[nodiscard]] virtual EvalStats stats() const { return {}; }
 
   // --- registry ------------------------------------------------------------
@@ -119,11 +106,6 @@ class EvalBackend {
     bool needs_store = false;
     bool needs_connection = false;
     Factory factory;
-    /// When `needs_connection` is set, a ConnectionPool in the deps also
-    /// satisfies the requirement (the backend leases its own sessions —
-    /// sql-sharded). Defaults to false: most SQL backends drive exactly one
-    /// session and dereference `conn` directly.
-    bool pool_satisfies_connection = false;
   };
 
   /// Constructs the named backend. Throws support::EvalError for unknown
@@ -152,6 +134,22 @@ class EvalBackend {
  private:
   EvalBackendDeps deps_;
 };
+
+/// Evaluates `requests[i]` into `results[i]` for every i with the named
+/// backend on w = min(deps.threads, requests.size()) workers (a thread
+/// count of 0 means the hardware's). A backend that needs a connection runs
+/// on one worker without `deps.pool` and on at most the pool's capacity
+/// with it. Each worker creates its own backend at its first claimed index
+/// (leasing its session from the pool when the backend needs one), prepares
+/// it for `run`, and evaluates every index it claims; results land in their
+/// request slots, so reports are identical for any worker count. One worker
+/// is the serial loop: one backend on `deps.conn` (or on one leased session
+/// when only a pool is given), no thread. Errors are the serial loop's: the
+/// lowest failing index's is rethrown. Returns the workers' summed stats.
+[[nodiscard]] EvalStats evaluate_contexts(
+    std::string_view backend, const EvalBackendDeps& deps, asl::ObjectId run,
+    std::span<const EvalRequest> requests,
+    std::span<asl::PropertyResult> results);
 
 }  // namespace kojak::cosy
 

@@ -145,16 +145,15 @@ EpochReport Monitor::evaluate() {
     deps.model = model_;
     deps.conn = conn_;
     deps.plan_cache = &plan_cache_;
-    deps.threads = options_.threads;
     deps.shard_cache = &shard_cache_;
     backend_ = EvalBackend::create(options_.backend, deps);
   }
 
-  std::vector<EvalRequest> requests;
-  requests.reserve(watches_.size());
-  for (const Watch& w : watches_) requests.push_back({w.property, &w.args});
-  std::vector<PropertyResult> results(watches_.size());
-  backend_->evaluate_all(requests, results);
+  std::vector<PropertyResult> results;
+  results.reserve(watches_.size());
+  for (const Watch& w : watches_) {
+    results.push_back(backend_->evaluate(*w.property, w.args));
+  }
 
   const auto after = database.exec_stats();
 

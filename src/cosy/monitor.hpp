@@ -105,7 +105,9 @@ struct MonitorOptions {
   /// shard-result cache makes re-evaluation incremental only for the
   /// whole-condition family; other backends still work, just cold.
   std::string backend = "sql-whole-condition";
-  /// Worker threads for sharding backends (0 = hardware).
+  /// Read by nothing: the monitor evaluates its watches serially on one
+  /// persistent backend. Kept only because existing callers set it; due
+  /// for deletion.
   std::size_t threads = 0;
   /// Rows per multi-row INSERT statement on the ingest path.
   std::size_t ingest_batch_rows = 64;

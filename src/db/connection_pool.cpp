@@ -55,21 +55,6 @@ ConnectionPool::Lease ConnectionPool::acquire() {
   return Lease(this, conn);
 }
 
-std::optional<ConnectionPool::Lease> ConnectionPool::try_acquire() {
-  std::lock_guard lock(mutex_);
-  if (idle_.empty() && connections_.size() < capacity_) {
-    ++stats_.acquires;
-    connections_.push_back(std::make_unique<Connection>(db_, profile_, driver_));
-    return Lease(this, connections_.back().get());
-  }
-  if (idle_.empty()) return std::nullopt;
-  ++stats_.acquires;
-  ++stats_.reuses;
-  Connection* conn = idle_.back();
-  idle_.pop_back();
-  return Lease(this, conn);
-}
-
 void ConnectionPool::give_back(Connection* conn) {
   {
     std::lock_guard lock(mutex_);
@@ -99,15 +84,6 @@ double ConnectionPool::total_clock_us() const {
   std::uint64_t total_ns = 0;
   for (const auto& conn : connections_) total_ns += conn->clock().now_ns();
   return static_cast<double>(total_ns) / 1000.0;
-}
-
-double ConnectionPool::max_clock_us() const {
-  std::lock_guard lock(mutex_);
-  double best = 0;
-  for (const auto& conn : connections_) {
-    best = std::max(best, conn->clock().now_us());
-  }
-  return best;
 }
 
 std::vector<double> ConnectionPool::clock_snapshot_us() const {

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "db/connection.hpp"
@@ -58,8 +57,6 @@ class ConnectionPool {
 
   /// Blocks until a connection is available.
   [[nodiscard]] Lease acquire();
-  /// Non-blocking variant; empty when the pool is exhausted.
-  [[nodiscard]] std::optional<Lease> try_acquire();
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Connections constructed so far (lazy; <= capacity).
@@ -74,11 +71,9 @@ class ConnectionPool {
   };
   [[nodiscard]] Stats stats() const;
 
-  /// Aggregate modelled backend time across all sessions. `total` is the
-  /// serial-equivalent cost; `max` is the parallel makespan (the busiest
-  /// session's clock). Meaningful when no leases are outstanding.
+  /// Modelled backend time summed over all sessions (the serial-equivalent
+  /// cost). Meaningful when no leases are outstanding.
   [[nodiscard]] double total_clock_us() const;
-  [[nodiscard]] double max_clock_us() const;
   /// Per-session clocks in creation order (for makespan deltas across a
   /// batch: snapshot before and after, subtract index-wise).
   [[nodiscard]] std::vector<double> clock_snapshot_us() const;

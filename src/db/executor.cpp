@@ -39,11 +39,11 @@ namespace {
 // ---------------------------------------------------------------------------
 // Parallel partition scans
 
-/// Dedicated pool for partition scans and parallel CTE materialization,
-/// separate from support::global_pool() — statements that themselves run on
-/// global-pool workers (the sharded analysis backends) can wait on this
-/// pool without starving their own. Executions already on a scan-pool
-/// worker (parallel CTE bodies) run their scans inline: see scan_workers().
+/// Process-wide pool for partition scans and parallel CTE materialization,
+/// sized to the hardware. Statements issued from other pools' workers (the
+/// analyzer's context fan-out, the batch engine) wait on it without
+/// starving those pools. Executions already on a scan-pool worker (parallel
+/// CTE bodies) run their scans inline: see scan_workers().
 support::ThreadPool& scan_pool() {
   static support::ThreadPool pool;
   return pool;

@@ -100,9 +100,4 @@ void ThreadPool::parallel_for(
   if (error) std::rethrow_exception(error);
 }
 
-ThreadPool& global_pool() {
-  static ThreadPool pool;
-  return pool;
-}
-
 }  // namespace kojak::support

@@ -13,7 +13,7 @@ namespace kojak::support {
 
 /// Fixed-size worker pool whose only entry point is parallel_for. Every
 /// in-process fan-out in the library (the simulator's PE timelines, the
-/// sharded analysis backends, the batch analyzer's runs, the executor's
+/// analyzer's context fan-out, the batch analyzer's runs, the executor's
 /// partition scans and CTE waves) goes through it. Results are always
 /// reduced in a deterministic order by the caller, so pooled execution
 /// never changes output (only wall time).
@@ -57,9 +57,6 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stopping_ = false;
 };
-
-/// Process-wide pool sized to the hardware; created on first use.
-[[nodiscard]] ThreadPool& global_pool();
 
 }  // namespace kojak::support
 

@@ -150,7 +150,6 @@ TEST(Analyzer, ParallelEvaluationIsDeterministic) {
   cosy::AnalyzerConfig serial_config;
   serial_config.threads = 1;
   cosy::AnalyzerConfig parallel_config;
-  parallel_config.backend = "interpreter-sharded";
   parallel_config.threads = 0;  // one worker per hardware thread
   const cosy::AnalysisReport a = analyzer.analyze(1, serial_config);
   const cosy::AnalysisReport b = analyzer.analyze(1, parallel_config);

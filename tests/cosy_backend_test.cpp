@@ -1,8 +1,8 @@
-// The pluggable evaluation-backend seam: registry behavior, the two new
-// backends (sql-whole-condition, interpreter-sharded) pinned differentially
-// against the interpreter across every connection profile, the exact
-// one-statement-per-context contract of whole-condition compilation (paper
-// §6), and its site-wise fallback path.
+// The pluggable evaluation-backend seam: registry behavior, the
+// whole-condition backends pinned differentially against the interpreter
+// across every connection profile, every backend at 1, 2 and 8 workers, the
+// exact one-statement-per-context contract of whole-condition compilation
+// (paper §6), and its site-wise fallback path.
 
 #include <gtest/gtest.h>
 
@@ -67,7 +67,7 @@ std::string render_findings(const cosy::AnalysisReport& report) {
 }
 
 /// Byte-exact rendering (including not-applicable notes) for backends that
-/// promise full identity, e.g. the sharded interpreter at any thread count.
+/// promise full identity, e.g. any backend at any worker count.
 std::string render_exact(const cosy::AnalysisReport& report) {
   std::string out = report.to_table(0);
   for (const cosy::Finding& f : report.not_applicable) {
@@ -103,9 +103,7 @@ TEST(EvalBackendRegistry, ListsAllBuiltins) {
       {"bulk-fetch", true},
       {"client-fetch", true},
       {"interpreter", false},
-      {"interpreter-sharded", false},
       {"sql-pushdown", true},
-      {"sql-sharded", true},
       {"sql-whole-condition", true},
       {"sql-whole-condition-plain", true},
   };
@@ -467,10 +465,9 @@ TEST(WholeCondition, CseBeatsPlainWholeConditionOnDistributedProfiles) {
   }
 }
 
-// Differential: the SQL-family backends (whole-condition with and without
-// CSE, sharded SQL) plus the sharded interpreter against the interpreter
-// reference — all 13 properties, every connection profile of the paper's
-// §5 comparison.
+// Differential: the whole-condition backends (with and without CSE) against
+// the interpreter reference — all 13 properties, every connection profile
+// of the paper's §5 comparison.
 class BackendDifferential : public ::testing::TestWithParam<ProfileCase> {};
 
 TEST_P(BackendDifferential, AgreesWithInterpreterOnAllWorkloads) {
@@ -495,8 +492,7 @@ TEST_P(BackendDifferential, AgreesWithInterpreterOnAllWorkloads) {
         render_findings(analyzer.analyze(2, reference));
 
     for (const char* backend :
-         {"sql-whole-condition", "sql-whole-condition-plain", "sql-sharded",
-          "interpreter-sharded"}) {
+         {"sql-whole-condition", "sql-whole-condition-plain"}) {
       cosy::AnalyzerConfig config;
       config.backend = backend;
       const cosy::AnalysisReport report = analyzer.analyze(2, config);
@@ -1050,11 +1046,6 @@ TEST(WholeCondition, BeatsPushdownOnDistributedProfiles) {
 
 namespace {
 
-/// The backends whose context list fans out over `AnalyzerConfig::threads`
-/// workers: the store-backed interpreter and the whole-condition SQL path.
-constexpr const char* kParallelInterpreter = "interpreter-sharded";
-constexpr const char* kParallelSql = "sql-sharded";
-
 /// One world for every (backend, threads) case: building it dominates.
 World& fan_out_world() {
   static World world(perf::workloads::imbalanced_ocean(), {1, 4, 16});
@@ -1128,12 +1119,17 @@ TEST_P(ContextFanOutDifferential, ByteIdenticalToTheSerialInterpreter) {
 
 INSTANTIATE_TEST_SUITE_P(
     BackendsAndThreads, ContextFanOutDifferential,
-    ::testing::Values(FanOutCase{kParallelInterpreter, 1},
-                      FanOutCase{kParallelInterpreter, 2},
-                      FanOutCase{kParallelInterpreter, 8},
-                      FanOutCase{kParallelSql, 1},
-                      FanOutCase{kParallelSql, 2},
-                      FanOutCase{kParallelSql, 8}),
+    ::testing::ValuesIn([] {
+      std::vector<FanOutCase> cases;
+      for (const char* backend :
+           {"interpreter", "sql-pushdown", "sql-whole-condition",
+            "sql-whole-condition-plain", "client-fetch", "bulk-fetch"}) {
+        for (const std::size_t threads : {1u, 2u, 8u}) {
+          cases.push_back({backend, threads});
+        }
+      }
+      return cases;
+    }()),
     [](const auto& info) {
       std::string name = kojak::support::cat(info.param.backend, "_x",
                                              info.param.threads);
@@ -1145,7 +1141,7 @@ TEST(ContextFanOut, SharedPlanCacheCompilesEachPropertyOnce) {
   World world(perf::workloads::imbalanced_ocean(), {1, 4});
   cosy::PlanCache cache(world.model);
   const cosy::AnalysisReport report =
-      analyze_on_workers(world, kParallelSql, 4, 1, &cache);
+      analyze_on_workers(world, "sql-whole-condition", 4, 1, &cache);
   cosy::Analyzer counting(world.model, world.store, world.handles);
   EXPECT_EQ(report.sql_queries, counting.context_count());
   // One whole-condition plan per property, shared across every worker.
@@ -1157,7 +1153,7 @@ TEST(ContextFanOut, NeedsAConnectionOrAPool) {
   World world(perf::workloads::scalable_stencil(), {1, 2});
   cosy::Analyzer neither(world.model, world.store, world.handles);
   cosy::AnalyzerConfig config;
-  config.backend = kParallelSql;
+  config.backend = "sql-whole-condition";
   config.threads = 2;
   try {
     (void)neither.analyze(1, config);
@@ -1172,7 +1168,7 @@ TEST(ContextFanOut, NeedsAConnectionOrAPool) {
   const asl::Model reloaded = cosy::load_cosy_model();
   cosy::PlanCache stale(reloaded);
   EXPECT_THROW(
-      (void)analyze_on_workers(world, kParallelSql, 2, 1, &stale),
+      (void)analyze_on_workers(world, "sql-whole-condition", 2, 1, &stale),
       EvalError);
 }
 
@@ -1180,7 +1176,7 @@ TEST(ContextFanOut, WorksInsideTheBatchEngine) {
   World world(perf::workloads::imbalanced_ocean(), {1, 4, 16});
   cosy::BatchAnalyzer batch(world.model, world.store, world.handles, nullptr);
   cosy::BatchConfig config;
-  config.backend = kParallelInterpreter;
+  config.backend = "interpreter";
   config.threads = 2;
   const cosy::BatchResult result = batch.analyze_all(config);
   EXPECT_EQ(result.items.size(), world.handles.runs.size());

@@ -81,14 +81,17 @@ std::string render_exact(const cosy::AnalysisReport& report) {
   return out;
 }
 
+/// Analyzes run 2 with `backend` on `threads` workers (0 = hardware). A
+/// backend that needs a database gets a pool of `threads` sessions when
+/// there are several workers, and one connection otherwise.
 cosy::AnalysisReport analyze(QuadWorld& world, db::Database& database,
                              const std::string& backend, std::size_t threads) {
   cosy::AnalyzerConfig config;
   config.backend = backend;
   config.threads = threads;
-  if (backend == "sql-sharded") {
+  if (threads > 1 && cosy::EvalBackend::requires_connection(backend)) {
     db::ConnectionPool pool(database, db::ConnectionProfile::in_memory(),
-                            threads == 0 ? 2 : threads);
+                            threads);
     cosy::Analyzer analyzer(world.model, world.store, world.handles,
                             /*conn=*/nullptr, &pool);
     return analyzer.analyze(2, config);
@@ -164,17 +167,18 @@ TEST(ColumnarStore, AllBackendsByteIdenticalAcrossLayouts) {
   }
 }
 
-TEST(ColumnarStore, ShardedBackendsByteIdenticalAtAnyThreadCount) {
+TEST(ColumnarStore, WholeConditionByteIdenticalAtAnyThreadCount) {
   QuadWorld world(perf::workloads::scalable_stencil(), {1, 4, 16}, 2);
   world.row_part.set_scan_config({.threads = 4, .min_parallel_rows = 1});
   world.col_part.set_scan_config({.threads = 4, .min_parallel_rows = 1});
 
+  const std::string backend = "sql-whole-condition";
   for (const std::size_t threads : {1u, 2u, 8u}) {
     const std::string reference =
-        render_exact(analyze(world, world.row_flat, "sql-sharded", threads));
+        render_exact(analyze(world, world.row_flat, backend, threads));
     for (db::Database* database :
          {&world.col_flat, &world.row_part, &world.col_part}) {
-      EXPECT_EQ(render_exact(analyze(world, *database, "sql-sharded", threads)),
+      EXPECT_EQ(render_exact(analyze(world, *database, backend, threads)),
                 reference)
           << threads << " threads";
     }

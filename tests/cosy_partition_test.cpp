@@ -73,14 +73,17 @@ std::string render_exact(const cosy::AnalysisReport& report) {
   return out;
 }
 
+/// Analyzes run 2 with `backend` on `threads` workers (0 = hardware). A
+/// backend that needs a database gets a pool of `threads` sessions when
+/// there are several workers, and one connection otherwise.
 cosy::AnalysisReport analyze(TwinWorld& world, db::Database& database,
                              const std::string& backend, std::size_t threads) {
   cosy::AnalyzerConfig config;
   config.backend = backend;
   config.threads = threads;
-  if (backend == "sql-sharded") {
+  if (threads > 1 && cosy::EvalBackend::requires_connection(backend)) {
     db::ConnectionPool pool(database, db::ConnectionProfile::in_memory(),
-                            threads == 0 ? 2 : threads);
+                            threads);
     cosy::Analyzer analyzer(world.model, world.store, world.handles,
                             /*conn=*/nullptr, &pool);
     return analyzer.analyze(2, config);
@@ -266,13 +269,13 @@ std::string render_result(const asl::PropertyResult& result,
                              "\n");
 }
 
-/// Evaluates every (property, fleet) context through `backend` and renders
-/// the whole sweep. `threads` feeds the sharding backends; sql-sharded gets
-/// its own pool sized to match.
+/// Evaluates every (property, fleet) context through `backend` on
+/// `threads` workers and renders the whole sweep. Several workers get a
+/// pool of that many sessions; one worker runs on one connection.
 std::string evaluate_fleet_suite(const FleetWorld& world,
                                  db::Database& database,
                                  const std::string& backend,
-                                 std::size_t threads = 0,
+                                 std::size_t threads = 1,
                                  bool with_note = true) {
   struct Sweep {
     std::vector<std::vector<asl::RtValue>> args;
@@ -300,17 +303,15 @@ std::string evaluate_fleet_suite(const FleetWorld& world,
 
   db::Connection conn(database, db::ConnectionProfile::in_memory());
   std::optional<db::ConnectionPool> pool;
-  if (backend == "sql-sharded") {
-    pool.emplace(database, db::ConnectionProfile::in_memory(),
-                 threads == 0 ? 2 : threads);
+  if (threads > 1) {
+    pool.emplace(database, db::ConnectionProfile::in_memory(), threads);
     deps.pool = &*pool;
   } else {
     deps.conn = &conn;
   }
-  const std::unique_ptr<cosy::EvalBackend> engine =
-      cosy::EvalBackend::create(backend, deps);
   std::vector<asl::PropertyResult> results(sweep.requests.size());
-  engine->evaluate_all(sweep.requests, results);
+  (void)cosy::evaluate_contexts(backend, deps, asl::kNullObject,
+                                sweep.requests, results);
   std::string rendered;
   for (const asl::PropertyResult& result : results) {
     rendered += render_result(result, with_note);
@@ -494,7 +495,7 @@ TEST(PartitionUnion, RewrittenBackendsByteIdenticalAcrossLayoutsAndThreads) {
     world.populate(flat, 1);
     sql_reference = evaluate_fleet_suite(world, flat, "sql-whole-condition");
     EXPECT_EQ(
-        evaluate_fleet_suite(world, flat, "sql-whole-condition", 0,
+        evaluate_fleet_suite(world, flat, "sql-whole-condition", 1,
                              /*with_note=*/false),
         interp_reference);
   }
@@ -508,11 +509,12 @@ TEST(PartitionUnion, RewrittenBackendsByteIdenticalAcrossLayoutsAndThreads) {
       EXPECT_EQ(evaluate_fleet_suite(world, database, backend), sql_reference)
           << backend << " @ " << partitions << " partitions";
     }
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      EXPECT_EQ(evaluate_fleet_suite(world, database, "sql-sharded", threads),
+    for (const std::size_t threads : {2u, 8u}) {
+      EXPECT_EQ(evaluate_fleet_suite(world, database, "sql-whole-condition",
+                                     threads),
                 sql_reference)
-          << "sql-sharded @ " << partitions << " partitions, " << threads
-          << " threads";
+          << "sql-whole-condition @ " << partitions << " partitions, "
+          << threads << " threads";
     }
   }
 }
@@ -645,25 +647,22 @@ TEST(PartitionUnion, PlanCacheKeyedOnLayoutFingerprint) {
   EXPECT_EQ(on_partitioned.stats().plan_cache_hits, 1u);
 }
 
-TEST(PartitionedStore, ShardedBackendsByteIdenticalAtAnyThreadCount) {
+TEST(PartitionedStore, FanOutByteIdenticalAtAnyThreadCount) {
   TwinWorld world(perf::workloads::scalable_stencil(), {1, 4, 16}, 2);
   world.partitioned.set_scan_config({.threads = 4, .min_parallel_rows = 1});
 
   // The reference: the serial interpreter over the in-memory store.
-  const std::string reference = render_exact(
-      analyze(world, world.flat, "interpreter", 0));
+  const std::string reference =
+      render_exact(analyze(world, world.flat, "interpreter", 1));
 
-  for (const char* backend : {"interpreter-sharded", "sql-sharded"}) {
+  for (const char* backend : {"interpreter", "sql-whole-condition"}) {
     for (const std::size_t threads : {1u, 2u, 8u}) {
       const std::string flat =
           render_exact(analyze(world, world.flat, backend, threads));
       const std::string part =
           render_exact(analyze(world, world.partitioned, backend, threads));
       EXPECT_EQ(flat, part) << backend << " @ " << threads;
-      if (std::string_view(backend) == "interpreter-sharded") {
-        // Store-backed: byte-exact against the serial interpreter too.
-        EXPECT_EQ(flat, reference) << backend << " @ " << threads;
-      }
+      EXPECT_EQ(flat, reference) << backend << " @ " << threads;
     }
   }
 }
