@@ -148,8 +148,8 @@ BatchResult BatchAnalyzer::analyze_runs(std::span<const std::size_t> runs,
     per_run.basis_region = config.basis_region;
     per_run.properties = suites[s].properties;
     per_run.plan_cache = cache;
-    // Batch-level parallelism already saturates the workers; sharding
-    // backends must not fan out again inside each task.
+    // Batch-level parallelism already saturates the workers; one run's
+    // contexts must not fan out again inside each task.
     per_run.threads = 1;
 
     BatchItem& item = result.items[slot];

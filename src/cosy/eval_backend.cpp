@@ -33,7 +33,7 @@ void EvalBackend::prepare(const asl::Model& model, asl::ObjectId run) {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Interpreter family
+// Interpreter
 
 class InterpreterBackend final : public EvalBackend {
  public:
@@ -277,21 +277,28 @@ EvalStats evaluate_contexts(std::string_view backend,
   if (needs_connection) {
     // A worker holds its session until the join, so more workers than
     // sessions would only queue on acquire().
-    workers = deps.pool != nullptr ? std::min(workers, deps.pool->capacity())
-                                   : 1;
+    workers =
+        deps.pool != nullptr ? std::min(workers, deps.pool->capacity()) : 1;
   }
   workers = std::min(workers, requests.size());
 
-  if (workers <= 1) {
-    db::ConnectionPool::Lease lease;
+  // One worker uses deps.conn when it has one; several lease a session each.
+  const bool lease_sessions =
+      needs_connection && (workers > 1 || deps.conn == nullptr);
+  const auto open = [&](db::ConnectionPool::Lease& lease) {
     EvalBackendDeps own = deps;
-    if (needs_connection && own.conn == nullptr) {
+    if (lease_sessions) {
       lease = deps.pool->acquire();
       own.conn = lease.get();
     }
-    const std::unique_ptr<EvalBackend> engine =
-        EvalBackend::create(backend, own);
+    std::unique_ptr<EvalBackend> engine = EvalBackend::create(backend, own);
     engine->prepare(*deps.model, run);
+    return engine;
+  };
+
+  if (workers <= 1) {
+    db::ConnectionPool::Lease lease;
+    const std::unique_ptr<EvalBackend> engine = open(lease);
     for (std::size_t i = 0; i < requests.size(); ++i) {
       results[i] = engine->evaluate(*requests[i].property, *requests[i].args);
     }
@@ -307,15 +314,7 @@ EvalStats evaluate_contexts(std::string_view backend,
   std::vector<Worker> slots(workers);
   const auto evaluate_one = [&](std::size_t i, std::size_t worker) {
     Worker& slot = slots[worker];
-    if (slot.engine == nullptr) {
-      EvalBackendDeps own = deps;
-      if (needs_connection) {
-        slot.lease = deps.pool->acquire();
-        own.conn = slot.lease.get();
-      }
-      slot.engine = EvalBackend::create(backend, own);
-      slot.engine->prepare(*deps.model, run);
-    }
+    if (slot.engine == nullptr) slot.engine = open(slot.lease);
     results[i] =
         slot.engine->evaluate(*requests[i].property, *requests[i].args);
   };
