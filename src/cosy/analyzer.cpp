@@ -193,9 +193,7 @@ AnalysisReport Analyzer::analyze(std::size_t run_index,
   deps.model = model_;
   deps.store = store_;
   deps.conn = conn_;
-  deps.pool = pool_;
   deps.plan_cache = config.plan_cache;
-  deps.threads = config.threads;
   deps.shard_cache = config.shard_cache;
   std::vector<EvalRequest> requests;
   requests.reserve(contexts.size());
@@ -204,7 +202,8 @@ AnalysisReport Analyzer::analyze(std::size_t run_index,
   }
   std::vector<PropertyResult> results(contexts.size());
   const EvalStats stats =
-      evaluate_contexts(config.backend, deps, run, requests, results);
+      evaluate_contexts(config.backend, deps, pool_, config.threads, run,
+                        requests, results);
   report.sql_queries = stats.sql_queries;
   report.whole_fallbacks = stats.whole_fallbacks;
   report.plan_cache_hits = stats.plan_cache_hits;

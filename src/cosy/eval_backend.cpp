@@ -261,65 +261,61 @@ void EvalBackend::register_backend(Registration registration) {
 }
 
 EvalStats evaluate_contexts(std::string_view backend,
-                            const EvalBackendDeps& deps, asl::ObjectId run,
+                            const EvalBackendDeps& deps,
+                            db::ConnectionPool* pool, std::size_t threads,
+                            asl::ObjectId run,
                             std::span<const EvalRequest> requests,
                             std::span<asl::PropertyResult> results) {
   const bool needs_connection = EvalBackend::requires_connection(backend);
-  if (needs_connection && deps.conn == nullptr && deps.pool == nullptr) {
+  if (needs_connection && deps.conn == nullptr && pool == nullptr) {
     throw EvalError(support::cat("backend '", backend,
                                  "' needs a database connection or a "
                                  "connection pool"));
   }
   std::size_t workers =
-      deps.threads != 0
-          ? deps.threads
+      threads != 0
+          ? threads
           : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   if (needs_connection) {
     // A worker holds its session until the join, so more workers than
     // sessions would only queue on acquire().
-    workers =
-        deps.pool != nullptr ? std::min(workers, deps.pool->capacity()) : 1;
+    workers = pool != nullptr ? std::min(workers, pool->capacity()) : 1;
   }
   workers = std::min(workers, requests.size());
 
   // One worker uses deps.conn when it has one; several lease a session each.
   const bool lease_sessions =
       needs_connection && (workers > 1 || deps.conn == nullptr);
-  const auto open = [&](db::ConnectionPool::Lease& lease) {
-    EvalBackendDeps own = deps;
-    if (lease_sessions) {
-      lease = deps.pool->acquire();
-      own.conn = lease.get();
-    }
-    std::unique_ptr<EvalBackend> engine = EvalBackend::create(backend, own);
-    engine->prepare(*deps.model, run);
-    return engine;
-  };
-
-  if (workers <= 1) {
-    db::ConnectionPool::Lease lease;
-    const std::unique_ptr<EvalBackend> engine = open(lease);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      results[i] = engine->evaluate(*requests[i].property, *requests[i].args);
-    }
-    return engine->stats();
-  }
-
   // Each worker's backend is declared after its lease, so it is destroyed
   // before the session returns to the pool.
   struct Worker {
     db::ConnectionPool::Lease lease;
     std::unique_ptr<EvalBackend> engine;
   };
-  std::vector<Worker> slots(workers);
+  std::vector<Worker> slots(std::max<std::size_t>(workers, 1));
+  const auto open = [&](Worker& slot) {
+    EvalBackendDeps own = deps;
+    if (lease_sessions) {
+      slot.lease = pool->acquire();
+      own.conn = slot.lease.get();
+    }
+    slot.engine = EvalBackend::create(backend, own);
+    slot.engine->prepare(*deps.model, run);
+  };
   const auto evaluate_one = [&](std::size_t i, std::size_t worker) {
     Worker& slot = slots[worker];
-    if (slot.engine == nullptr) slot.engine = open(slot.lease);
+    if (slot.engine == nullptr) open(slot);
     results[i] =
         slot.engine->evaluate(*requests[i].property, *requests[i].args);
   };
-  support::ThreadPool pool(workers);
-  pool.parallel_for(requests.size(), workers, evaluate_one);
+  if (workers <= 1) {
+    // The serial loop prepares its backend even for a run without contexts.
+    open(slots[0]);
+    for (std::size_t i = 0; i < requests.size(); ++i) evaluate_one(i, 0);
+  } else {
+    support::ThreadPool(workers).parallel_for(requests.size(), workers,
+                                              evaluate_one);
+  }
   EvalStats total;
   for (const Worker& slot : slots) {
     if (slot.engine != nullptr) total += slot.engine->stats();

@@ -38,13 +38,7 @@ struct EvalBackendDeps {
   const asl::Model* model = nullptr;
   const asl::ObjectStore* store = nullptr;
   db::Connection* conn = nullptr;
-  /// Sessions for evaluate_contexts' workers: each worker of a backend that
-  /// needs a connection leases its own. Backends never read it.
-  db::ConnectionPool* pool = nullptr;
   PlanCache* plan_cache = nullptr;
-  /// Worker count for evaluate_contexts (0 = hardware). Backends never
-  /// read it.
-  std::size_t threads = 1;
   /// Incremental shard-result cache for the whole-condition SQL family
   /// (cosy::Monitor supplies one that lives across epochs): partition-pinned
   /// `part<K>` CTE results are served from cache and only dirty partitions
@@ -136,18 +130,19 @@ class EvalBackend {
 };
 
 /// Evaluates `requests[i]` into `results[i]` for every i with the named
-/// backend on w = min(deps.threads, requests.size()) workers (a thread
-/// count of 0 means the hardware's). A backend that needs a connection runs
-/// on one worker without `deps.pool` and on at most the pool's capacity
-/// with it. Each worker creates its own backend at its first claimed index
-/// (leasing its session from the pool when the backend needs one), prepares
+/// backend on w = min(threads, requests.size()) workers (a thread count of
+/// 0 means the hardware's). A backend that needs a connection runs on one
+/// worker without `pool` and on at most the pool's capacity with it. Each
+/// worker creates its own backend from `deps` at its first claimed index
+/// (leasing its session from `pool` when the backend needs one), prepares
 /// it for `run`, and evaluates every index it claims; results land in their
 /// request slots, so reports are identical for any worker count. One worker
 /// is the serial loop: one backend on `deps.conn` (or on one leased session
 /// when only a pool is given), no thread. Errors are the serial loop's: the
 /// lowest failing index's is rethrown. Returns the workers' summed stats.
 [[nodiscard]] EvalStats evaluate_contexts(
-    std::string_view backend, const EvalBackendDeps& deps, asl::ObjectId run,
+    std::string_view backend, const EvalBackendDeps& deps,
+    db::ConnectionPool* pool, std::size_t threads, asl::ObjectId run,
     std::span<const EvalRequest> requests,
     std::span<asl::PropertyResult> results);
 

@@ -299,19 +299,18 @@ std::string evaluate_fleet_suite(const FleetWorld& world,
   cosy::EvalBackendDeps deps;
   deps.model = &world.model;
   deps.store = &world.store;
-  deps.threads = threads;
 
   db::Connection conn(database, db::ConnectionProfile::in_memory());
   std::optional<db::ConnectionPool> pool;
   if (threads > 1) {
     pool.emplace(database, db::ConnectionProfile::in_memory(), threads);
-    deps.pool = &*pool;
   } else {
     deps.conn = &conn;
   }
   std::vector<asl::PropertyResult> results(sweep.requests.size());
-  (void)cosy::evaluate_contexts(backend, deps, asl::kNullObject,
-                                sweep.requests, results);
+  (void)cosy::evaluate_contexts(backend, deps,
+                                pool.has_value() ? &*pool : nullptr, threads,
+                                asl::kNullObject, sweep.requests, results);
   std::string rendered;
   for (const asl::PropertyResult& result : results) {
     rendered += render_result(result, with_note);
